@@ -16,11 +16,13 @@ directly to regenerate the committed snapshot::
 
     PYTHONPATH=src python benchmarks/bench_engine_speedup.py
 
-The fast engine wins most where the reference spends cycles ticking
-stalled threads: memory-bound mixes at high thread counts.  MIX mixes
-are dominated by per-µop work both engines share (the paper's ILP
-threads rarely stall long enough to skip), so their ratio is close
-to 1 — see docs/performance.md for the full breakdown.
+Both engines run the one ``SMTCore``; the fast engine adds the
+stalled-window kernel and the µop stream memo.  The kernel wins where
+the reference spends cycles ticking stalled threads: memory-bound
+mixes at high thread counts.  On MIX mixes it never opens (the paper's
+ILP threads rarely stall long enough to skip), so their ratio is the
+memo being warm on the best-of-N repeats — see docs/performance.md
+for the full breakdown.
 """
 
 import dataclasses

@@ -19,6 +19,15 @@ The main loop skips idle stretches: when no thread can fetch (blocked
 or ROB-full) the clock jumps to the next event / unblock / commit
 time, which makes memory-bound multiprogrammed runs tractable in pure
 Python.
+
+This class is the only owner of the per-µop path (fetch, dispatch,
+issue, resolve, commit) and is itself the ``reference`` engine.  The
+``fast`` engine (:class:`repro.engine.fast.FastSMTCore`) subclasses it
+to add two strategies and nothing else: a ``_stalled_window`` kernel
+the phase loop calls when a cycle dispatched nothing, and memoized µop
+streams.  A hot-path change made here therefore runs under every
+engine, and the engine oracle compares kernel + memo against
+tick-every-cycle + fresh generation of the *same* code.
 """
 
 from __future__ import annotations
@@ -32,10 +41,22 @@ from repro.common.rng import DeterministicRng
 from repro.common.types import OpClass
 from repro.cache.hierarchy import PENDING, RETRY, MemoryHierarchy
 from repro.cpu.branch import BranchTargetBuffer, HybridPredictor
-from repro.cpu.fetch import FetchPolicy, make_fetch_policy
+from repro.cpu.fetch import (
+    WINDOW_SAFE_POLICIES,
+    FetchPolicy,
+    make_fetch_policy,
+)
 from repro.cpu.stats import CoreResult, ThreadResult
 from repro.cpu.thread import FOREVER, Inflight, ThreadContext
 from repro.workloads.generator import SyntheticStream, Uop
+
+# Op classes are tested by identity on the per-µop path (an enum
+# property call per µop is measurable).
+_FP_ALU = OpClass.FP_ALU
+_FP_MULT = OpClass.FP_MULT
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+_BRANCH = OpClass.BRANCH
 
 
 @dataclass(frozen=True)
@@ -134,6 +155,20 @@ class SMTCore:
             ThreadContext(i, name, stream, params.rob_size, icache_rngs[i])
             for i, (name, stream) in enumerate(workloads)
         ]
+        #: Per-thread bound-method/constant tables, indexed by thread
+        #: id: loop invariants every fetch visit would otherwise
+        #: re-derive (attribute walk + bound-method creation).
+        self._t_miss_rate = [
+            t.stream.profile.icache_miss_rate for t in self.threads
+        ]
+        self._t_rng = [t.icache_rng.random for t in self.threads]
+        self._t_next = [t.stream.next_uop for t in self.threads]
+        #: Bumped by every event-side mutator of fetch-visible core
+        #: state (issue-queue drains, finish-time resolution and the
+        #: fetch unblocks it triggers).  Together with the hierarchy's
+        #: ``l2_miss_version`` it lets a stalled-window kernel reuse a
+        #: window derivation across event batches in O(1).
+        self._fe_version = 0
         self._int_cal = SlotCalendar(params.int_issue_width)
         self._fp_cal = SlotCalendar(params.fp_issue_width)
         self.int_iq_used = 0
@@ -222,9 +257,7 @@ class SMTCore:
             self._run_phase(warmup_instructions, max_cycles)
             self.hierarchy.reset_stats()
         start = self.cycle
-        issue_cycles_base = self._int_issue_cycles
-        stall_base = dict(self.stall_cycles)
-        rejection_base = dict(self.dispatch_rejections)
+        base = self._measurement_base()
         self._run_phase(instructions_per_thread, max_cycles)
         snapshot = self.hierarchy.snapshot()
         results = []
@@ -245,23 +278,49 @@ class SMTCore:
                     ),
                 )
             )
+        return self._result(base, self.cycle - start, results, reached_all)
+
+    def _measurement_base(self) -> tuple[int, int, dict, dict]:
+        """Clock and cumulative counters at the start of the measured
+        phase; :meth:`_result` reports the deltas against them."""
+        return (
+            self.cycle,
+            self._int_issue_cycles,
+            dict(self.stall_cycles),
+            dict(self.dispatch_rejections),
+        )
+
+    def _result(
+        self,
+        base: tuple[int, int, dict, dict],
+        cycles: int,
+        results: list[ThreadResult],
+        reached_all: bool,
+        **extra,
+    ) -> CoreResult:
+        """Publish the measured phase to the registry and package it.
+
+        The one result/telemetry tail every engine's ``run`` ends in:
+        ``cycles`` and ``results`` are the caller's (measured or
+        estimated), coverage and the stall/rejection deltas are always
+        what the core actually executed since ``base``.
+        """
+        start, issue_cycles_base, stall_base, rejection_base = base
         elapsed = max(1, self.cycle - start)
-        coverage = (self._int_issue_cycles - issue_cycles_base) / elapsed
+        coverage = min(
+            1.0, (self._int_issue_cycles - issue_cycles_base) / elapsed
+        )
+        stalls = {k: v - stall_base[k] for k, v in self.stall_cycles.items()}
+        rejections = {
+            k: v - rejection_base[k]
+            for k, v in self.dispatch_rejections.items()
+        }
         registry = self._registry
         if registry is not None:
-            registry.counter("cpu.cycles").add(self.cycle - start)
-            registry.gauge("cpu.int_issue_coverage").set(min(1.0, coverage))
-            registry.add_counters(
-                "cpu.stall",
-                {k: v - stall_base[k] for k, v in self.stall_cycles.items()},
-            )
-            registry.add_counters(
-                "cpu.dispatch_reject",
-                {
-                    k: v - rejection_base[k]
-                    for k, v in self.dispatch_rejections.items()
-                },
-            )
+            registry.counter("cpu.cycles").add(cycles)
+            registry.gauge("cpu.int_issue_coverage").set(coverage)
+            registry.add_counters("cpu.stall", stalls)
+            registry.add_counters("cpu.dispatch_reject", rejections)
             for r in results:
                 prefix = f"cpu.t{r.thread_id}"
                 registry.counter(f"{prefix}.instructions").add(r.committed)
@@ -270,20 +329,15 @@ class SMTCore:
                 )
                 registry.gauge(f"{prefix}.ipc").set(r.committed / r.cycles)
         return CoreResult(
-            cycles=self.cycle - start,
+            cycles=cycles,
             threads=tuple(results),
             reached_all_targets=reached_all,
             fetch_policy=self.fetch_policy.name,
             extra={
-                "int_issue_coverage": min(1.0, coverage),
-                "stall_cycles": {
-                    k: v - stall_base[k]
-                    for k, v in self.stall_cycles.items()
-                },
-                "dispatch_rejections": {
-                    k: v - rejection_base[k]
-                    for k, v in self.dispatch_rejections.items()
-                },
+                "int_issue_coverage": coverage,
+                "stall_cycles": stalls,
+                "dispatch_rejections": rejections,
+                **extra,
             },
         )
 
@@ -324,6 +378,18 @@ class SMTCore:
         fp_cal = self._fp_cal
         sweep_interval = self._CALENDAR_SWEEP
         sampling = self._next_sample is not None
+        # The stalled-window kernel is a strategy a subclass supplies
+        # (repro.engine.fast); this class — the reference engine — has
+        # none and ticks every cycle.  A tracer also rules it out
+        # (gate/miss events are per-cycle observables a skipped cycle
+        # would lose), as does a fetch policy whose ordering the kernel
+        # cannot hoist out of a window.
+        stalled_window = getattr(self, "_stalled_window", None)
+        kernel_ok = (
+            stalled_window is not None
+            and self._tracer is None
+            and type(self.fetch_policy) in WINDOW_SAFE_POLICIES
+        )
         while self._unfinished and self.cycle < deadline:
             cycle = self.cycle
             if heap and heap[0][0] <= cycle:
@@ -331,7 +397,7 @@ class SMTCore:
             else:
                 event_queue._now = cycle
             commit(cycle)
-            fetch(cycle)
+            fetched = fetch(cycle)
             if sampling and cycle >= self._next_sample:
                 self._sample(cycle)
                 self._next_sample = cycle + self._sample_every
@@ -342,6 +408,13 @@ class SMTCore:
                 fp_cal.advance_floor(cycle)
                 next_sweep = cycle + sweep_interval
             if self._unfinished:
+                if not fetched and kernel_ok and stalled_window(deadline):
+                    # Events due at the (new) current cycle were already
+                    # pumped in stall mode; _maybe_skip never jumps over
+                    # due events, but it would observe post-event state
+                    # a tick-every-cycle run never shows it here — tick
+                    # the cycle directly.
+                    continue
                 maybe_skip()
         if sampling:
             # Trailing partial-interval sample: short runs would
@@ -452,45 +525,87 @@ class SMTCore:
         gate events through this)."""
         return self._tracer
 
-    def _fetch(self, cycle: int) -> None:
+    def _fetch(self, cycle: int) -> int:
+        """Fetch/dispatch for one cycle; returns the number of µops
+        dispatched (the phase loop uses zero as the cue that a stalled
+        window may have opened)."""
         params = self.params
         stalls = self.stall_cycles
         eligible = []
         for t in self.threads:
             if t.fetch_blocked_until > cycle:
                 stalls["fetch_blocked"] += 1
-            elif t.rob_full:
+            elif len(t.rob) >= t.rob_size:
                 stalls["rob_full"] += 1
             else:
                 eligible.append(t)
         if not eligible:
-            return
+            return 0
         order = self.fetch_policy.order(eligible, self, cycle)
+        fetch_width = params.fetch_width
+        fetch_threads = params.fetch_threads
+        icache_penalty = params.icache_miss_penalty
+        int_iq_size = params.int_iq_size
+        fp_iq_size = params.fp_iq_size
+        lq_size = params.lq_size
+        sq_size = params.sq_size
+        rejections = self.dispatch_rejections
+        dispatch = self._dispatch
+        miss_rates = self._t_miss_rate
+        rngs = self._t_rng
+        nexts = self._t_next
+        # A rejected dispatch changes no state, so the resource check
+        # is hoisted out of the call — unless the sanitizer has
+        # wrapped ``_dispatch`` (instance attribute) to observe every
+        # attempt, in which case all attempts go through the wrapper.
+        precheck = "_dispatch" not in self.__dict__
         fetched = 0
         threads_used = 0
         dispatched_threads = set()
         resource_stalled: set[int] = set()
         for t in order:
-            if threads_used >= params.fetch_threads:
+            if threads_used >= fetch_threads:
                 break
-            if fetched >= params.fetch_width:
+            if fetched >= fetch_width:
                 break
-            miss_rate = t.stream.profile.icache_miss_rate
-            if miss_rate and t.icache_rng.random() < miss_rate:
-                t.fetch_blocked_until = cycle + params.icache_miss_penalty
+            tid = t.thread_id
+            miss_rate = miss_rates[tid]
+            if miss_rate and rngs[tid]() < miss_rate:
+                t.fetch_blocked_until = cycle + icache_penalty
                 if self._tracer is not None:
                     self._tracer.emit(
-                        cycle, "fetch.icache_miss", "cpu.fetch", t.thread_id,
-                        dur=params.icache_miss_penalty,
+                        cycle, "fetch.icache_miss", "cpu.fetch", tid,
+                        dur=icache_penalty,
                     )
                 threads_used += 1
                 continue
             taken = 0
-            while fetched < params.fetch_width and taken < params.fetch_width:
+            stream_next = nexts[tid]
+            while fetched < fetch_width and taken < fetch_width:
                 uop = t.pending_uop
                 if uop is None:
-                    uop = t.stream.next_uop()
-                outcome = self._dispatch(t, uop, cycle)
+                    uop = stream_next()
+                if precheck:
+                    opc = uop.opc
+                    if opc is _FP_ALU or opc is _FP_MULT:
+                        key = (
+                            "iq" if self.fp_iq_used >= fp_iq_size else None
+                        )
+                    elif self.int_iq_used >= int_iq_size:
+                        key = "iq"
+                    elif opc is _LOAD and self.lq_used >= lq_size:
+                        key = "lsq"
+                    elif opc is _STORE and self.sq_used >= sq_size:
+                        key = "lsq"
+                    else:
+                        key = None
+                    if key is not None:
+                        rejections[key] += 1
+                        t.pending_uop = uop
+                        if not taken:
+                            resource_stalled.add(t.thread_id)
+                        break
+                outcome = dispatch(t, uop, cycle)
                 if not outcome:
                     t.pending_uop = uop
                     if not taken:
@@ -501,7 +616,7 @@ class SMTCore:
                 taken += 1
                 if outcome == 2:
                     break  # redirect: nothing behind the branch is fetched
-                if t.rob_full:
+                if len(t.rob) >= t.rob_size:
                     break
             if taken:
                 threads_used += 1
@@ -514,6 +629,7 @@ class SMTCore:
                 stalls["resource_full"] += 1
             else:
                 stalls["not_selected"] += 1
+        return fetched
 
     def _branch_mispredicted(self, t: ThreadContext, uop: Uop) -> bool:
         """Resolve whether this branch redirects the front end."""
@@ -532,32 +648,32 @@ class SMTCore:
         mispredicted branch (the caller stops fetching behind it).
         """
         opc = uop.opc
-        if t.rob_full:
+        if len(t.rob) >= t.rob_size:
             return False
-        if opc.is_fp:
-            if self.fp_iq_used >= self.params.fp_iq_size:
+        params = self.params
+        is_fp = opc is _FP_ALU or opc is _FP_MULT
+        if is_fp:
+            if self.fp_iq_used >= params.fp_iq_size:
                 self.dispatch_rejections["iq"] += 1
                 return 0
-        elif self.int_iq_used >= self.params.int_iq_size:
+        elif self.int_iq_used >= params.int_iq_size:
             self.dispatch_rejections["iq"] += 1
             return 0
-        if opc is OpClass.LOAD and self.lq_used >= self.params.lq_size:
+        if opc is _LOAD and self.lq_used >= params.lq_size:
             self.dispatch_rejections["lsq"] += 1
             return 0
-        if opc is OpClass.STORE and self.sq_used >= self.params.sq_size:
+        if opc is _STORE and self.sq_used >= params.sq_size:
             self.dispatch_rejections["lsq"] += 1
             return 0
 
-        mispredicted = (
-            opc is OpClass.BRANCH and self._branch_mispredicted(t, uop)
-        )
+        mispredicted = opc is _BRANCH and self._branch_mispredicted(t, uop)
         node = Inflight(
             t.thread_id,
             t.seq,
             opc,
             uop.addr,
             mispredicted,
-            cycle + self.params.frontend_latency,
+            cycle + params.frontend_latency,
         )
         dep1 = uop.dep1
         if dep1:
@@ -585,15 +701,15 @@ class SMTCore:
         t.rob.append(node)
         t.fetched += 1
         t.unissued += 1
-        if opc.is_fp:
+        if is_fp:
             self.fp_iq_used += 1
             t.iq_fp += 1
         else:
             self.int_iq_used += 1
             t.iq_int += 1
-        if opc is OpClass.LOAD:
+        if opc is _LOAD:
             self.lq_used += 1
-        elif opc is OpClass.STORE:
+        elif opc is _STORE:
             self.sq_used += 1
         if mispredicted:
             # Fetch stops until the branch resolves; the waiter reopens
@@ -638,10 +754,11 @@ class SMTCore:
             self._resolve(node, issue + self._latency[opc])
 
     def _release_iq(self, node: Inflight) -> None:
+        self._fe_version += 1
         t = self.threads[node.thread_id]
         t.unissued -= 1
         opc = node.opc
-        if opc is OpClass.FP_ALU or opc is OpClass.FP_MULT:
+        if opc is _FP_ALU or opc is _FP_MULT:
             self.fp_iq_used -= 1
             t.iq_fp -= 1
         else:
@@ -692,6 +809,7 @@ class SMTCore:
 
     def _resolve(self, node: Inflight, finish: int) -> None:
         """The node's finish time became known; wake its dependents."""
+        self._fe_version += 1
         node.finish = finish
         waiters = node.waiters
         if waiters:

@@ -207,6 +207,22 @@ _POLICIES: dict[str, Callable[[], FetchPolicy]] = {
     "dwarn": DWarnPolicy,
 }
 
+#: Policy classes whose ordering is a pure function of state that
+#: cannot change while no event fires and nothing dispatches (thread
+#: ids, ``unissued`` counts, outstanding-miss sets, IQ occupancy), so a
+#: stalled-window kernel may derive it once per window.  Round-robin
+#: also reads the cycle number; the kernel handles that with
+#: per-rotation attempt tables.  Matched by exact type: an unknown
+#: (user-supplied) policy, subclass or not, is ticked one cycle at a
+#: time.
+WINDOW_SAFE_POLICIES = (
+    RoundRobinPolicy,
+    ICountPolicy,
+    FetchStallPolicy,
+    DGPolicy,
+    DWarnPolicy,
+)
+
 
 def fetch_policy_names() -> list[str]:
     """Names accepted by :func:`make_fetch_policy`, in a stable order."""

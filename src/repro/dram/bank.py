@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import enum
 
-from repro.dram.timing import DRAMTiming
-
 
 class PageMode(enum.Enum):
     """Row-buffer management policy (Section 2)."""
@@ -35,7 +33,9 @@ class Bank:
 
     ``open_row`` is the row currently latched in the row buffer
     (``None`` when precharged); ``free_at`` is the cycle at which the
-    bank can accept its next command.
+    bank can accept its next command.  Pure state: classification
+    (hit / closed / conflict), latency and the post-access update live
+    in :meth:`repro.dram.controller.ChannelController._issue`.
     """
 
     __slots__ = ("open_row", "free_at", "services", "row_hits")
@@ -45,49 +45,6 @@ class Bank:
         self.free_at = 0
         self.services = 0
         self.row_hits = 0
-
-    def classify(self, row: int, page_mode: PageMode) -> str:
-        """How an access to ``row`` would be served: hit/closed/conflict."""
-        if page_mode is PageMode.CLOSE or self.open_row is None:
-            return "closed"
-        if self.open_row == row:
-            return "hit"
-        return "conflict"
-
-    def service_latency(self, row: int, page_mode: PageMode, timing: DRAMTiming) -> int:
-        """Command latency (before the data burst) to access ``row``."""
-        table = timing.service_latency_table(page_mode is PageMode.OPEN)
-        return table[self.classify(row, page_mode)]
-
-    def serve(
-        self,
-        row: int,
-        start: int,
-        data_end: int,
-        page_mode: PageMode,
-        timing: DRAMTiming,
-    ) -> bool:
-        """Commit an access to ``row`` occupying the bank until it completes.
-
-        ``start`` is when the bank begins the command sequence,
-        ``data_end`` when the data burst finishes on the bus.  Returns
-        whether the access was a row-buffer hit.
-
-        Under the close page mode the bank additionally pays the
-        precharge after the burst before it is free again, and the row
-        buffer is left empty.
-        """
-        hit = self.classify(row, page_mode) == "hit"
-        self.services += 1
-        if hit:
-            self.row_hits += 1
-        if page_mode is PageMode.OPEN:
-            self.open_row = row
-            self.free_at = data_end
-        else:
-            self.open_row = None
-            self.free_at = data_end + timing.t_pre
-        return hit
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Bank(open_row={self.open_row}, free_at={self.free_at})"

@@ -31,19 +31,12 @@ studies (command-bus contention, tRAS-limited banks).
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING
 
-from repro.common.events import EventQueue
 from repro.common.types import MemRequest
 from repro.dram.bank import PageMode
+from repro.dram.controller import BaseChannelController
 from repro.dram.geometry import DRAMGeometry
-from repro.dram.schedulers import Scheduler
-from repro.dram.stats import DRAMStats
 from repro.dram.timing import DRAMTiming
-from repro.telemetry.registry import NULL_REGISTRY
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.dram.system import MemorySystem
 
 
 class Command(enum.Enum):
@@ -71,73 +64,36 @@ class _BankState:
         self.burst_done_at = 0
 
 
-class CommandChannelController:
+class CommandChannelController(BaseChannelController):
     """Command-level scheduler/state machine for one logical channel.
 
     Drop-in replacement for
     :class:`~repro.dram.controller.ChannelController`: same queue
     interface (``enqueue``/``pump``), same scheduler-context protocol,
-    same statistics hooks.
+    same statistics hooks — all inherited from the shared base.
     """
-
-    WRITE_DRAIN_HIGH = 16
-    WRITE_DRAIN_LOW = 4
 
     def __init__(
         self,
         channel_id: int,
         geometry: DRAMGeometry,
         timing: DRAMTiming,
-        page_mode: PageMode,
-        scheduler: Scheduler,
-        event_queue: EventQueue,
-        stats: DRAMStats,
-        system: "MemorySystem",
-        telemetry=None,
+        *args,
+        **kwargs,
     ) -> None:
-        self.channel_id = channel_id
-        self.timing = timing
-        self.page_mode = page_mode
-        self.scheduler = scheduler
-        self.event_queue = event_queue
-        self.stats = stats
-        self.system = system
-        self._tracer = telemetry.tracer if telemetry is not None else None
-        registry = (
-            telemetry.registry
-            if telemetry is not None and telemetry.registry.enabled
-            else NULL_REGISTRY
-        )
-        prefix = f"dram.ch{channel_id}"
-        self._c_row_hits = registry.counter(f"{prefix}.row_hits")
-        self._c_row_misses = registry.counter(f"{prefix}.row_misses")
-        self._c_reads = registry.counter(f"{prefix}.reads")
-        self._c_writes = registry.counter(f"{prefix}.writes")
+        super().__init__(channel_id, geometry, timing, *args, **kwargs)
         self._c_commands = {
-            c: registry.counter(f"{prefix}.cmd.{c.value}") for c in Command
+            c: self._registry.counter(f"dram.ch{channel_id}.cmd.{c.value}")
+            for c in Command
         }
-        # Per-command metric guard: with telemetry off the counters are
-        # null singletons, and the hot path must not pay the no-op calls.
-        self._counting = registry is not NULL_REGISTRY
         self.banks = [
             _BankState() for _ in range(geometry.banks_per_logical_channel)
         ]
-        self.transfer = timing.transfer_for_gang(geometry.gang)
-        #: Column commands are held back while the data bus is already
-        #: committed this far ahead, keeping scheduling decisions late
-        #: and well-informed (same rationale as the request-level
-        #: controller's horizon).
-        self.horizon = 2 * self.transfer
-        self.bus_free_at = 0
         self.cmd_free_at = 0
         self.last_activate_at = -(10**9)
         #: Direction of the last data burst ("r"/"w"/None) for
         #: turnaround accounting.
         self.last_burst: str | None = None
-        self.reads: list[MemRequest] = []
-        self.writes: list[MemRequest] = []
-        self._draining = False
-        self._next_wake: int | None = None
         self.commands_issued: dict[Command, int] = {c: 0 for c in Command}
         self.refreshes = 0
         self._next_refresh_at = timing.t_refi if timing.t_refi else None
@@ -160,23 +116,6 @@ class CommandChannelController:
         """
         if self.page_mode is PageMode.OPEN:
             self.banks[bank].open_row = row
-
-    def outstanding_for_thread(self, thread_id: int) -> int:
-        return self.system.outstanding_for_thread(thread_id)
-
-    # ------------------------------------------------------------------
-    # queue interface
-
-    @property
-    def pending(self) -> int:
-        return len(self.reads) + len(self.writes)
-
-    def enqueue(self, request: MemRequest) -> None:
-        if request.is_read:
-            self.reads.append(request)
-        else:
-            self.writes.append(request)
-        self.pump()
 
     # ------------------------------------------------------------------
     # command legality
@@ -208,17 +147,6 @@ class CommandChannelController:
 
     # ------------------------------------------------------------------
     # scheduling engine
-
-    def _select_pool(self) -> list[MemRequest]:
-        if len(self.writes) >= self.WRITE_DRAIN_HIGH:
-            self._draining = True
-        elif self._draining and len(self.writes) <= self.WRITE_DRAIN_LOW:
-            self._draining = False
-        if self.reads and not self._draining:
-            return self.reads
-        if self.writes:
-            return self.writes
-        return self.reads
 
     def _maybe_refresh(self, now: int) -> None:
         """All-bank refresh: rows close, banks stall for tRFC."""
@@ -391,16 +319,3 @@ class CommandChannelController:
         self.event_queue.schedule(
             request.finish_time, self.system.complete, request
         )
-
-    def _wake_at(self, time: int) -> None:
-        now = self.event_queue.now
-        time = max(time, now + 1)
-        if self._next_wake is not None and self._next_wake <= time:
-            return
-        self._next_wake = time
-        self.event_queue.schedule(time, self._on_wake, time)
-
-    def _on_wake(self, scheduled_for: int) -> None:
-        if self._next_wake == scheduled_for:
-            self._next_wake = None
-        self.pump()

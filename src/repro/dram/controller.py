@@ -36,8 +36,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dram.system import MemorySystem
 
 
-class ChannelController:
-    """Scheduler + bank/bus state for one logical channel."""
+class BaseChannelController:
+    """What the request- and command-level controllers share, once:
+    read/write queues with drain watermarks, the queue interface,
+    telemetry/registry wiring and the sleep/wake plumbing.  What
+    differs — bank state, ``pump``, ``_issue``, ``is_row_hit``,
+    ``warm_row`` — stays in each subclass; nothing here branches on
+    which model it serves.
+    """
 
     #: Write-queue watermarks for drain mode.
     WRITE_DRAIN_HIGH = 16
@@ -68,63 +74,30 @@ class ChannelController:
             if telemetry is not None and telemetry.registry.enabled
             else NULL_REGISTRY
         )
+        self._registry = registry
         prefix = f"dram.ch{channel_id}"
         self._c_row_hits = registry.counter(f"{prefix}.row_hits")
         self._c_row_misses = registry.counter(f"{prefix}.row_misses")
         self._c_reads = registry.counter(f"{prefix}.reads")
         self._c_writes = registry.counter(f"{prefix}.writes")
-        # Per-request metric guard: with telemetry off the counters are
-        # null singletons, and _issue must not pay even the no-op calls.
+        # Per-request (per-command) metric guard: with telemetry off the
+        # counters are null singletons, and the issue path must not pay
+        # even the no-op calls.
         self._counting = registry is not NULL_REGISTRY
-        self.banks = [Bank() for _ in range(geometry.banks_per_logical_channel)]
         self.transfer = timing.transfer_for_gang(geometry.gang)
-        # Flattened bank-timing fast path: the three state-dependent
-        # service latencies and the page-mode branch are resolved once
-        # here (from the timing's precomputed per-page-mode table) so
-        # the per-request path is plain attribute arithmetic instead of
-        # enum/property dispatch through Bank.classify().
-        self._open_mode = page_mode is PageMode.OPEN
-        lat = timing.service_latency_table(self._open_mode)
-        self._lat_hit = lat["hit"]
-        self._lat_closed = lat["closed"]
-        self._lat_conflict = lat["conflict"]
-        self._t_pre = timing.t_pre
         #: How far ahead (cycles) the bus may be committed before the
         #: controller stops issuing and waits; keeps scheduling
         #: reactive.  A tight horizon trades some bank-prep overlap for
         #: a late (well-informed) scheduling decision -- reordering
         #: quality is what the paper's schedulers depend on, so the
         #: window stays small (about one data burst committed ahead).
+        #: The command-level model holds back column commands only.
         self.horizon = 2 * self.transfer
         self.bus_free_at = 0
         self.reads: list[MemRequest] = []
         self.writes: list[MemRequest] = []
         self._draining = False
         self._next_wake: int | None = None
-
-    # ------------------------------------------------------------------
-    # scheduler context protocol
-
-    def is_row_hit(self, request: MemRequest) -> bool:
-        """Whether ``request`` would hit the row buffer right now.
-
-        Equivalent to ``Bank.classify(...) == "hit"``; schedulers call
-        this once per candidate per pump, so it is kept branch-free.
-        """
-        return (
-            self._open_mode
-            and self.banks[request.bank].open_row == request.row
-        )
-
-    def warm_row(self, bank: int, row: int) -> None:
-        """Functional warming: latch ``row`` with no timing or stats.
-
-        Used by the sampled engine's fast-forward path to keep
-        row-buffer locality realistic between detailed windows.  No-op
-        under the close page policy (banks are always precharged).
-        """
-        if self._open_mode:
-            self.banks[bank].open_row = row
 
     def outstanding_for_thread(self, thread_id: int) -> int:
         """Live outstanding-request count (for the request-based scheme)."""
@@ -145,9 +118,6 @@ class ChannelController:
             self.writes.append(request)
         self.pump()
 
-    # ------------------------------------------------------------------
-    # scheduling engine
-
     def _select_pool(self) -> list[MemRequest]:
         """Pick which queue to serve from, honouring write watermarks."""
         if len(self.writes) >= self.WRITE_DRAIN_HIGH:
@@ -159,6 +129,78 @@ class ChannelController:
         if self.writes:
             return self.writes
         return self.reads
+
+    # ------------------------------------------------------------------
+    # sleep / wake
+
+    def _wake_at(self, time: int) -> None:
+        now = self.event_queue.now
+        time = max(time, now + 1)
+        if self._next_wake is not None and self._next_wake <= time:
+            return
+        self._next_wake = time
+        self.event_queue.schedule(time, self._on_wake, time)
+
+    def _on_wake(self, scheduled_for: int) -> None:
+        if self._next_wake == scheduled_for:
+            self._next_wake = None
+        self.pump()
+
+
+class ChannelController(BaseChannelController):
+    """Scheduler + bank/bus state for one logical channel."""
+
+    def __init__(
+        self,
+        channel_id: int,
+        geometry: DRAMGeometry,
+        timing: DRAMTiming,
+        page_mode: PageMode,
+        *args,
+        **kwargs,
+    ) -> None:
+        super().__init__(
+            channel_id, geometry, timing, page_mode, *args, **kwargs
+        )
+        self.banks = [Bank() for _ in range(geometry.banks_per_logical_channel)]
+        # Flattened bank-timing fast path: the three state-dependent
+        # service latencies and the page-mode branch are resolved once
+        # here (from the timing's precomputed per-page-mode table) so
+        # the per-request path is plain attribute arithmetic instead of
+        # enum/property dispatch.
+        self._open_mode = page_mode is PageMode.OPEN
+        lat = timing.service_latency_table(self._open_mode)
+        self._lat_hit = lat["hit"]
+        self._lat_closed = lat["closed"]
+        self._lat_conflict = lat["conflict"]
+        self._t_pre = timing.t_pre
+
+    # ------------------------------------------------------------------
+    # scheduler context protocol
+
+    def is_row_hit(self, request: MemRequest) -> bool:
+        """Whether ``request`` would hit the row buffer right now.
+
+        Schedulers call this once per candidate per pump, so it is
+        kept branch-free.
+        """
+        return (
+            self._open_mode
+            and self.banks[request.bank].open_row == request.row
+        )
+
+    def warm_row(self, bank: int, row: int) -> None:
+        """Functional warming: latch ``row`` with no timing or stats.
+
+        Used by the sampled engine's fast-forward path to keep
+        row-buffer locality realistic between detailed windows.  No-op
+        under the close page policy (banks are always precharged).
+        """
+        if self._open_mode:
+            self.banks[bank].open_row = row
+
+    # ------------------------------------------------------------------
+    # scheduling engine
 
     def pump(self) -> None:
         """Issue as much work as the horizon allows, then sleep.
@@ -204,8 +246,8 @@ class ChannelController:
         self, request: MemRequest, now: int, reason: str | None = None
     ) -> None:
         bank = self.banks[request.bank]
-        # Inlined Bank.service_latency + Bank.serve (see __init__'s
-        # flattened timing): same classification, same state updates.
+        # Classify (hit / closed / conflict) against __init__'s
+        # flattened timing, then commit the bank's post-access state.
         row = request.row
         if self._open_mode:
             open_row = bank.open_row
@@ -272,16 +314,3 @@ class ChannelController:
         self.event_queue.schedule(
             request.finish_time, self.system.complete, request
         )
-
-    def _wake_at(self, time: int) -> None:
-        now = self.event_queue.now
-        time = max(time, now + 1)
-        if self._next_wake is not None and self._next_wake <= time:
-            return
-        self._next_wake = time
-        self.event_queue.schedule(time, self._on_wake, time)
-
-    def _on_wake(self, scheduled_for: int) -> None:
-        if self._next_wake == scheduled_for:
-            self._next_wake = None
-        self.pump()

@@ -85,7 +85,7 @@ class DRAMTiming:
     #: Per-page-mode service-latency tables, precomputed once at
     #: construction: ``_service_latency[open_mode][kind]`` where
     #: ``open_mode`` keys the open (True) / close (False) page policy
-    #: and ``kind`` is a :meth:`~repro.dram.bank.Bank.classify` result
+    #: and ``kind`` is how the bank's row buffer meets the access
     #: ("hit" / "closed" / "conflict").  Under the close policy every
     #: access is served as "closed" (row + column), so all three kinds
     #: collapse to the same latency.  Derived entirely from the timing

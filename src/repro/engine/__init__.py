@@ -1,16 +1,19 @@
 """Selectable execution engines for the simulator.
 
-Three engines can run a simulation:
+There is one SMT core — :class:`repro.cpu.core.SMTCore` owns the whole
+per-µop path (fetch, dispatch, issue, resolve, commit) and the phase
+loop — and three engines that drive it:
 
-* ``"reference"`` — the plain :class:`repro.cpu.core.SMTCore` loop,
-  kept deliberately simple: one inlined tick per simulated cycle.
-* ``"fast"`` — :class:`repro.engine.fast.FastSMTCore`, which replaces
-  stalled stretches of the tick loop with a closed-form kernel (cycle
-  skipping plus bulk stall accounting) and trims per-cycle dispatch
-  overhead.  It is **bit-identical** to the reference by contract:
+* ``"reference"`` — :class:`SMTCore` itself: one inlined tick per
+  non-idle simulated cycle, µops generated afresh for every run.
+* ``"fast"`` — :class:`repro.engine.fast.FastSMTCore`, a subclass that
+  adds exactly two strategies and overrides nothing: the
+  *stalled-window kernel* (closed-form cycle skipping plus bulk stall
+  accounting where no thread can dispatch) and the process-wide *µop
+  stream memo*.  It is **bit-identical** to the reference by contract:
   every ``MixResult`` field, every RNG draw, every stall counter.
 * ``"sampled"`` — :class:`repro.engine.sampled.SampledSMTCore`, which
-  alternates detailed windows (the fast kernel) with functional
+  alternates detailed windows (the fast engine) with functional
   fast-forward and *extrapolates* the full-run metrics.  Sampled
   results are deterministic **estimates**: explicitly excluded from
   the bit-identity contract, checked instead against a per-metric
@@ -20,7 +23,10 @@ The contracts are enforced, not assumed: ``repro.engine.oracle`` (and
 the ``repro engine-diff`` CLI subcommand / CI lanes) runs engine pairs
 over the fig10 sweep — exact mode fails on the first diverging field,
 bounded-error mode fails when a metric's relative error exceeds its
-tolerance.  See ``docs/performance.md``.
+tolerance.  Because both exact engines execute the same per-µop code,
+the oracle compares kernel + memo against neither; the reference
+itself is pinned by the committed golden digests of
+``tests/engine/test_golden.py``.  See ``docs/performance.md``.
 """
 
 from __future__ import annotations

@@ -1,16 +1,19 @@
-"""The fast execution engine: bit-identical cycle-skipping SMT core.
+"""The fast execution engine: a stalled-window kernel and a stream memo.
 
-Profiling the reference loop on the paper's memory-bound mixes shows
-81-90% of ticked cycles fetch nothing: every eligible thread holds a
-µop that a full shared resource (issue queue or load/store queue)
-keeps rejecting, while the DRAM system grinds through the misses that
-will eventually free those resources.  The reference loop still pays
-the full tick for each of those cycles — commit walk, eligibility
-scan, policy sort, dispatch attempt — only to change almost nothing.
+:class:`FastSMTCore` *is* :class:`repro.cpu.core.SMTCore` — the same
+fetch, dispatch, issue, resolve and commit code, the same phase loop —
+plus the two strategies this module owns and nothing else:
 
-:class:`FastSMTCore` recognizes those stretches and replaces them with
-a *stalled-window kernel*.  At the start of a window it proves that,
-until some future cycle ``W``, no per-cycle observable can change:
+**The stalled-window kernel.**  Profiling the tick-every-cycle loop on
+the paper's memory-bound mixes shows 81-90% of ticked cycles fetch
+nothing: every eligible thread holds a µop that a full shared resource
+(issue queue or load/store queue) keeps rejecting, while the DRAM
+system grinds through the misses that will eventually free those
+resources.  Ticking still pays the full cycle each time — commit walk,
+eligibility scan, policy sort, dispatch attempt — only to change
+almost nothing.  When a cycle dispatches nothing the phase loop calls
+:meth:`FastSMTCore._stalled_window`, which proves that, until some
+future cycle ``W``, no per-cycle observable can change:
 
 * no event fires (the event-queue heap's head is ``>= W``),
 * no thread's ROB head reaches its finish time (commit is a no-op),
@@ -18,57 +21,36 @@ until some future cycle ``W``, no per-cycle observable can change:
   start succeeding (the rejecting resource only drains via events),
 * no telemetry/timeline sample falls due.
 
-Inside the window the only state the reference loop would advance is
-(a) each fetch-attempted thread's I-cache RNG stream — one draw per
-thread per cycle, in fetch-policy order, bounded by the fetch-thread
-cap — and (b) the per-cycle stall/rejection accounting and the commit
-round-robin pointer.  The kernel performs exactly the RNG draws the
-reference would (so the streams stay aligned bit-for-bit), accumulates
+Inside the window the only state ticking would advance is (a) each
+fetch-attempted thread's I-cache RNG stream — one draw per thread per
+cycle, in fetch-policy order, bounded by the fetch-thread cap — and
+(b) the per-cycle stall/rejection accounting and the commit
+round-robin pointer.  The kernel performs exactly the RNG draws
+ticking would (so the streams stay aligned bit-for-bit), accumulates
 the accounting in closed form, and advances the clock.  An I-cache
 miss inside the window ends it: that one cycle is replayed faithfully
 (miss penalties, fetch-thread cap, per-thread disposition) and control
-returns to the normal loop.
+returns to the normal loop.  Anything the kernel cannot prove safe
+falls back to normal ticking; the phase loop never enters it with an
+event tracer attached (gate events are per-cycle observables) or
+under a fetch policy outside ``WINDOW_SAFE_POLICIES``.
 
-Anything the kernel cannot prove safe falls back to normal ticking;
-an attached event tracer disables the fast loop entirely (gate events
-are per-cycle observables).  Bit-identity is enforced by
-``repro.engine.oracle`` and the ``engine-diff`` CI lane.
+**The stream memo.**  Generated µop streams are memoized process-wide
+and replayed by index on repeat runs (see "shared µop streams" below).
+
+The ``reference`` engine is :class:`SMTCore` itself — no kernel, no
+memo — so ``repro.engine.oracle`` and the ``engine-diff`` CI lane
+compare kernel + memo against tick-every-cycle + fresh generation, and
+that comparison is what enforces bit-identity.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.common.types import OpClass
-from repro.cpu.core import SMTCore
-from repro.cpu.fetch import (
-    DGPolicy,
-    DWarnPolicy,
-    FetchStallPolicy,
-    ICountPolicy,
-    RoundRobinPolicy,
-)
-from repro.cpu.thread import FOREVER, Inflight
-
-_FP_ALU = OpClass.FP_ALU
-_FP_MULT = OpClass.FP_MULT
-_LOAD = OpClass.LOAD
-_STORE = OpClass.STORE
-_BRANCH = OpClass.BRANCH
-
-#: Fetch-policy classes whose ordering is a pure function of state
-#: that cannot change inside a stalled window (thread ids, ``unissued``
-#: counts, outstanding-miss sets, IQ occupancy).  Round-robin also
-#: reads the cycle number; the kernel handles that with per-rotation
-#: attempt tables.  Unknown (user-supplied) policies disable the
-#: kernel: the loop still runs, one cycle at a time.
-_WINDOW_SAFE_POLICIES = (
-    RoundRobinPolicy,
-    ICountPolicy,
-    FetchStallPolicy,
-    DGPolicy,
-    DWarnPolicy,
-)
+from repro.cpu.core import _FP_ALU, _FP_MULT, _LOAD, _STORE, SMTCore
+from repro.cpu.fetch import RoundRobinPolicy
+from repro.cpu.thread import FOREVER
 
 
 # ----------------------------------------------------------------------
@@ -147,133 +129,37 @@ def _shared_stream(stream: Any) -> Any:
 
 
 class FastSMTCore(SMTCore):
-    """Drop-in :class:`SMTCore` with a cycle-skipping phase loop.
+    """:class:`SMTCore` plus the stalled-window kernel and memoized
+    streams.
 
-    Construction, statistics, and results are inherited unchanged;
-    only how the clock advances differs, and that difference is
+    Every per-µop method, the phase loop, statistics and results are
+    inherited unchanged; only how the clock crosses stalled stretches
+    and where µops come from differ, and both differences are
     observationally null (see the module docstring and
     ``docs/performance.md`` for the proof obligations).
     """
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        for t in self.threads:
-            t.stream = _shared_stream(t.stream)
-        #: Per-thread bound-method/constant tables, indexed by thread
-        #: id: the reference re-derives these on every fetch visit
-        #: (attribute walk + bound-method creation); they are loop
-        #: invariants.
-        self._t_miss_rate = [
-            t.stream.profile.icache_miss_rate for t in self.threads
-        ]
-        self._t_rng = [t.icache_rng.random for t in self.threads]
-        self._t_next = [t.stream.next_uop for t in self.threads]
-        #: Bumped by every event-side mutator of fetch-visible core
-        #: state (issue-queue drains, finish-time resolution and the
-        #: fetch unblocks it triggers).  Together with the hierarchy's
-        #: ``l2_miss_version`` it lets the stalled-window kernel reuse
-        #: a window derivation across event batches in O(1).
-        self._fe_version = 0
-
-    # ------------------------------------------------------------------
-    # version-counted mutators: verbatim reference bodies plus the one
-    # counter bump (inlined rather than delegated — both run once per
-    # µop and the extra call layer is measurable; scheduled events bind
-    # these overrides)
-
-    def _release_iq(self, node: Any) -> None:
-        self._fe_version += 1
-        t = self.threads[node.thread_id]
-        t.unissued -= 1
-        opc = node.opc
-        if opc is _FP_ALU or opc is _FP_MULT:
-            self.fp_iq_used -= 1
-            t.iq_fp -= 1
-        else:
-            self.int_iq_used -= 1
-            t.iq_int -= 1
-            now = self.event_queue.now
-            if now != self._last_int_issue_cycle:
-                self._last_int_issue_cycle = now
-                self._int_issue_cycles += 1
-
-    def _resolve(self, node: Any, finish: int) -> None:
-        """The node's finish time became known; wake its dependents."""
-        self._fe_version += 1
-        node.finish = finish
-        waiters = node.waiters
-        if waiters:
-            node.waiters = None
-            for waiter in waiters:
-                if waiter.__class__ is Inflight:
-                    if finish > waiter.ready_lb:
-                        waiter.ready_lb = finish
-                    waiter.deps_left -= 1
-                    if waiter.deps_left == 0:
-                        self._schedule_issue(waiter)
-                else:
-                    waiter(finish)
-
-    # ------------------------------------------------------------------
-    # phase loop
-
-    def _run_phase(self, per_thread_target: int, max_cycles: int) -> None:
-        if self._tracer is not None:
-            # Tracing records per-cycle gate/miss events; skipped cycles
-            # would lose them.  Traced runs take the reference loop.
-            SMTCore._run_phase(self, per_thread_target, max_cycles)
-            return
-        override = self._target_override
-        for i, t in enumerate(self.threads):
-            t.warmup_committed = t.committed
-            t.target = per_thread_target if override is None else override[i]
-            t.finish_cycle = None
-        self._unfinished = len(self.threads)
-        deadline = self.cycle + max_cycles
-        next_sweep = self.cycle + self._CALENDAR_SWEEP
-        event_queue = self.event_queue
-        run_until = event_queue.run_until
-        # Peeked directly instead of through peek_time(): this loop runs
-        # once per non-skipped cycle and the heap's identity is stable
-        # (heappush mutates in place).
-        heap = event_queue._heap
-        commit = self._commit
-        fetch = self._fetch_fast
-        maybe_skip = self._maybe_skip
-        stalled_window = self._stalled_window
-        int_cal = self._int_cal
-        fp_cal = self._fp_cal
-        sweep_interval = self._CALENDAR_SWEEP
-        sampling = self._next_sample is not None
-        kernel_ok = type(self.fetch_policy) in _WINDOW_SAFE_POLICIES
-        while self._unfinished and self.cycle < deadline:
-            cycle = self.cycle
-            if heap and heap[0][0] <= cycle:
-                run_until(cycle)
-            else:
-                event_queue._now = cycle
-            commit(cycle)
-            fetched = fetch(cycle)
-            if sampling and cycle >= self._next_sample:
-                self._sample(cycle)
-                self._next_sample = cycle + self._sample_every
-            cycle += 1
-            self.cycle = cycle
-            if cycle >= next_sweep:
-                int_cal.advance_floor(cycle)
-                fp_cal.advance_floor(cycle)
-                next_sweep = cycle + sweep_interval
-            if self._unfinished:
-                if not fetched and kernel_ok and stalled_window(deadline):
-                    # Events due at the (new) current cycle were already
-                    # pumped in stall mode; the reference's _maybe_skip
-                    # never jumps over due events, but it would observe
-                    # pre-event state here — tick the cycle directly.
-                    continue
-                maybe_skip()
-        if sampling:
-            # Trailing partial-interval sample (same as the reference).
-            self._sample(self.cycle)
+    def __init__(
+        self,
+        params: Any,
+        event_queue: Any,
+        hierarchy: Any,
+        fetch_policy: Any,
+        workloads: list[tuple[str, Any]],
+        *args: Any,
+        **kwargs: Any,
+    ) -> None:
+        # Wrapped *before* the base class builds its per-thread
+        # bound-method tables, so those bind the replay views.
+        super().__init__(
+            params,
+            event_queue,
+            hierarchy,
+            fetch_policy,
+            [(name, _shared_stream(stream)) for name, stream in workloads],
+            *args,
+            **kwargs,
+        )
 
     # ------------------------------------------------------------------
     # stalled-window kernel
@@ -287,20 +173,15 @@ class FastSMTCore(SMTCore):
         caller must not treat the thread as stalled.
         """
         opc = uop.opc
+        params = self.params
         if opc is _FP_ALU or opc is _FP_MULT:
-            if self.fp_iq_used >= self.params.fp_iq_size:
-                return "iq"
-            return None
-        if self.int_iq_used >= self.params.int_iq_size:
+            return "iq" if self.fp_iq_used >= params.fp_iq_size else None
+        if self.int_iq_used >= params.int_iq_size:
             return "iq"
-        if opc is _LOAD:
-            if self.lq_used >= self.params.lq_size:
-                return "lsq"
-            return None
-        if opc is _STORE:
-            if self.sq_used >= self.params.sq_size:
-                return "lsq"
-            return None
+        if opc is _LOAD and self.lq_used >= params.lq_size:
+            return "lsq"
+        if opc is _STORE and self.sq_used >= params.sq_size:
+            return "lsq"
         return None
 
     def _stalled_window(self, deadline: int) -> bool:
@@ -472,11 +353,10 @@ class FastSMTCore(SMTCore):
                 return pumped
 
             # --- replay the window's cycles ------------------------------
+            # (No stochastic thread: nobody can miss the I-cache and
+            # the window is pure arithmetic.)
             miss_cycle = -1
-            if not stochastic:
-                # No thread can miss the I-cache: pure arithmetic.
-                span = window_end - cycle0
-            elif single_scan is not None and len(single_scan) == 1:
+            if single_scan is not None and len(single_scan) == 1:
                 # One stochastic stream: scan it thread-major in a
                 # tight loop (the other attempts never draw).
                 rnd1, mr1, miss_at = single_scan[0]
@@ -486,22 +366,8 @@ class FastSMTCore(SMTCore):
                 if k < window_end:
                     miss_cycle = k
                     att = attempts
-                    att[miss_at][0].fetch_blocked_until = k + icache_penalty
-                    used = 1
-                    failed_keys = [att[j][3] for j in range(miss_at)]
-                    for j in range(miss_at + 1, n_order):
-                        if used >= fetch_threads:
-                            break
-                        t2, mr2, rnd2, key2 = att[j]
-                        if mr2 and rnd2() < mr2:
-                            t2.fetch_blocked_until = k + icache_penalty
-                            used += 1
-                        else:
-                            failed_keys.append(key2)
-                span = (miss_cycle + 1 if miss_cycle >= 0 else window_end) - cycle0
-            else:
-                k = cycle0
-                while k < window_end:
+            elif stochastic:
+                for k in range(cycle0, window_end):
                     scan = (
                         single_scan
                         if single_scan is not None
@@ -512,31 +378,33 @@ class FastSMTCore(SMTCore):
                         if rnd() < mr:
                             miss_at = j
                             break
-                    if miss_at < 0:
-                        k += 1
-                        continue
-                    # -- miss cycle: replay its bookkeeping exactly --
-                    miss_cycle = k
-                    att = (
-                        attempts
-                        if single_scan is not None
-                        else rotations[k % nthreads]
-                    )
-                    att[miss_at][0].fetch_blocked_until = k + icache_penalty
-                    used = 1
-                    # Threads ahead of the miss attempted and failed.
-                    failed_keys = [att[j][3] for j in range(miss_at)]
-                    for j in range(miss_at + 1, n_order):
-                        if used >= fetch_threads:
-                            break
-                        t2, mr2, rnd2, key2 = att[j]
-                        if mr2 and rnd2() < mr2:
-                            t2.fetch_blocked_until = k + icache_penalty
-                            used += 1
-                        else:
-                            failed_keys.append(key2)
-                    break
-                span = (miss_cycle + 1 if miss_cycle >= 0 else window_end) - cycle0
+                    if miss_at >= 0:
+                        miss_cycle = k
+                        att = (
+                            attempts
+                            if single_scan is not None
+                            else rotations[k % nthreads]
+                        )
+                        break
+            if miss_cycle >= 0:
+                # -- miss cycle: replay its bookkeeping exactly --
+                unblock = miss_cycle + icache_penalty
+                att[miss_at][0].fetch_blocked_until = unblock
+                used = 1
+                # Threads ahead of the miss attempted and failed.
+                failed_keys = [att[j][3] for j in range(miss_at)]
+                for j in range(miss_at + 1, n_order):
+                    if used >= fetch_threads:
+                        break
+                    t2, mr2, rnd2, key2 = att[j]
+                    if mr2 and rnd2() < mr2:
+                        t2.fetch_blocked_until = unblock
+                        used += 1
+                    else:
+                        failed_keys.append(key2)
+                span = miss_cycle + 1 - cycle0
+            else:
+                span = window_end - cycle0
 
             # --- flush accounting for the replayed span ------------------
             # Miss-free cycles: every ordered thread attempts and is
@@ -568,189 +436,3 @@ class FastSMTCore(SMTCore):
             # Loop: if stall persists past window_end (event batch due,
             # miss blocked one thread, ...), the next iteration proves
             # and replays the next window; anything else returns.
-
-    # ------------------------------------------------------------------
-    # fetch / dispatch hot path
-
-    def _fetch_fast(self, cycle: int) -> int:
-        """The reference :meth:`SMTCore._fetch` with tracer branches
-        dropped (the fast loop only runs untraced) and locals hoisted.
-        Returns the number of µops dispatched this cycle, which the
-        phase loop uses to decide whether a stalled window may have
-        opened."""
-        params = self.params
-        stalls = self.stall_cycles
-        eligible = []
-        for t in self.threads:
-            if t.fetch_blocked_until > cycle:
-                stalls["fetch_blocked"] += 1
-            elif len(t.rob) >= t.rob_size:
-                stalls["rob_full"] += 1
-            else:
-                eligible.append(t)
-        if not eligible:
-            return 0
-        order = self.fetch_policy.order(eligible, self, cycle)
-        fetch_width = params.fetch_width
-        fetch_threads = params.fetch_threads
-        icache_penalty = params.icache_miss_penalty
-        int_iq_size = params.int_iq_size
-        fp_iq_size = params.fp_iq_size
-        lq_size = params.lq_size
-        sq_size = params.sq_size
-        rejections = self.dispatch_rejections
-        dispatch = self._dispatch
-        miss_rates = self._t_miss_rate
-        rngs = self._t_rng
-        nexts = self._t_next
-        # A rejected dispatch changes no state, so the resource check
-        # is hoisted out of the call — unless the sanitizer has
-        # wrapped ``_dispatch`` (instance attribute) to observe every
-        # attempt, in which case all attempts go through the wrapper.
-        precheck = "_dispatch" not in self.__dict__
-        fetched = 0
-        threads_used = 0
-        dispatched_threads = set()
-        resource_stalled: set[int] = set()
-        for t in order:
-            if threads_used >= fetch_threads:
-                break
-            if fetched >= fetch_width:
-                break
-            tid = t.thread_id
-            miss_rate = miss_rates[tid]
-            if miss_rate and rngs[tid]() < miss_rate:
-                t.fetch_blocked_until = cycle + icache_penalty
-                threads_used += 1
-                continue
-            taken = 0
-            stream_next = nexts[tid]
-            while fetched < fetch_width and taken < fetch_width:
-                uop = t.pending_uop
-                if uop is None:
-                    uop = stream_next()
-                if precheck:
-                    opc = uop.opc
-                    if opc is _FP_ALU or opc is _FP_MULT:
-                        key = (
-                            "iq" if self.fp_iq_used >= fp_iq_size else None
-                        )
-                    elif self.int_iq_used >= int_iq_size:
-                        key = "iq"
-                    elif opc is _LOAD and self.lq_used >= lq_size:
-                        key = "lsq"
-                    elif opc is _STORE and self.sq_used >= sq_size:
-                        key = "lsq"
-                    else:
-                        key = None
-                    if key is not None:
-                        rejections[key] += 1
-                        t.pending_uop = uop
-                        if not taken:
-                            resource_stalled.add(t.thread_id)
-                        break
-                outcome = dispatch(t, uop, cycle)
-                if not outcome:
-                    t.pending_uop = uop
-                    if not taken:
-                        resource_stalled.add(t.thread_id)
-                    break
-                t.pending_uop = None
-                fetched += 1
-                taken += 1
-                if outcome == 2:
-                    break  # redirect: nothing behind the branch is fetched
-                if len(t.rob) >= t.rob_size:
-                    break
-            if taken:
-                threads_used += 1
-                dispatched_threads.add(t.thread_id)
-        for t in eligible:
-            tid = t.thread_id
-            if tid in dispatched_threads:
-                continue
-            if tid in resource_stalled:
-                stalls["resource_full"] += 1
-            else:
-                stalls["not_selected"] += 1
-        return fetched
-
-    def _dispatch(self, t: Any, uop: Any, cycle: int) -> int:
-        """Reference :meth:`SMTCore._dispatch` with enum-property calls
-        replaced by identity checks and params hoisted — same outcomes,
-        same counter updates, bit for bit."""
-        opc = uop.opc
-        if len(t.rob) >= t.rob_size:
-            return False
-        params = self.params
-        is_fp = opc is _FP_ALU or opc is _FP_MULT
-        if is_fp:
-            if self.fp_iq_used >= params.fp_iq_size:
-                self.dispatch_rejections["iq"] += 1
-                return 0
-        elif self.int_iq_used >= params.int_iq_size:
-            self.dispatch_rejections["iq"] += 1
-            return 0
-        if opc is _LOAD and self.lq_used >= params.lq_size:
-            self.dispatch_rejections["lsq"] += 1
-            return 0
-        if opc is _STORE and self.sq_used >= params.sq_size:
-            self.dispatch_rejections["lsq"] += 1
-            return 0
-
-        mispredicted = opc is _BRANCH and self._branch_mispredicted(t, uop)
-        node = Inflight(
-            t.thread_id,
-            t.seq,
-            opc,
-            uop.addr,
-            mispredicted,
-            cycle + params.frontend_latency,
-        )
-        dep1 = uop.dep1
-        if dep1:
-            producer = t.producer(dep1)
-            if producer is not None:
-                finish = producer.finish
-                if finish is None:
-                    node.deps_left += 1
-                    producer.add_waiter(node)
-                elif finish > node.ready_lb:
-                    node.ready_lb = finish
-        dep2 = uop.dep2
-        if dep2:
-            producer = t.producer(dep2)
-            if producer is not None:
-                finish = producer.finish
-                if finish is None:
-                    node.deps_left += 1
-                    producer.add_waiter(node)
-                elif finish > node.ready_lb:
-                    node.ready_lb = finish
-
-        t.ring[t.seq % len(t.ring)] = node
-        t.seq += 1
-        t.rob.append(node)
-        t.fetched += 1
-        t.unissued += 1
-        if is_fp:
-            self.fp_iq_used += 1
-            t.iq_fp += 1
-        else:
-            self.int_iq_used += 1
-            t.iq_int += 1
-        if opc is _LOAD:
-            self.lq_used += 1
-        elif opc is _STORE:
-            self.sq_used += 1
-        if mispredicted:
-            t.fetch_blocked_until = FOREVER
-            node.add_waiter(self._make_branch_unblock(t))
-            if self._tracer is not None:
-                self._tracer.emit(
-                    cycle, "fetch.redirect", "cpu.fetch", t.thread_id,
-                    args={"reason": "branch-mispredict"},
-                )
-        if node.deps_left == 0:
-            self._schedule_issue(node)
-        return 2 if mispredicted else 1

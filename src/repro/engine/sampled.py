@@ -45,8 +45,9 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.common.errors import ConfigError
+from repro.cpu.core import _BRANCH, _LOAD, _STORE
 from repro.cpu.stats import CoreResult, ThreadResult
-from repro.engine.fast import _BRANCH, _LOAD, _STORE, FastSMTCore
+from repro.engine.fast import FastSMTCore
 
 
 @dataclass(frozen=True)
@@ -150,13 +151,11 @@ class SampledSMTCore(FastSMTCore):
 
         Consumes the threads' µop streams in program order (starting
         with any µop the last detailed window left pending),
-        interleaved proportionally in chunks so shared cache/row-buffer
-        state sees the threads' accesses in realistic relative order —
-        a fast thread's stream drains correspondingly faster than a
-        slow one's through the whole region, just as it would under
-        real execution (warming one thread's whole region at a time
-        would leave its entire working set most-recent in the shared
-        LRU stacks and make it race in the next window).  Loads/stores
+        interleaved proportionally in chunks (see ``_FF_CHUNK``) so
+        shared cache/row-buffer state sees the threads' accesses in
+        realistic relative order — a fast thread's stream drains
+        correspondingly faster than a slow one's through the whole
+        region, just as it would under real execution.  Loads/stores
         warm the data-side hierarchy and resolved branches train the
         predictor/BTB.  No cycles pass, no events fire, no statistics
         are recorded.
@@ -298,10 +297,7 @@ class SampledSMTCore(FastSMTCore):
                 self._run_phase(warmup_instructions, max_cycles)
             self.hierarchy.reset_stats()
 
-        start = self.cycle
-        issue_cycles_base = self._int_issue_cycles
-        stall_base = dict(self.stall_cycles)
-        rejection_base = dict(self.dispatch_rejections)
+        base = self._measurement_base()
         # Crossing estimator.  The reference measures thread i over its
         # *own* first-``budget``-commits interval — a transient average
         # (the simulated system drifts as footprints grow), so a
@@ -563,8 +559,6 @@ class SampledSMTCore(FastSMTCore):
         # reference loop notices completion one cycle after the final
         # commit, so a finished run reports last-crossing + 1.
         total_cycles = max(r.cycles for r in results) + (1 if reached_all else 0)
-        elapsed = max(1, self.cycle - start)
-        coverage = (self._int_issue_cycles - issue_cycles_base) / elapsed
         summary = MetricSummary("window_cpi", tuple(window_cpis))
         nw = len(window_cpis)
         ci95_rel = (
@@ -572,54 +566,21 @@ class SampledSMTCore(FastSMTCore):
             if nw > 1 and summary.mean
             else 0.0
         )
-        registry = self._registry
-        if registry is not None:
-            registry.counter("cpu.cycles").add(total_cycles)
-            registry.gauge("cpu.int_issue_coverage").set(min(1.0, coverage))
-            registry.add_counters(
-                "cpu.stall",
-                {k: v - stall_base[k] for k, v in self.stall_cycles.items()},
-            )
-            registry.add_counters(
-                "cpu.dispatch_reject",
-                {
-                    k: v - rejection_base[k]
-                    for k, v in self.dispatch_rejections.items()
-                },
-            )
-            for r in results:
-                prefix = f"cpu.t{r.thread_id}"
-                registry.counter(f"{prefix}.instructions").add(r.committed)
-                registry.counter(f"{prefix}.dram_accesses").add(
-                    r.dram_accesses
-                )
-                registry.gauge(f"{prefix}.ipc").set(r.committed / r.cycles)
-        return CoreResult(
-            cycles=total_cycles,
-            threads=tuple(results),
-            reached_all_targets=reached_all,
-            fetch_policy=self.fetch_policy.name,
-            extra={
-                "int_issue_coverage": min(1.0, coverage),
-                "stall_cycles": {
-                    k: v - stall_base[k]
-                    for k, v in self.stall_cycles.items()
-                },
-                "dispatch_rejections": {
-                    k: v - rejection_base[k]
-                    for k, v in self.dispatch_rejections.items()
-                },
-                "sampling": {
-                    "windows": nw,
-                    "detail_instructions": detail,
-                    "ff_instructions": ff,
-                    "window_warmup": wwarm,
-                    "gap_smoothing": p.gap_smoothing,
-                    "measured_instructions": measured,
-                    "measured_fraction": measured / max(1, measured + skipped),
-                    "cpi_mean": summary.mean,
-                    "cpi_stdev": summary.stdev,
-                    "cpi_ci95_rel": ci95_rel,
-                },
+        return self._result(
+            base,
+            total_cycles,
+            results,
+            reached_all,
+            sampling={
+                "windows": nw,
+                "detail_instructions": detail,
+                "ff_instructions": ff,
+                "window_warmup": wwarm,
+                "gap_smoothing": p.gap_smoothing,
+                "measured_instructions": measured,
+                "measured_fraction": measured / max(1, measured + skipped),
+                "cpi_mean": summary.mean,
+                "cpi_stdev": summary.stdev,
+                "cpi_ci95_rel": ci95_rel,
             },
         )

@@ -81,8 +81,9 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--engine", choices=ENGINE_NAMES, default=None,
-        help="execution engine (fast: cycle-skipping kernel, the "
-        "default; reference: the plain per-cycle loop; bit-identical "
+        help="execution engine (fast: the SMT core plus the "
+        "stalled-window skip kernel and the stream memo, the default; "
+        "reference: the same core with neither; bit-identical "
         "by contract, enforced by 'engine-diff'; sampled: windowed "
         "statistical estimates, checked by 'engine-diff --candidate "
         "sampled --tolerance')",

@@ -74,15 +74,17 @@ class SystemConfig:
     prefetch: bool = False
 
     # --- run control ---
-    #: Execution engine: "fast" (cycle-skipping kernel, the default),
-    #: "reference" (plain per-cycle loop), or "sampled" (statistical
-    #: sampling; opt-in, produces *estimates*).  Reference and fast are
-    #: bit-identical by contract — see repro.engine and the
-    #: ``repro engine-diff`` oracle that enforces it; sampled is held
-    #: to a per-metric error bound instead.  The *default* (not an
-    #: explicit choice) can be overridden with the ``REPRO_ENGINE``
-    #: environment variable, which is how CI forces the whole test
-    #: suite through a particular engine.
+    #: Execution engine: "reference" (the one SMT core, ticking every
+    #: non-idle cycle and generating µops afresh), "fast" (the same
+    #: core plus the stalled-window skip kernel and the µop-stream
+    #: memo; the default), or "sampled" (statistical sampling; opt-in,
+    #: produces *estimates*).  Reference and fast are bit-identical by
+    #: contract — see repro.engine and the ``repro engine-diff`` oracle
+    #: that enforces it; sampled is held to a per-metric error bound
+    #: instead.  The *default* (not an explicit choice) can be
+    #: overridden with the ``REPRO_ENGINE`` environment variable, which
+    #: is how CI forces the whole test suite through a particular
+    #: engine.
     engine: str = field(default_factory=lambda: _default_engine())
     #: Window schedule of the sampled engine (ignored by the exact
     #: engines).  Part of ``cache_key`` only when ``engine="sampled"``,

@@ -101,19 +101,12 @@ def build_system(
         event_queue = EventQueue()
     if config.perfect_l3:
         memory = None
-    elif config.dram_type == "ddr":
-        memory = MemorySystem.ddr(
-            event_queue,
-            channels=config.channels,
-            gang=config.gang,
-            mapping=config.mapping,
-            page_mode=config.page_mode_enum,
-            scheduler=config.scheduler,
-            controller_model=config.controller_model,
-            telemetry=telemetry,
-        )
     else:
-        memory = MemorySystem.rdram(
+        factory = (
+            MemorySystem.ddr if config.dram_type == "ddr"
+            else MemorySystem.rdram
+        )
+        memory = factory(
             event_queue,
             channels=config.channels,
             gang=config.gang,

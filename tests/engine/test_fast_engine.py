@@ -76,6 +76,23 @@ class TestEngineSelection:
         assert type(core) is SMTCore
 
 
+class TestNoRefork:
+    def test_fast_core_adds_kernel_and_memo_and_overrides_nothing(self):
+        """The per-µop path exists once, in ``SMTCore``; a method
+        re-appearing in ``FastSMTCore`` is a fork the oracle would then
+        be comparing against itself."""
+        own = vars(FastSMTCore)
+        overridden = {
+            name for name in set(own) & set(vars(SMTCore))
+            if callable(own[name])
+        }
+        assert overridden == {"__init__"}
+        assert {n for n in own if not n.startswith("__")} == {
+            "_stalled_window", "_reject_key",
+        }
+        assert not hasattr(FastSMTCore, "_fetch_fast")
+
+
 class TestSameCycleFifoAcrossSkip:
     def test_queue_jump_preserves_insertion_order(self):
         """The kernel advances the clock with one ``run_until`` jump;

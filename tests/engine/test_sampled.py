@@ -70,7 +70,8 @@ class TestRegistration:
         assert "sampled" in ENGINE_NAMES
         assert core_class("sampled") is SampledSMTCore
 
-    def test_sampled_is_not_the_default(self):
+    def test_sampled_is_not_the_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
         assert SystemConfig().engine == "fast"
 
 

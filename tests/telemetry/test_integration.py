@@ -148,15 +148,24 @@ class TestDramCommandTrace:
 
 class TestPipelineTrace:
     def test_fetch_gate_events(self, quick_config):
-        config = quick_config.with_(fetch_policy="dwarn")
-        _, telemetry = _traced_run(config, ["mcf", "art"])
-        gates = [
-            e for e in telemetry.tracer.events("cpu.fetch")
-            if e.name == "fetch.gate"
-        ]
-        assert gates
-        assert all(e.args["policy"] == "dwarn" for e in gates)
-        assert all(e.args["reason"] == "iq-pressure" for e in gates)
+        """Gate events carry policy and reason, and — one ``_fetch``
+        serves every engine, and a tracer keeps the fast engine out of
+        its skip kernel — both engines emit the same front-end events
+        at the same cycles."""
+        emitted = {}
+        for engine in ("reference", "fast"):
+            config = quick_config.with_(fetch_policy="dwarn", engine=engine)
+            _, telemetry = _traced_run(config, ["mcf", "art"])
+            events = telemetry.tracer.events("cpu.fetch")
+            gates = [e for e in events if e.name == "fetch.gate"]
+            assert gates
+            assert all(e.args["policy"] == "dwarn" for e in gates)
+            assert all(e.args["reason"] == "iq-pressure" for e in gates)
+            emitted[engine] = [(e.name, e.ts, e.tid) for e in events]
+        assert {"fetch.icache_miss", "fetch.redirect"} <= {
+            name for name, _, _ in emitted["fast"]
+        }
+        assert emitted["reference"] == emitted["fast"]
 
     def test_mshr_events(self, quick_config):
         _, telemetry = _traced_run(quick_config, ["mcf", "art"])
