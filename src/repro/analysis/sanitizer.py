@@ -489,18 +489,28 @@ class SimSanitizer:
     # core occupancy
 
     def _watch_core(self, core: "SMTCore") -> None:
-        params = core.params
-        original_dispatch = core._dispatch
+        """Check occupancies after every cycle's fetch stage.
 
-        def checked_dispatch(t: Any, uop: Any, cycle: int) -> int:
-            outcome = original_dispatch(t, uop, cycle)
+        ROB, issue-queue and load/store-queue occupancy only rises
+        inside fetch, so an overflow is still there when the stage
+        ends.  The issue queues drain a whole cycle's record at a time
+        (see ``repro.cpu.core``), so the same hook checks that the
+        shared counters and the per-thread ones the batching updates
+        side by side still agree.
+        """
+        params = core.params
+        original_fetch: Callable[[int], int] = core._fetch
+
+        def checked_fetch(cycle: int) -> int:
+            fetched = original_fetch(cycle)
             self.checks_run += 1
-            if len(t.rob) > params.rob_size:
-                self.record(
-                    cycle, "rob",
-                    f"thread {t.thread_id} ROB occupancy {len(t.rob)} "
-                    f"exceeds capacity {params.rob_size}",
-                )
+            for t in core.threads:
+                if len(t.rob) > params.rob_size:
+                    self.record(
+                        cycle, "rob",
+                        f"thread {t.thread_id} ROB occupancy {len(t.rob)} "
+                        f"exceeds capacity {params.rob_size}",
+                    )
             if core.int_iq_used > params.int_iq_size:
                 self.record(
                     cycle, "iq",
@@ -519,9 +529,29 @@ class SimSanitizer:
                     f"LSQ occupancy {core.lq_used}/{core.sq_used} exceeds "
                     f"capacity {params.lq_size}/{params.sq_size}",
                 )
-            return outcome
+            iq_int = sum(t.iq_int for t in core.threads)
+            iq_fp = sum(t.iq_fp for t in core.threads)
+            unissued = sum(t.unissued for t in core.threads)
+            if (
+                core.int_iq_used != iq_int
+                or core.fp_iq_used != iq_fp
+                or unissued != iq_int + iq_fp
+                or min(
+                    min(t.iq_int, t.iq_fp, t.unissued) for t in core.threads
+                ) < 0
+            ):
+                self.record(
+                    cycle, "iq-conservation",
+                    f"shared IQ counters {core.int_iq_used}/"
+                    f"{core.fp_iq_used} vs per-thread sums {iq_int}/"
+                    f"{iq_fp}, {unissued} unissued",
+                )
+            return fetched
 
-        core._dispatch = checked_dispatch
+        # Through ``Any``: an instance attribute shadowing a method is
+        # the point, whatever the checker makes of the assignment.
+        hooked: Any = core
+        hooked._fetch = checked_fetch
 
     # ------------------------------------------------------------------
     # drain / finish

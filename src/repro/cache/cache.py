@@ -24,6 +24,11 @@ class AccessResult(NamedTuple):
     writeback: int | None
 
 
+#: The two outcomes that carry no address, shared by every access.
+_HIT = AccessResult(True, None)
+_CLEAN_MISS = AccessResult(False, None)
+
+
 class SetAssocCache:
     """True-LRU set-associative cache over line addresses.
 
@@ -71,25 +76,28 @@ class SetAssocCache:
         writes).  On a miss the line is inserted and the LRU victim
         evicted; a dirty victim's address is returned for write-back.
         """
-        index = self.set_index(line_addr)
-        tag = line_addr // self.num_sets
+        num_sets = self.num_sets
+        index = line_addr % num_sets
+        tag = line_addr // num_sets
         entries = self._sets[index]
+        stats = self.stats
+        stats.total += 1
         for i, entry in enumerate(entries):
             if entry[0] == tag:
-                del entries[i]
-                entries.append(entry)
+                if entry is not entries[-1]:
+                    del entries[i]
+                    entries.append(entry)
                 if write:
                     entry[1] = True
-                self.stats.record(True)
-                return AccessResult(True, None)
-        self.stats.record(False)
-        writeback = None
+                stats.hits += 1
+                return _HIT
+        victim_dirty = False
         if len(entries) >= self.assoc:
             victim_tag, victim_dirty = entries.pop(0)
-            if victim_dirty:
-                writeback = victim_tag * self.num_sets + index
         entries.append([tag, write])
-        return AccessResult(False, writeback)
+        if victim_dirty:
+            return AccessResult(False, victim_tag * num_sets + index)
+        return _CLEAN_MISS
 
     def touch(self, line_addr: int, write: bool = False) -> AccessResult:
         """Functional warming: :meth:`access` without statistics.

@@ -222,15 +222,16 @@ class MemoryHierarchy:
         if self.mshr.pending(line):
             self.mshr.register(line, thread_id, callback)
             return PENDING
-        if self.l1d.probe(line):
-            self.l1d.access(line)
-            return t0 + self.params.l1_latency
-        if self.mshr.available == 0:
+        if self.mshr.available == 0 and not self.l1d.probe(line):
             self.loads -= 1  # not an architected access yet; will retry
             self.mshr.rejections += 1
             return RETRY
+        # One scan of the set decides hit or miss; a miss has an MSHR
+        # entry waiting (a rejected load must leave no trace, hence the
+        # probe above when the file is full).
         hit, writeback = self.l1d.access(line)
-        assert not hit
+        if hit:
+            return t0 + self.params.l1_latency
         if writeback is not None:
             self.l2.mark_dirty_if_present(writeback)
         self.mshr.register(line, thread_id, callback)
@@ -270,20 +271,15 @@ class MemoryHierarchy:
             # Line already being fetched: piggyback the write intent.
             self.l1d.mark_dirty_if_present(line)
             return done
-        if self.l1d.probe(line):
-            self.l1d.access(line, write=True)
+        hit, writeback = self.l1d.access(line, write=True)
+        if hit:
             return done
+        if writeback is not None:
+            self.l2.mark_dirty_if_present(writeback)
         if self.mshr.available == 0:
             # Write buffer absorbs the store without a fetch.
             self.store_bypasses += 1
-            hit, writeback = self.l1d.access(line, write=True)
-            if writeback is not None:
-                self.l2.mark_dirty_if_present(writeback)
             return done
-        hit, writeback = self.l1d.access(line, write=True)
-        assert not hit
-        if writeback is not None:
-            self.l2.mark_dirty_if_present(writeback)
         self.mshr.register(line, thread_id, None)
         self._l1_miss_lines[thread_id] = self._l1_miss_lines.get(thread_id, 0) + 1
         probe_at = t0 + self.params.l1_latency + self.params.l2_latency

@@ -40,11 +40,12 @@ class TLB:
         """Translate ``addr``; returns the added penalty (0 on a hit)."""
         page = addr // self.page_bytes
         pages = self._pages
+        stats = self.stats
+        stats.total += 1
         if page in pages:
             pages.move_to_end(page)
-            self.stats.record(True)
+            stats.hits += 1
             return 0
-        self.stats.record(False)
         pages[page] = None
         if len(pages) > self.entries:
             pages.popitem(last=False)

@@ -4,8 +4,6 @@ This package contains the pieces every other subsystem builds on:
 
 * :mod:`repro.common.events` -- the discrete-event queue that drives the
   memory hierarchy and DRAM controllers.
-* :mod:`repro.common.calendar` -- slot calendars used to model
-  per-cycle bandwidth resources (issue widths, commit width).
 * :mod:`repro.common.stats` -- counters and time-weighted histograms
   used for the paper's Figure 4/5 style distributions.
 * :mod:`repro.common.rng` -- deterministic random-number plumbing so a
@@ -15,7 +13,6 @@ This package contains the pieces every other subsystem builds on:
   shared between the CPU, cache, and DRAM models.
 """
 
-from repro.common.calendar import SlotCalendar
 from repro.common.errors import ConfigError, ReproError, SimulationError
 from repro.common.events import EventQueue
 from repro.common.rng import DeterministicRng, child_rng
@@ -36,7 +33,6 @@ __all__ = [
     "RateCounter",
     "ReproError",
     "SimulationError",
-    "SlotCalendar",
     "TimeWeightedHistogram",
     "WeightedHistogram",
     "child_rng",

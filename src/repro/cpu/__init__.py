@@ -7,8 +7,8 @@ with a 9-cycle branch-mispredict penalty, and four instruction-fetch
 policies (ICOUNT, Fetch-Stall, DG, DWarn) plus round-robin.
 
 The model resolves dependences at dispatch against a per-thread
-history ring and charges issue-bandwidth contention with slot
-calendars; loads interact with the cache/DRAM simulators at their
+history ring and charges issue-bandwidth contention with per-cycle
+issue records; loads interact with the cache/DRAM simulators at their
 issue time, so memory contention, MSHR back-pressure, ROB clog and
 issue-queue clog all emerge structurally rather than analytically.
 """

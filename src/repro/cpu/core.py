@@ -7,13 +7,32 @@ completed instructions in order per thread, and fetches/dispatches new
 instructions under the configured fetch policy.
 
 Modelling approach (see DESIGN.md): dependences are resolved at
-dispatch; issue-bandwidth contention is charged through slot calendars
-(8 integer + 4 floating-point issue slots per cycle); loads touch the
-memory hierarchy *at their issue time* so their latency reflects live
-cache/DRAM contention.  Shared issue queues, shared load/store queues,
-per-thread ROBs, MSHR back-pressure, branch-mispredict fetch redirect
-and per-thread fetch gating give the resource-clog behaviour the
-paper's fetch policies and thread-aware schedulers act on.
+dispatch; issue-bandwidth contention is charged through per-cycle
+*issue records* (at most 8 integer + 4 floating-point µops issue per
+cycle); loads touch the memory hierarchy *at their issue time* so their
+latency reflects live cache/DRAM contention.  Shared issue queues,
+shared load/store queues, per-thread ROBs, MSHR back-pressure,
+branch-mispredict fetch redirect and per-thread fetch gating give the
+resource-clog behaviour the paper's fetch policies and thread-aware
+schedulers act on.
+
+Issue records.  The record of cycle *c* is the pair of thread-id lists
+``(integer queue, FP queue)`` of the µops that issue in *c*.  The
+lists' lengths are the cycle's issue-slot occupancy, so scheduling a
+µop means appending it to the first record at or after its ready time
+whose list is shorter than the issue width.  One *marker* event per
+record, scheduled when the record is created, releases all its members
+from the issue queues when the cycle arrives.  A non-memory µop has no
+event of its own — its finish time is known the moment it is scheduled
+— while loads and stores keep one, because they must interleave with
+cache and DRAM events in scheduling order.  Three invariants keep this
+bit-identical to one release event per µop (``docs/performance.md``
+spells them out): a marker sits on the heap at every cycle a release
+event would have, so the set of ticked cycles is unchanged; a load,
+store or MSHR retry reports the issue-queue occupancy it would have
+seen had the same-cycle members scheduled after it not left yet; and a
+µop scheduled into the cycle being pumped joins that cycle's record
+whether or not its marker has already fired.
 
 The main loop skips idle stretches: when no thread can fetch (blocked
 or ROB-full) the clock jumps to the next event / unblock / commit
@@ -34,7 +53,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common.calendar import SlotCalendar
 from repro.common.errors import ConfigError, SimulationError
 from repro.common.events import EventQueue
 from repro.common.rng import DeterministicRng
@@ -47,7 +65,7 @@ from repro.cpu.fetch import (
     make_fetch_policy,
 )
 from repro.cpu.stats import CoreResult, ThreadResult
-from repro.cpu.thread import FOREVER, Inflight, ThreadContext
+from repro.cpu.thread import FOREVER, RING_SIZE, Inflight, ThreadContext
 from repro.workloads.generator import SyntheticStream, Uop
 
 # Op classes are tested by identity on the per-µop path (an enum
@@ -111,6 +129,9 @@ class CoreParams:
             "rob_size",
             "lq_size",
             "sq_size",
+            # Dispatch must issue strictly ahead of the cycle being
+            # fetched; only an event joins the current cycle's record.
+            "frontend_latency",
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -119,8 +140,6 @@ class CoreParams:
 class SMTCore:
     """Cycle-level simultaneous-multithreading core."""
 
-    #: How often (cycles) slot-calendar floors advance for pruning.
-    _CALENDAR_SWEEP = 4096
     #: Occupancy-sampling period when telemetry is on but the caller
     #: did not request an explicit ``sample_interval``.
     _TELEMETRY_SAMPLE_INTERVAL = 128
@@ -169,8 +188,16 @@ class SMTCore:
         #: ``l2_miss_version`` it lets a stalled-window kernel reuse a
         #: window derivation across event batches in O(1).
         self._fe_version = 0
-        self._int_cal = SlotCalendar(params.int_issue_width)
-        self._fp_cal = SlotCalendar(params.fp_issue_width)
+        #: Issue records, cycle -> (integer-queue thread ids, FP-queue
+        #: thread ids): who leaves the issue queues in that cycle (see
+        #: the module docstring).  Holds every cycle still to come plus
+        #: the latest one already released.
+        self._issue_records: dict[int, tuple[list[int], list[int]]] = {}
+        #: Cycle of the latest released record and its integer members;
+        #: loads and stores read them to report the issue-queue
+        #: occupancy a per-µop release order would have shown.
+        self._released_cycle = -1
+        self._released_ints: list[int] = []
         self.int_iq_used = 0
         self.fp_iq_used = 0
         self.lq_used = 0
@@ -182,7 +209,7 @@ class SMTCore:
         self._latency = params.latencies
         # Issue-coverage tracking (the paper's "% of cycles the
         # processor can issue at least one integer instruction").
-        # _release_iq events fire in time order, so counting distinct
+        # Records are released in time order, so counting distinct
         # issue cycles is a single comparison.
         self._last_int_issue_cycle = -1
         self._int_issue_cycles = 0
@@ -358,7 +385,6 @@ class SMTCore:
             t.finish_cycle = None
         self._unfinished = len(self.threads)
         deadline = self.cycle + max_cycles
-        next_sweep = self.cycle + self._CALENDAR_SWEEP
         # The tick sequence is inlined with pre-bound callables: this
         # loop runs once per simulated cycle, so even the attribute
         # lookups of `self.event_queue.run_until` are measurable.
@@ -374,9 +400,6 @@ class SMTCore:
         commit = self._commit
         fetch = self._fetch
         maybe_skip = self._maybe_skip
-        int_cal = self._int_cal
-        fp_cal = self._fp_cal
-        sweep_interval = self._CALENDAR_SWEEP
         sampling = self._next_sample is not None
         # The stalled-window kernel is a strategy a subclass supplies
         # (repro.engine.fast); this class — the reference engine — has
@@ -403,10 +426,6 @@ class SMTCore:
                 self._next_sample = cycle + self._sample_every
             cycle += 1
             self.cycle = cycle
-            if cycle >= next_sweep:
-                int_cal.advance_floor(cycle)
-                fp_cal.advance_floor(cycle)
-                next_sweep = cycle + sweep_interval
             if self._unfinished:
                 if not fetched and kernel_ok and stalled_window(deadline):
                     # Events due at the (new) current cycle were already
@@ -526,9 +545,16 @@ class SMTCore:
         return self._tracer
 
     def _fetch(self, cycle: int) -> int:
-        """Fetch/dispatch for one cycle; returns the number of µops
-        dispatched (the phase loop uses zero as the cue that a stalled
-        window may have opened)."""
+        """Fetch, rename and dispatch for one cycle; returns the number
+        of µops dispatched (the phase loop uses zero as the cue that a
+        stalled window may have opened).
+
+        Per thread in policy order: µops are taken from the stream
+        until the fetch width is used, a shared resource (issue queue,
+        load/store queue) has no room for the next one — it waits in
+        ``pending_uop`` and nothing changes — the ROB fills, or a
+        mispredicted branch redirects the front end.
+        """
         params = self.params
         stalls = self.stall_cycles
         eligible = []
@@ -549,16 +575,12 @@ class SMTCore:
         fp_iq_size = params.fp_iq_size
         lq_size = params.lq_size
         sq_size = params.sq_size
+        ready_lb = cycle + params.frontend_latency
         rejections = self.dispatch_rejections
-        dispatch = self._dispatch
+        schedule_issue = self._schedule_issue
         miss_rates = self._t_miss_rate
         rngs = self._t_rng
         nexts = self._t_next
-        # A rejected dispatch changes no state, so the resource check
-        # is hoisted out of the call — unless the sanitizer has
-        # wrapped ``_dispatch`` (instance attribute) to observe every
-        # attempt, in which case all attempts go through the wrapper.
-        precheck = "_dispatch" not in self.__dict__
         fetched = 0
         threads_used = 0
         dispatched_threads = set()
@@ -581,46 +603,93 @@ class SMTCore:
                 continue
             taken = 0
             stream_next = nexts[tid]
+            rob = t.rob
+            rob_size = t.rob_size
+            ring = t.ring
             while fetched < fetch_width and taken < fetch_width:
                 uop = t.pending_uop
                 if uop is None:
                     uop = stream_next()
-                if precheck:
-                    opc = uop.opc
-                    if opc is _FP_ALU or opc is _FP_MULT:
-                        key = (
-                            "iq" if self.fp_iq_used >= fp_iq_size else None
-                        )
-                    elif self.int_iq_used >= int_iq_size:
-                        key = "iq"
-                    elif opc is _LOAD and self.lq_used >= lq_size:
-                        key = "lsq"
-                    elif opc is _STORE and self.sq_used >= sq_size:
-                        key = "lsq"
-                    else:
-                        key = None
-                    if key is not None:
-                        rejections[key] += 1
-                        t.pending_uop = uop
-                        if not taken:
-                            resource_stalled.add(t.thread_id)
-                        break
-                outcome = dispatch(t, uop, cycle)
-                if not outcome:
+                opc = uop.opc
+                is_fp = opc is _FP_ALU or opc is _FP_MULT
+                if is_fp:
+                    key = "iq" if self.fp_iq_used >= fp_iq_size else None
+                elif self.int_iq_used >= int_iq_size:
+                    key = "iq"
+                elif opc is _LOAD and self.lq_used >= lq_size:
+                    key = "lsq"
+                elif opc is _STORE and self.sq_used >= sq_size:
+                    key = "lsq"
+                else:
+                    key = None
+                if key is not None:
+                    rejections[key] += 1
                     t.pending_uop = uop
                     if not taken:
-                        resource_stalled.add(t.thread_id)
+                        resource_stalled.add(tid)
                     break
                 t.pending_uop = None
+                mispredicted = (
+                    opc is _BRANCH and self._branch_mispredicted(t, uop)
+                )
+                seq = t.seq
+                node = Inflight(tid, seq, opc, uop.addr, mispredicted, ready_lb)
+                dep1 = uop.dep1
+                if dep1:
+                    producer = t.producer(dep1)
+                    if producer is not None:
+                        finish = producer.finish
+                        if finish is None:
+                            node.deps_left += 1
+                            producer.add_waiter(node)
+                        elif finish > node.ready_lb:
+                            node.ready_lb = finish
+                dep2 = uop.dep2
+                if dep2:
+                    producer = t.producer(dep2)
+                    if producer is not None:
+                        finish = producer.finish
+                        if finish is None:
+                            node.deps_left += 1
+                            producer.add_waiter(node)
+                        elif finish > node.ready_lb:
+                            node.ready_lb = finish
+                ring[seq % RING_SIZE] = node
+                t.seq = seq + 1
+                rob.append(node)
+                t.fetched += 1
+                t.unissued += 1
+                if is_fp:
+                    self.fp_iq_used += 1
+                    t.iq_fp += 1
+                else:
+                    self.int_iq_used += 1
+                    t.iq_int += 1
+                    if opc is _LOAD:
+                        self.lq_used += 1
+                    elif opc is _STORE:
+                        self.sq_used += 1
                 fetched += 1
                 taken += 1
-                if outcome == 2:
+                if mispredicted:
+                    # Fetch stops until the branch resolves; the waiter
+                    # reopens it after the refill penalty.
+                    t.fetch_blocked_until = FOREVER
+                    node.add_waiter(self._make_branch_unblock(t))
+                    if self._tracer is not None:
+                        self._tracer.emit(
+                            cycle, "fetch.redirect", "cpu.fetch", tid,
+                            args={"reason": "branch-mispredict"},
+                        )
+                if node.deps_left == 0:
+                    schedule_issue(node)
+                if mispredicted:
                     break  # redirect: nothing behind the branch is fetched
-                if len(t.rob) >= t.rob_size:
+                if len(rob) >= rob_size:
                     break
             if taken:
                 threads_used += 1
-                dispatched_threads.add(t.thread_id)
+                dispatched_threads.add(tid)
         for t in eligible:
             tid = t.thread_id
             if tid in dispatched_threads:
@@ -640,91 +709,6 @@ class SMTCore:
             mispredicted = True  # unknown target: redirect anyway
         return mispredicted
 
-    def _dispatch(self, t: ThreadContext, uop: Uop, cycle: int) -> int:
-        """Rename/dispatch one µop.
-
-        Returns 0 when a shared resource is full (caller retries the
-        µop later), 1 on success, 2 on success where the µop was a
-        mispredicted branch (the caller stops fetching behind it).
-        """
-        opc = uop.opc
-        if len(t.rob) >= t.rob_size:
-            return False
-        params = self.params
-        is_fp = opc is _FP_ALU or opc is _FP_MULT
-        if is_fp:
-            if self.fp_iq_used >= params.fp_iq_size:
-                self.dispatch_rejections["iq"] += 1
-                return 0
-        elif self.int_iq_used >= params.int_iq_size:
-            self.dispatch_rejections["iq"] += 1
-            return 0
-        if opc is _LOAD and self.lq_used >= params.lq_size:
-            self.dispatch_rejections["lsq"] += 1
-            return 0
-        if opc is _STORE and self.sq_used >= params.sq_size:
-            self.dispatch_rejections["lsq"] += 1
-            return 0
-
-        mispredicted = opc is _BRANCH and self._branch_mispredicted(t, uop)
-        node = Inflight(
-            t.thread_id,
-            t.seq,
-            opc,
-            uop.addr,
-            mispredicted,
-            cycle + params.frontend_latency,
-        )
-        dep1 = uop.dep1
-        if dep1:
-            producer = t.producer(dep1)
-            if producer is not None:
-                finish = producer.finish
-                if finish is None:
-                    node.deps_left += 1
-                    producer.add_waiter(node)
-                elif finish > node.ready_lb:
-                    node.ready_lb = finish
-        dep2 = uop.dep2
-        if dep2:
-            producer = t.producer(dep2)
-            if producer is not None:
-                finish = producer.finish
-                if finish is None:
-                    node.deps_left += 1
-                    producer.add_waiter(node)
-                elif finish > node.ready_lb:
-                    node.ready_lb = finish
-
-        t.ring[t.seq % len(t.ring)] = node
-        t.seq += 1
-        t.rob.append(node)
-        t.fetched += 1
-        t.unissued += 1
-        if is_fp:
-            self.fp_iq_used += 1
-            t.iq_fp += 1
-        else:
-            self.int_iq_used += 1
-            t.iq_int += 1
-        if opc is _LOAD:
-            self.lq_used += 1
-        elif opc is _STORE:
-            self.sq_used += 1
-        if mispredicted:
-            # Fetch stops until the branch resolves; the waiter reopens
-            # it after the refill penalty.
-            t.fetch_blocked_until = FOREVER
-            node.add_waiter(self._make_branch_unblock(t))
-            if self._tracer is not None:
-                self._tracer.emit(
-                    cycle, "fetch.redirect", "cpu.fetch", t.thread_id,
-                    args={"reason": "branch-mispredict"},
-                )
-        if node.deps_left == 0:
-            self._schedule_issue(node)
-        return 2 if mispredicted else 1
-
     def _make_branch_unblock(self, t: ThreadContext):
         penalty = self.params.mispredict_penalty
 
@@ -737,43 +721,134 @@ class SMTCore:
     # issue / execute
 
     def _schedule_issue(self, node: Inflight) -> None:
+        """All of ``node``'s producers have known finish times: give it
+        the first free issue slot at or after its ready time."""
         opc = node.opc
-        is_fp = opc is OpClass.FP_ALU or opc is OpClass.FP_MULT
-        calendar = self._fp_cal if is_fp else self._int_cal
-        earliest = node.ready_lb
-        now = self.event_queue.now
-        if now > earliest:
-            earliest = now
-        issue = calendar.allocate(earliest)
-        if opc is OpClass.LOAD:
-            self.event_queue.schedule(issue, self._issue_load, node)
-        elif opc is OpClass.STORE:
-            self.event_queue.schedule(issue, self._issue_store, node)
+        event_queue = self.event_queue
+        # Read directly, as the phase loop writes it: this runs once
+        # per µop and the ``now`` property is a Python-level call.
+        now = event_queue._now
+        issue = node.ready_lb
+        if now > issue:
+            issue = now
+        params = self.params
+        if opc is _FP_ALU or opc is _FP_MULT:
+            lane = 1
+            width = params.fp_issue_width
         else:
-            self.event_queue.schedule(issue, self._release_iq, node)
+            lane = 0
+            width = params.int_issue_width
+        records = self._issue_records
+        record = records.get(issue)
+        while record is not None and len(record[lane]) >= width:
+            issue += 1
+            record = records.get(issue)
+        if record is None:
+            record = records[issue] = ([], [])
+            if issue > now:
+                event_queue.schedule(issue, self._release_record, issue, record)
+            else:
+                # Only reachable from inside an event (dispatch issues
+                # at least ``frontend_latency`` ahead): the cycle is
+                # being pumped, so a marker would fire in this very
+                # drain; the record is born released instead.
+                self._retire_record(issue, record)
+        tid = node.thread_id
+        members = record[lane]
+        if opc is _LOAD or opc is _STORE:
+            node.iq_peers = members.count(tid)
+        members.append(tid)
+        if issue == self._released_cycle:
+            # Joined the record of the cycle being pumped after its
+            # release: nothing is left to wait for.
+            self._leave_issue_queue(tid, lane, issue)
+        if opc is _LOAD:
+            event_queue.schedule(issue, self._try_load, node, 1)
+        elif opc is _STORE:
+            event_queue.schedule(issue, self._issue_store, node)
+        elif node.waiters is None:
+            self._fe_version += 1
+            node.finish = issue + self._latency[opc]
+        else:
             self._resolve(node, issue + self._latency[opc])
 
-    def _release_iq(self, node: Inflight) -> None:
+    def _release_record(
+        self, cycle: int, record: tuple[list[int], list[int]]
+    ) -> None:
+        """Marker event of one issue record: ``cycle`` has arrived and
+        every member leaves its issue queue."""
         self._fe_version += 1
-        t = self.threads[node.thread_id]
+        threads = self.threads
+        ints, fps = record
+        if ints:
+            self.int_iq_used -= len(ints)
+            for tid in ints:
+                t = threads[tid]
+                t.unissued -= 1
+                t.iq_int -= 1
+            self._last_int_issue_cycle = cycle
+            self._int_issue_cycles += 1
+        if fps:
+            self.fp_iq_used -= len(fps)
+            for tid in fps:
+                t = threads[tid]
+                t.unissued -= 1
+                t.iq_fp -= 1
+        self._retire_record(cycle, record)
+
+    def _retire_record(
+        self, cycle: int, record: tuple[list[int], list[int]]
+    ) -> None:
+        """``record`` becomes the latest released one.  It stays
+        readable (slot occupancy of the current cycle, same-cycle
+        members for the occupancy loads report) until its successor
+        drops it here."""
+        self._issue_records.pop(self._released_cycle, None)
+        self._released_cycle = cycle
+        self._released_ints = record[0]
+
+    def _leave_issue_queue(self, tid: int, lane: int, cycle: int) -> None:
+        """One µop leaves the integer (``lane`` 0) or FP issue queue."""
+        self._fe_version += 1
+        t = self.threads[tid]
         t.unissued -= 1
-        opc = node.opc
-        if opc is _FP_ALU or opc is _FP_MULT:
+        if lane:
             self.fp_iq_used -= 1
             t.iq_fp -= 1
         else:
             self.int_iq_used -= 1
             t.iq_int -= 1
-            now = self.event_queue.now
-            if now != self._last_int_issue_cycle:
-                self._last_int_issue_cycle = now
+            if cycle != self._last_int_issue_cycle:
+                self._last_int_issue_cycle = cycle
                 self._int_issue_cycles += 1
 
-    def _issue_load(self, node: Inflight) -> None:
-        self._release_iq(node)
-        self._try_load(node)
+    def _iq_occupancy_seen(
+        self, t: ThreadContext, node: Inflight, member: int, now: int
+    ) -> int:
+        """Integer issue-queue occupancy of ``t`` as a load, store or
+        retry firing now observes it (the IQ-based scheduler's input).
 
-    def _try_load(self, node: Inflight) -> None:
+        A record releases its members together, but inside a cycle
+        events fire in scheduling order: a same-thread µop scheduled
+        into this cycle *after* ``node``'s event was would still be in
+        the queue when that event fires.  ``node.iq_peers`` counted the
+        same-thread members the record held then, so the difference to
+        the count now (less ``node`` itself when it is a ``member``) is
+        added back.  A retry that fires before its cycle's marker — the
+        record was created after the retry was scheduled — sees the
+        live value.
+        """
+        occupancy = t.iq_int
+        if now == self._released_cycle:
+            occupancy += (
+                self._released_ints.count(t.thread_id)
+                - node.iq_peers - member
+            )
+        return occupancy
+
+    def _try_load(self, node: Inflight, member: int = 0) -> None:
+        """Send a load to the hierarchy: at its issue cycle (``member``
+        of that cycle's record) and again after each MSHR rejection."""
         t = self.threads[node.thread_id]
         now = self.event_queue.now
         result = self.hierarchy.load(
@@ -781,18 +856,20 @@ class SMTCore:
             t.thread_id,
             now,
             rob_occupancy=len(t.rob),
-            iq_occupancy=t.iq_int,
+            iq_occupancy=self._iq_occupancy_seen(t, node, member, now),
             callback=lambda finish, node=node: self._resolve(node, finish),
         )
         if result is RETRY:
-            self.event_queue.schedule(
-                now + self.params.retry_delay, self._try_load, node
+            retry_at = now + self.params.retry_delay
+            record = self._issue_records.get(retry_at)
+            node.iq_peers = (
+                record[0].count(t.thread_id) if record is not None else 0
             )
+            self.event_queue.schedule(retry_at, self._try_load, node)
         elif result is not PENDING:
             self._resolve(node, result)
 
     def _issue_store(self, node: Inflight) -> None:
-        self._release_iq(node)
         t = self.threads[node.thread_id]
         now = self.event_queue.now
         done = self.hierarchy.store(
@@ -800,7 +877,7 @@ class SMTCore:
             t.thread_id,
             now,
             rob_occupancy=len(t.rob),
-            iq_occupancy=t.iq_int,
+            iq_occupancy=self._iq_occupancy_seen(t, node, 1, now),
         )
         self._resolve(node, done)
 

@@ -41,6 +41,7 @@ class Inflight:
         "waiters",
         "deps_left",
         "ready_lb",
+        "iq_peers",
     )
 
     def __init__(
@@ -61,6 +62,10 @@ class Inflight:
         self.waiters: list | None = None
         self.deps_left = 0
         self.ready_lb = ready_lb
+        #: Loads/stores: same-thread integer µops already in the issue
+        #: record of the cycle this node's next hierarchy access is
+        #: scheduled for (see ``SMTCore._iq_occupancy_seen``).
+        self.iq_peers = 0
 
     def add_waiter(self, waiter) -> None:
         """Register a dependent node (or callback) on this producer."""
@@ -92,12 +97,9 @@ class ThreadContext:
         "unissued",
         "iq_int",
         "iq_fp",
-        "loads_inflight",
-        "stores_inflight",
         "committed",
         "fetched",
         "warmup_committed",
-        "warmup_cycle",
         "target",
         "finish_cycle",
         "icache_rng",
@@ -126,13 +128,10 @@ class ThreadContext:
         #: IQ-based DRAM scheduling scheme).
         self.iq_int = 0
         self.iq_fp = 0
-        self.loads_inflight = 0
-        self.stores_inflight = 0
         self.committed = 0
         self.fetched = 0
         #: Measurement baseline set when the warm-up phase ends.
         self.warmup_committed = 0
-        self.warmup_cycle = 0
         #: Committed-instruction target (post-warm-up) for this run.
         self.target = 0
         #: Cycle at which the target was reached (None while running).

@@ -167,10 +167,11 @@ class FastSMTCore(SMTCore):
     def _reject_key(self, uop: Any) -> str | None:
         """Which rejection counter a dispatch of ``uop`` would bump now.
 
-        Mirrors the resource checks of :meth:`SMTCore._dispatch` in
-        order (FP IQ / int IQ, then LQ / SQ) for a thread whose ROB is
-        not full.  ``None`` means the dispatch would *succeed* — the
-        caller must not treat the thread as stalled.
+        Mirrors the resource checks of the dispatch loop in
+        :meth:`SMTCore._fetch`, in order (FP IQ / int IQ, then LQ /
+        SQ), for a thread whose ROB is not full.  ``None`` means the
+        dispatch would *succeed* — the caller must not treat the thread
+        as stalled.
         """
         opc = uop.opc
         params = self.params

@@ -14,7 +14,7 @@ by cycle, :class:`SampledSMTCore` alternates
   branch predictor keeps training, while the per-cycle pipeline, bus,
   and scheduler work is skipped entirely.  Simulated time does **not**
   advance during fast-forward (the region is timeless), which keeps the
-  event queue, slot calendars, and outstanding MSHR entries coherent
+  event queue, issue records, and outstanding MSHR entries coherent
   with the next detailed window.
 
 Estimation mirrors the reference's measurement semantics (a *crossing*

@@ -114,6 +114,25 @@ class TestMshrAccounting:
         assert checker.ok
 
 
+class TestCoreConservation:
+    def test_lost_issue_queue_release_flagged(self, tiny_config):
+        checker = SimSanitizer()
+        core, _memory, _hierarchy = build_system(
+            tiny_config, ("mcf", "gzip"), sanitizer=checker
+        )
+
+        def lose_a_release():
+            core.threads[0].iq_int += 1
+
+        core.event_queue.schedule(60, lose_a_release)
+        core.run(tiny_config.instructions_per_thread)
+        broken = [
+            v for v in checker.violations if v.check == "iq-conservation"
+        ]
+        assert broken and broken[0].time == 60
+        assert all(v.check == "iq-conservation" for v in checker.violations)
+
+
 class TestEndToEnd:
     @pytest.mark.parametrize("controller", ["request", "command"])
     def test_full_run_is_clean_and_bit_identical(

@@ -119,29 +119,30 @@ class TestResourceInvariants:
     def test_iq_bounded_during_run(self):
         params = CoreParams(int_iq_size=16, fp_iq_size=8)
         core, _, _ = build_core(["mcf", "ammp"], params=params)
-        # spot-check bound by instrumenting dispatch
-        original = core._dispatch
+        # spot-check bound by instrumenting the fetch/dispatch stage
+        # (occupancy only rises inside it)
+        original = core._fetch
 
-        def checked(t, uop, cycle):
-            ok = original(t, uop, cycle)
+        def checked(cycle):
+            fetched = original(cycle)
             assert core.int_iq_used <= 16
             assert core.fp_iq_used <= 8
-            return ok
+            return fetched
 
-        core._dispatch = checked
+        core._fetch = checked
         core.run(300)
 
     def test_rob_bounded(self):
         params = CoreParams(rob_size=32)
         core, _, _ = build_core(["mcf"], params=params)
-        original = core._dispatch
+        original = core._fetch
 
-        def checked(t, uop, cycle):
-            ok = original(t, uop, cycle)
-            assert len(t.rob) <= 32
-            return ok
+        def checked(cycle):
+            fetched = original(cycle)
+            assert len(core.threads[0].rob) <= 32
+            return fetched
 
-        core._dispatch = checked
+        core._fetch = checked
         core.run(300)
 
     def test_commit_in_program_order(self):

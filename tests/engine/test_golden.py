@@ -9,10 +9,20 @@ stall/rejection/coverage accounting, ``dram``, ``hierarchy``), for the
 45-job fig10 oracle sweep plus the three ILP mixes under ``icount``
 (the dispatch-bound shape the sweep lacks), at a tier-1 budget.
 
+Three jobs also carry an *occupancy-trace* digest: SHA-256 over the
+sequence of ``(now, thread_id, rob_occupancy, iq_occupancy)`` that
+``MemoryHierarchy.load`` and ``.store`` receive.  The result digests
+see those values only through what the thread-aware DRAM schedulers did
+with them; the trace fails on the first access that observes an
+issue-queue release out of order inside a cycle (``8-MEM`` at this
+budget bounces loads off a full MSHR file, so the retry path is
+inside).
+
 ``golden_sweep.json`` was generated from the reference engine of the
-commit *before* the cores were merged.  A digest mismatch means
-simulated behaviour changed; regenerate only for an intentional model
-fix, and say so in the PR::
+commit *before* the cores were merged, the occupancy traces from the
+commit before issue-queue releases were batched per cycle.  A digest
+mismatch means simulated behaviour changed; regenerate only for an
+intentional model fix, and say so in the PR::
 
     PYTHONPATH=src python tests/engine/test_golden.py --write
 """
@@ -27,7 +37,7 @@ import pytest
 
 from repro.engine.oracle import _slot_names, fig10_sweep_jobs
 from repro.experiments.config import SystemConfig
-from repro.experiments.runner import MixResult, run_mix
+from repro.experiments.runner import MixResult, build_system, run_mix
 from repro.workloads.mixes import MIXES
 
 GOLDEN_PATH = Path(__file__).with_name("golden_sweep.json")
@@ -54,6 +64,12 @@ def _jobs() -> dict[str, tuple[SystemConfig, tuple[str, ...]]]:
 
 
 JOBS = _jobs()
+
+#: Jobs whose hierarchy-observed occupancies are pinned access by
+#: access: the IQ-based scheduler's own input, a ROB-based run with
+#: MSHR-retry traffic, and the widest dispatch-bound mix.
+TRACED = ("4-MEM iq-based", "8-MEM rob-based", "8-MIX request-based")
+TRACE_PREFIX = "occupancy-trace "
 
 
 def _canonical(value: object) -> object:
@@ -101,13 +117,46 @@ def _digest_of(label: str) -> str:
     return result_digest(run_mix(config, apps))
 
 
+def occupancy_trace_digest(label: str) -> str:
+    """Digest of every occupancy pair the hierarchy is handed."""
+    config, apps = JOBS[label]
+    core, _memory, hierarchy = build_system(config, apps)
+    digest = hashlib.sha256()
+
+    def traced(kind: str):
+        inner = getattr(hierarchy, kind)
+
+        def access(addr, thread_id, now, rob_occupancy=0, iq_occupancy=0,
+                   *args, **kwargs):
+            digest.update(
+                f"{kind} {now} {thread_id} {rob_occupancy} "
+                f"{iq_occupancy}\n".encode()
+            )
+            return inner(
+                addr, thread_id, now, rob_occupancy, iq_occupancy,
+                *args, **kwargs
+            )
+
+        return access
+
+    hierarchy.load = traced("load")
+    hierarchy.store = traced("store")
+    core.run(
+        config.instructions_per_thread,
+        warmup_instructions=config.warmup_instructions,
+        max_cycles=config.max_cycles,
+    )
+    return digest.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict[str, str]:
     return json.loads(GOLDEN_PATH.read_text())
 
 
 def test_golden_file_covers_exactly_the_jobs(golden):
-    assert sorted(golden) == sorted(JOBS)
+    traces = [TRACE_PREFIX + label for label in TRACED]
+    assert sorted(golden) == sorted([*JOBS, *traces])
     assert len(JOBS) == 48
 
 
@@ -116,6 +165,14 @@ def test_reference_engine_matches_golden(label, golden):
     assert _digest_of(label) == golden[label], (
         f"{label}: reference-engine results changed; see the module "
         "docstring before regenerating"
+    )
+
+
+@pytest.mark.parametrize("label", TRACED)
+def test_occupancy_trace_matches_golden(label, golden):
+    assert occupancy_trace_digest(label) == golden[TRACE_PREFIX + label], (
+        f"{label}: a load or store observed different ROB/IQ occupancy "
+        "than the committed trace (release order inside a cycle?)"
     )
 
 
@@ -137,8 +194,8 @@ def test_digest_sees_nested_accounting():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(f"usage: python {sys.argv[0]} --write")
-    GOLDEN_PATH.write_text(
-        json.dumps({label: _digest_of(label) for label in JOBS}, indent=1)
-        + "\n"
-    )
-    print(f"wrote {len(JOBS)} digests to {GOLDEN_PATH}")
+    digests = {label: _digest_of(label) for label in JOBS}
+    for label in TRACED:
+        digests[TRACE_PREFIX + label] = occupancy_trace_digest(label)
+    GOLDEN_PATH.write_text(json.dumps(digests, indent=1) + "\n")
+    print(f"wrote {len(digests)} digests to {GOLDEN_PATH}")

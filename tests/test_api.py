@@ -61,9 +61,9 @@ class TestSubpackageExports:
 
     def test_common(self):
         from repro.common import (
-            EventQueue, MemRequest, OpClass, SlotCalendar, child_rng,
+            EventQueue, MemRequest, OpClass, child_rng,
         )
-        assert all((EventQueue, MemRequest, OpClass, SlotCalendar))
+        assert all((EventQueue, MemRequest, OpClass))
         assert child_rng(1, "x")
 
 
