@@ -25,7 +25,7 @@ import time
 import pytest
 
 from repro.experiments.config import SystemConfig
-from repro.experiments.figures import figure2
+from repro.experiments.figures import run_experiment
 from repro.experiments.parallel import ParallelRunner, ResultCache
 from repro.experiments.runner import Runner
 
@@ -48,17 +48,21 @@ def run_bench(jobs: int = 4, instructions: int = 1200) -> dict:
     cache_dir = tempfile.mkdtemp(prefix="repro-bench-cache-")
     try:
         t0 = time.perf_counter()
-        serial = figure2(config=config, runner=Runner(), mixes=list(_MIXES))
+        serial = run_experiment(
+            "fig2", config=config, runner=Runner(), mixes=list(_MIXES)
+        )
         t1 = time.perf_counter()
         cold_cache = ResultCache(cache_dir)
-        parallel = figure2(
+        parallel = run_experiment(
+            "fig2",
             config=config,
             runner=ParallelRunner(jobs=jobs, cache=cold_cache),
             mixes=list(_MIXES),
         )
         t2 = time.perf_counter()
         warm_cache = ResultCache(cache_dir)
-        warm = figure2(
+        warm = run_experiment(
+            "fig2",
             config=config,
             runner=ParallelRunner(jobs=jobs, cache=warm_cache),
             mixes=list(_MIXES),

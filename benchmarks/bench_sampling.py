@@ -58,7 +58,7 @@ def _budget() -> int:
 
 def _config(budget: int, engine: str) -> SystemConfig:
     return SystemConfig(
-        scale=8,  # the calibration scale (see conftest.py)
+        scale=8,  # the calibration scale (see bench_figures.py)
         instructions_per_thread=budget,
         warmup_instructions=budget // 4,
         seed=2005,

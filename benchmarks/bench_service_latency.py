@@ -51,7 +51,7 @@ _APPS = ("gzip",)
 
 
 def _config(seed: int = 2005) -> SystemConfig:
-    # The bench-harness scale and budget (see conftest.py): large
+    # The bench-harness scale and budget (see bench_figures.py): large
     # enough that the simulation a warm hit replaces is representative,
     # small enough that seeding the store takes well under a second.
     return SystemConfig(

@@ -16,8 +16,9 @@ Quick start::
     print(result.core)                      # per-thread IPC etc.
     print(result.dram.row_hit_rate)
 
-Experiment drivers (one per paper figure) live in
-:mod:`repro.experiments.figures`, or from the command line::
+Every figure and ablation is a spec in
+:mod:`repro.experiments.figures`, run by
+``run_experiment("fig10", config=config)`` or from the command line::
 
     python -m repro list
     python -m repro fig10 --mixes 2-MEM

@@ -49,6 +49,7 @@ from typing import Any, Callable, Iterable, Sequence
 from repro.common.errors import ConfigError
 from repro.engine import ENGINE_NAMES
 from repro.experiments.config import SystemConfig
+from repro.experiments.figures import FIG10
 from repro.experiments.runner import MixResult, run_mix
 from repro.workloads.mixes import MIXES
 
@@ -64,12 +65,12 @@ MAX_DIFFS = 20
 #: figure plots (the paper's headline comparison), which exercises
 #: both DRAM controller models' wake/sleep paths, all thread-aware
 #: scheduler context callbacks, and every fetch-policy gating regime
-#: reachable from the default configuration.
-FIG10_SCHEDULERS = (
-    "fcfs", "hit-first", "age-based", "request-based", "rob-based",
-    "iq-based",
+#: reachable from the default configuration.  Read from the figure's
+#: spec, so the oracle sweeps exactly the grid the figure plots.
+FIG10_SCHEDULERS: tuple[str, ...] = tuple(
+    overrides["scheduler"] for _header, overrides in FIG10.columns
 )
-FIG10_MIXES = ("2-MIX", "2-MEM", "4-MIX", "4-MEM", "8-MIX", "8-MEM")
+FIG10_MIXES: tuple[str, ...] = FIG10.rows
 
 def _with_core(config: SystemConfig, **core_overrides: Any) -> SystemConfig:
     return config.with_(

@@ -4,9 +4,12 @@
   describing a complete simulated system (Table 1 defaults).
 * :mod:`repro.experiments.runner` -- build-and-run plumbing with
   caching of single-thread baselines for weighted-speedup metrics.
-* :mod:`repro.experiments.figures` -- one driver per paper figure
-  (``figure1()`` ... ``figure10()``), each returning structured rows
-  and able to print a paper-style table.
+* :mod:`repro.experiments.figures` -- every figure and ablation as a
+  :class:`FigureSpec` (rows, columns, how a cell is read) in one
+  :data:`REGISTRY`, and the one driver, :func:`run_experiment`, that
+  plans, runs and reduces any of them.
+* :mod:`repro.experiments.report` -- :class:`ExperimentResult` and its
+  text, CSV and markdown renderings.
 * :mod:`repro.experiments.parallel` -- :class:`ParallelRunner` (a
   process-pool :class:`Runner`) and :class:`ResultCache` (a persistent
   on-disk store of simulation results).
@@ -17,7 +20,12 @@
 """
 
 from repro.experiments.config import SystemConfig
-from repro.experiments.figures import EXPERIMENTS, run_experiment
+from repro.experiments.figures import (
+    EXPERIMENTS,
+    REGISTRY,
+    FigureSpec,
+    run_experiment,
+)
 from repro.experiments.parallel import ParallelRunner, ResultCache
 from repro.experiments.resilience import (
     BatchJournal,
@@ -34,8 +42,10 @@ from repro.experiments.runner import (
 __all__ = [
     "BatchJournal",
     "EXPERIMENTS",
+    "FigureSpec",
     "MixResult",
     "ParallelRunner",
+    "REGISTRY",
     "ResilienceStats",
     "ResultCache",
     "RetryPolicy",

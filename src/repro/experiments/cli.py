@@ -26,9 +26,13 @@ from repro.analysis.cli import add_lint_arguments, run_lint
 from repro.analysis.sanitizer import SimSanitizer
 from repro.common.errors import JobFailureError
 from repro.engine import ENGINE_NAMES
-from repro.experiments.ablations import ABLATIONS
 from repro.experiments.config import SystemConfig
-from repro.experiments.figures import EXPERIMENTS, run_experiment
+from repro.experiments.figures import (
+    ABLATIONS,
+    EXPERIMENTS,
+    REGISTRY,
+    run_experiment,
+)
 from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import Runner, run_mix
 from repro.faults import plan_from_env
@@ -266,9 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn in {**EXPERIMENTS, **ABLATIONS}.items():
-        doc = (fn.__doc__ or "").strip().splitlines()[0]
-        p = sub.add_parser(name, help=doc)
+    for name, spec in REGISTRY.items():
+        p = sub.add_parser(name, help=spec.summary)
         _add_config_arguments(p)
         _add_engine_arguments(p)
         p.add_argument(
@@ -484,13 +487,10 @@ def _run_figures(names: list[str], args: argparse.Namespace) -> int:
     try:
         for name in names:
             start = time.perf_counter()
-            kwargs = {"config": config, "runner": runner}
-            if getattr(args, "mixes", None) and name != "fig1":
-                kwargs["mixes"] = args.mixes
-            if name in ABLATIONS:
-                result = ABLATIONS[name](**kwargs)
-            else:
-                result = run_experiment(name, **kwargs)
+            result = run_experiment(
+                name, config=config, runner=runner,
+                mixes=getattr(args, "mixes", None),
+            )
             print(result.render())
             csv_path = getattr(args, "csv", None)
             if csv_path:
@@ -562,13 +562,11 @@ def main(argv: list[str] | None = None) -> int:
         return _run_engine_diff(args)
     if args.command == "list":
         print("experiments:")
-        for name, fn in EXPERIMENTS.items():
-            doc = (fn.__doc__ or "").strip().splitlines()[0]
-            print(f"  {name:<8} {doc}")
+        for name, spec in EXPERIMENTS.items():
+            print(f"  {name:<8} {spec.summary}")
         print("\nablations:")
-        for name, fn in ABLATIONS.items():
-            doc = (fn.__doc__ or "").strip().splitlines()[0]
-            print(f"  {name:<18} {doc}")
+        for name, spec in ABLATIONS.items():
+            print(f"  {name:<18} {spec.summary}")
         print("\nworkload mixes (Table 2):")
         for name in all_mix_names():
             print(f"  {name:<6} {', '.join(MIXES[name].apps)}")
@@ -667,10 +665,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "all":
         return _run_figures(list(EXPERIMENTS), args)
     if args.command == "report":
-        from repro.experiments.reportgen import generate_report
+        from repro.experiments.report import generate_report
 
-        known = set(EXPERIMENTS) | set(ABLATIONS)
-        unknown = [e for e in (args.experiments or []) if e not in known]
+        unknown = [e for e in (args.experiments or []) if e not in REGISTRY]
         if unknown:
             print(
                 f"error: unknown experiment(s): {', '.join(unknown)}; "

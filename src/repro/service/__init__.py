@@ -11,11 +11,11 @@ fork) the existing execution stack:
   cache, so a store opened over any old ``--cache-dir`` serves its
   results.
 * :class:`~repro.service.scheduler.CampaignScheduler` -- a daemon that
-  accepts jobs and whole figure campaigns (expanded by the *real*
-  drivers via :class:`~repro.service.jobs.PlanningRunner`), dedupes
-  them by cache key with exactly-once semantics, and executes misses
-  through the fault-tolerant batch executor with a crash-safe
-  persisted queue (``--resume`` finishes interrupted campaigns).
+  accepts jobs and whole figure campaigns (each expanded to exactly
+  the job plan its experiment's driver runs), dedupes them by cache
+  key with exactly-once semantics, and executes misses through the
+  fault-tolerant batch executor with a crash-safe persisted queue
+  (``--resume`` finishes interrupted campaigns).
 * :mod:`~repro.service.api` -- a stdlib-only threaded HTTP API:
   ``POST /jobs`` answers stored results on a microsecond warm path (an
   in-memory LRU; a hit never spawns a simulation) and enqueues genuine
@@ -50,7 +50,6 @@ from repro.service.client import (
 )
 from repro.service.jobs import (
     JobSpec,
-    PlanningRunner,
     campaign_id,
     campaign_jobs,
     campaign_names,
@@ -72,7 +71,6 @@ __all__ = [
     "GCReport",
     "JobSpec",
     "PayloadLRU",
-    "PlanningRunner",
     "ResultStore",
     "ServiceApp",
     "ServiceClient",

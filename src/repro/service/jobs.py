@@ -9,14 +9,10 @@ table), so a config rebuilt from JSON has the *same*
 as the original: a job submitted remotely is bit-for-bit the job a
 local runner would have executed.
 
-A campaign is a whole figure/ablation/sweep worth of jobs.  Rather
-than re-encode each driver's job-planning logic (and let it drift),
-:func:`campaign_jobs` runs the real driver against a
-:class:`PlanningRunner` whose ``run_many`` captures the submitted job
-list and aborts the driver before any simulation — every driver plans
-its complete job list up front and submits it in one ``run_many``
-call (see ``repro.experiments.figures``), so the capture *is* the
-campaign.
+A campaign is a whole figure/ablation worth of jobs: exactly the job
+list the experiment's driver hands to ``run_many``
+(:func:`repro.experiments.figures.plan`), deduplicated, so a campaign
+cannot drift from the figure it serves.
 """
 
 from __future__ import annotations
@@ -31,6 +27,7 @@ from repro.common.types import OpClass
 from repro.cpu.core import CoreParams
 from repro.engine.sampled import SamplingParams
 from repro.experiments.config import SystemConfig
+from repro.experiments.figures import REGISTRY, plan
 from repro.experiments.runner import Runner
 from repro.telemetry.manifest import run_id
 
@@ -142,34 +139,9 @@ class JobSpec:
 # campaign expansion
 
 
-class _PlanCaptured(Exception):
-    """Raised by :class:`PlanningRunner` once the job list is captured."""
-
-
-class PlanningRunner(Runner):
-    """A :class:`Runner` that records ``run_many`` submissions.
-
-    Figure/ablation drivers submit their complete job list through one
-    up-front ``run_many`` call before computing anything; this runner
-    captures that list and aborts the driver, turning any driver into
-    a job enumerator at zero simulation cost.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.jobs: list[tuple[SystemConfig, tuple[str, ...]]] = []
-
-    def run_many(self, jobs: Sequence) -> list:
-        self.jobs = [(config, tuple(apps)) for config, apps in jobs]
-        raise _PlanCaptured
-
-
 def campaign_names() -> list[str]:
     """Every experiment/ablation name a campaign may reference."""
-    from repro.experiments.ablations import ABLATIONS
-    from repro.experiments.figures import EXPERIMENTS
-
-    return sorted({**EXPERIMENTS, **ABLATIONS})
+    return sorted(REGISTRY)
 
 
 def campaign_jobs(
@@ -178,26 +150,15 @@ def campaign_jobs(
     mixes: Sequence[str] | None = None,
 ) -> list[tuple[SystemConfig, tuple[str, ...]]]:
     """Expand one figure/ablation into its full deduplicated job list."""
-    from repro.experiments.ablations import ABLATIONS
-    from repro.experiments.figures import EXPERIMENTS
-
-    drivers = {**EXPERIMENTS, **ABLATIONS}
-    if experiment not in drivers:
+    if experiment not in REGISTRY:
         raise KeyError(
             f"unknown campaign experiment {experiment!r}; "
             f"known: {', '.join(campaign_names())}"
         )
-    runner = PlanningRunner()
-    kwargs: dict = {"config": config or SystemConfig(), "runner": runner}
-    if mixes and experiment != "fig1":  # fig1 takes apps, not mixes
-        kwargs["mixes"] = list(mixes)
-    try:
-        drivers[experiment](**kwargs)
-    except _PlanCaptured:
-        pass
+    planned = plan(REGISTRY[experiment], config or SystemConfig(), Runner(), mixes)
     seen: set[tuple] = set()
     jobs = []
-    for job_config, apps in runner.jobs:
+    for job_config, apps in planned.jobs:
         identity = (job_config.cache_key(), apps)
         if identity not in seen:
             seen.add(identity)
@@ -217,7 +178,6 @@ def campaign_id(
 
 __all__ = [
     "JobSpec",
-    "PlanningRunner",
     "campaign_id",
     "campaign_jobs",
     "campaign_names",

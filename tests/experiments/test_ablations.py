@@ -1,16 +1,10 @@
-"""Smoke tests for the ablation drivers."""
+"""Smoke tests for the ablation specs."""
+
+from dataclasses import replace
 
 import pytest
 
-from repro.experiments.ablations import (
-    ABLATIONS,
-    color_mapping_ablation,
-    critical_scheduler_ablation,
-    mshr_ablation,
-    page_mode_ablation,
-    scheduler_mapping_ablation,
-    vm_policy_ablation,
-)
+from repro.experiments.figures import ABL_MSHR, ABLATIONS, run_experiment
 from repro.experiments.runner import Runner
 
 
@@ -29,50 +23,51 @@ class TestRegistry:
 
 class TestDrivers:
     def test_page_mode(self, tiny_config, shared_runner):
-        result = page_mode_ablation(
-            tiny_config, shared_runner, mixes=["2-MEM"]
+        result = run_experiment(
+            "abl-page-mode", tiny_config, shared_runner, mixes=["2-MEM"]
         )
         assert result.headers == ["mix", "open", "close"]
         assert result.rows[0][1] > 0
 
     def test_mshr(self, tiny_config, shared_runner):
-        result = mshr_ablation(
-            tiny_config, shared_runner, mixes=["2-MEM"], capacities=(4, 32)
+        capacities = tuple(
+            column for column in ABL_MSHR.columns
+            if column[1]["mshr_entries"] in (4, 32)
+        )
+        result = run_experiment(
+            replace(ABL_MSHR, columns=capacities),
+            tiny_config, shared_runner, mixes=["2-MEM"],
         )
         assert result.headers == ["mix", "mshr=4", "mshr=32"]
 
     def test_scheduler_mapping(self, tiny_config, shared_runner):
-        result = scheduler_mapping_ablation(
-            tiny_config, shared_runner, mixes=["2-MEM"]
+        result = run_experiment(
+            "abl-sched-mapping", tiny_config, shared_runner, mixes=["2-MEM"]
         )
         assert len(result.rows[0]) == 5
 
     def test_color_mapping(self, tiny_config, shared_runner):
-        result = color_mapping_ablation(
-            tiny_config, shared_runner, mixes=["4-MEM"]
+        result = run_experiment(
+            "abl-color-mapping", tiny_config, shared_runner, mixes=["4-MEM"]
         )
         assert result.headers[-1] == "color-xor"
         assert result.rows[0][3].endswith("%")
 
     def test_critical(self, tiny_config, shared_runner):
-        result = critical_scheduler_ablation(
-            tiny_config, shared_runner, mixes=["2-MEM"]
+        result = run_experiment(
+            "abl-critical", tiny_config, shared_runner, mixes=["2-MEM"]
         )
         assert result.rows[0][1] == pytest.approx(1.0)
 
-
     def test_vm_policy(self, tiny_config, shared_runner):
-        result = vm_policy_ablation(
-            tiny_config, shared_runner, mixes=["2-MEM"]
+        result = run_experiment(
+            "abl-vm-policy", tiny_config, shared_runner, mixes=["2-MEM"]
         )
         assert result.headers[1] == "none"
         assert "/" in result.rows[0][1]
 
-
     def test_prefetch(self, tiny_config, shared_runner):
-        from repro.experiments.ablations import prefetch_ablation
-
-        result = prefetch_ablation(
-            tiny_config, shared_runner, mixes=["2-MEM"]
+        result = run_experiment(
+            "abl-prefetch", tiny_config, shared_runner, mixes=["2-MEM"]
         )
         assert result.headers == ["mix", "off", "on"]

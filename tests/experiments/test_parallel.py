@@ -6,7 +6,7 @@ import pytest
 
 import repro.experiments.parallel as parallel
 import repro.experiments.runner as runner_mod
-from repro.experiments.figures import figure4
+from repro.experiments.figures import run_experiment
 from repro.experiments.parallel import (
     CACHE_SCHEMA_VERSION,
     ParallelRunner,
@@ -255,9 +255,12 @@ class TestParallelDeterminism:
 
     def test_parallel_runner_figure_rows_match_serial(self, tiny_config):
         mixes = ["2-MEM"]
-        serial = figure4(config=tiny_config, runner=Runner(), mixes=mixes)
-        pooled = figure4(
-            config=tiny_config, runner=ParallelRunner(jobs=2), mixes=mixes
+        serial = run_experiment(
+            "fig4", config=tiny_config, runner=Runner(), mixes=mixes
+        )
+        pooled = run_experiment(
+            "fig4", config=tiny_config, runner=ParallelRunner(jobs=2),
+            mixes=mixes,
         )
         assert serial.rows == pooled.rows
 

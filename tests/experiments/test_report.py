@@ -1,6 +1,6 @@
 """Tests for text-table rendering."""
 
-from repro.experiments.report import format_bars, format_grouped_bars, format_table
+from repro.experiments.report import format_bars, format_table
 
 
 class TestFormatTable:
@@ -36,14 +36,3 @@ class TestFormatBars:
         text = format_bars({"a": 1.0, "b": 0.0})
         assert text.splitlines()[1].count("#") == 0
 
-
-class TestGroupedBars:
-    def test_structure(self):
-        text = format_grouped_bars(
-            {"2-MEM": {"fcfs": 1.0, "hit": 1.1}, "4-MEM": {"fcfs": 0.9}}
-        )
-        assert "2-MEM:" in text
-        assert "fcfs" in text
-
-    def test_empty(self):
-        assert format_grouped_bars({}) == "(no data)"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.reportgen import generate_report
+from repro.experiments.report import generate_report
 from repro.experiments.runner import Runner
 
 
