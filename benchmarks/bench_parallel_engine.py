@@ -5,8 +5,8 @@ shared single-thread baselines) three ways and reports wall clock and
 cache behaviour:
 
 1. serial ``Runner`` (the reference path),
-2. ``ParallelRunner(jobs=N)`` with a cold persistent cache,
-3. the same sweep again with the warm cache (zero simulations).
+2. ``Runner(jobs=N)`` over a cold ``ResultStore``,
+3. the same sweep again over the warm store (zero simulations).
 
 On a multi-core machine (2) should approach ``serial / N`` for the
 simulation-bound part; (3) should be near-instant with a 100% hit
@@ -26,8 +26,8 @@ import pytest
 
 from repro.experiments.config import SystemConfig
 from repro.experiments.figures import run_experiment
-from repro.experiments.parallel import ParallelRunner, ResultCache
 from repro.experiments.runner import Runner
+from repro.service.store import ResultStore
 
 #: Small figure-scale budget: big enough that pool overhead is noise,
 #: small enough that the whole bench stays in tens of seconds.
@@ -52,19 +52,19 @@ def run_bench(jobs: int = 4, instructions: int = 1200) -> dict:
             "fig2", config=config, runner=Runner(), mixes=list(_MIXES)
         )
         t1 = time.perf_counter()
-        cold_cache = ResultCache(cache_dir)
+        cold_cache = ResultStore(cache_dir)
         parallel = run_experiment(
             "fig2",
             config=config,
-            runner=ParallelRunner(jobs=jobs, cache=cold_cache),
+            runner=Runner(jobs=jobs, cache=cold_cache),
             mixes=list(_MIXES),
         )
         t2 = time.perf_counter()
-        warm_cache = ResultCache(cache_dir)
+        warm_cache = ResultStore(cache_dir)
         warm = run_experiment(
             "fig2",
             config=config,
-            runner=ParallelRunner(jobs=jobs, cache=warm_cache),
+            runner=Runner(jobs=jobs, cache=warm_cache),
             mixes=list(_MIXES),
         )
         t3 = time.perf_counter()

@@ -31,9 +31,8 @@ schedulers), :mod:`repro.workloads` (synthetic SPEC2000 profiles),
 
 from repro.experiments.config import SystemConfig
 from repro.experiments.figures import EXPERIMENTS, run_experiment
-from repro.experiments.parallel import ParallelRunner, ResultCache
 from repro.experiments.resilience import BatchJournal, RetryPolicy
-from repro.experiments.runner import MixResult, Runner, run_mix, run_single
+from repro.experiments.runner import MixResult, Runner, run_mix
 from repro.faults import FaultPlan, FaultSpec
 from repro.metrics.speedup import harmonic_mean_speedup, weighted_speedup
 from repro.telemetry import (
@@ -55,8 +54,6 @@ __all__ = [
     "FaultSpec",
     "MetricRegistry",
     "MixResult",
-    "ParallelRunner",
-    "ResultCache",
     "RetryPolicy",
     "RunManifest",
     "Runner",
@@ -69,7 +66,6 @@ __all__ = [
     "profile_names",
     "run_experiment",
     "run_mix",
-    "run_single",
     "weighted_speedup",
     "__version__",
 ]

@@ -148,7 +148,7 @@ TNT_RULES: dict[str, tuple[str, Severity]] = {
 
 SINKS: tuple[Sink, ...] = (
     # TNT001 — run identity: SystemConfig fields feed cache_key(),
-    # which feeds ResultCache paths, ResultStore addresses, run_ids,
+    # which feeds ResultStore paths and addresses, run_ids,
     # and manifest filenames.
     Sink("TNT001", "SystemConfig", (), "SystemConfig construction"),
     Sink("TNT001", "table1", ("config", "systemconfig"), "SystemConfig.table1"),

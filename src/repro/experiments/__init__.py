@@ -2,17 +2,15 @@
 
 * :mod:`repro.experiments.config` -- :class:`SystemConfig`, one object
   describing a complete simulated system (Table 1 defaults).
-* :mod:`repro.experiments.runner` -- build-and-run plumbing with
-  caching of single-thread baselines for weighted-speedup metrics.
+* :mod:`repro.experiments.runner` -- build-and-run plumbing and the
+  :class:`Runner`: the one path from a job to its result (memo,
+  optional persistent store, serial or process-pool execution).
 * :mod:`repro.experiments.figures` -- every figure and ablation as a
   :class:`FigureSpec` (rows, columns, how a cell is read) in one
   :data:`REGISTRY`, and the one driver, :func:`run_experiment`, that
   plans, runs and reduces any of them.
 * :mod:`repro.experiments.report` -- :class:`ExperimentResult` and its
   text, CSV and markdown renderings.
-* :mod:`repro.experiments.parallel` -- :class:`ParallelRunner` (a
-  process-pool :class:`Runner`) and :class:`ResultCache` (a persistent
-  on-disk store of simulation results).
 * :mod:`repro.experiments.resilience` -- fault-tolerant batch
   execution: :class:`RetryPolicy` (timeouts/retries/pool recovery),
   :class:`BatchJournal` (crash-safe resume), and
@@ -26,32 +24,23 @@ from repro.experiments.figures import (
     FigureSpec,
     run_experiment,
 )
-from repro.experiments.parallel import ParallelRunner, ResultCache
 from repro.experiments.resilience import (
     BatchJournal,
     ResilienceStats,
     RetryPolicy,
 )
-from repro.experiments.runner import (
-    MixResult,
-    Runner,
-    run_mix,
-    run_single,
-)
+from repro.experiments.runner import MixResult, Runner, run_mix
 
 __all__ = [
     "BatchJournal",
     "EXPERIMENTS",
     "FigureSpec",
     "MixResult",
-    "ParallelRunner",
     "REGISTRY",
     "ResilienceStats",
-    "ResultCache",
     "RetryPolicy",
     "Runner",
     "SystemConfig",
     "run_experiment",
     "run_mix",
-    "run_single",
 ]

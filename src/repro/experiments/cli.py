@@ -33,7 +33,7 @@ from repro.experiments.figures import (
     REGISTRY,
     run_experiment,
 )
-from repro.experiments.parallel import ParallelRunner
+from repro.experiments.resilience import BatchJournal, RetryPolicy
 from repro.experiments.runner import Runner, run_mix
 from repro.faults import plan_from_env
 from repro.telemetry import EventTracer, Telemetry
@@ -186,37 +186,32 @@ def _make_runner(args: argparse.Namespace) -> Runner:
         return ServiceRunner(
             ServiceClient(url=remote, store_dir=remote_store)
         )
-    jobs = getattr(args, "jobs", 1) or 1
     cache_dir = getattr(args, "cache_dir", None)
-    sanitize = getattr(args, "sanitize", False)
-    timeout = getattr(args, "timeout", None)
-    retries = getattr(args, "retries", 0) or 0
     resume = getattr(args, "resume", False)
     journal = getattr(args, "journal", None)
     if resume and not cache_dir:
         raise SystemExit(
             "error: --resume needs --cache-dir (completed jobs are "
-            "served from the persistent result cache)"
+            "served from the persistent result store)"
         )
     if journal is None and resume:
-        journal = str(Path(cache_dir) / "batch-journal.jsonl")
-    fault_plan = plan_from_env()
-    engine_options = (
-        jobs > 1 or cache_dir or timeout is not None or retries
-        or journal or fault_plan is not None
+        journal = Path(cache_dir) / "batch-journal.jsonl"
+    cache = None
+    if cache_dir:
+        from repro.service.store import ResultStore
+
+        cache = ResultStore(cache_dir)
+    return Runner(
+        jobs=getattr(args, "jobs", 1) or 1,
+        cache=cache,
+        sanitize=getattr(args, "sanitize", False),
+        retry_policy=RetryPolicy(
+            retries=getattr(args, "retries", 0) or 0,
+            timeout_s=getattr(args, "timeout", None),
+        ),
+        journal=BatchJournal(journal, resume=resume) if journal else None,
+        fault_plan=plan_from_env(),
     )
-    if engine_options:
-        return ParallelRunner(
-            jobs=jobs,
-            cache_dir=cache_dir,
-            sanitize=sanitize,
-            timeout_s=timeout,
-            retries=retries,
-            journal=journal,
-            resume=resume,
-            fault_plan=fault_plan,
-        )
-    return Runner(sanitize=sanitize)
 
 
 def _config_from_args(args: argparse.Namespace) -> SystemConfig:

@@ -74,9 +74,9 @@ def repeat_mix(
     """Run the mix once per seed; summarize each metric.
 
     Per-seed runs are independent, so a
-    :class:`~repro.experiments.parallel.ParallelRunner` passed as
-    ``runner`` fans them out (and a cache-backed runner skips seeds it
-    has already simulated).
+    :class:`~repro.experiments.runner.Runner` with ``jobs`` > 1 passed
+    as ``runner`` fans them out (and a store-backed runner skips seeds
+    it has already simulated).
     """
     if not seeds:
         raise ConfigError("at least one seed is required")

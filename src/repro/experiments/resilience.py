@@ -2,9 +2,9 @@
 
 The paper's evaluation is built from large sweeps of independent
 ``(config, apps)`` simulations (Figures 5-14, Table 2 mixes x
-configurations).  ``run_many`` fans those across a process pool; this
-module makes that fan-out survive the failures a multi-hour campaign
-actually meets:
+configurations).  ``Runner.run_many`` fans those across a process pool;
+this module makes that fan-out survive the failures a multi-hour
+campaign actually meets:
 
 * **Per-job wall-clock timeouts** — a watchdog in the parent tracks a
   deadline for every in-flight pooled job; a hung worker is detected,
@@ -27,7 +27,7 @@ actually meets:
   in-process execution so a pathological environment still completes.
 * **Crash-safe batch journal** — an append-only JSONL file records
   every job outcome (fsynced line by line), written *after* the result
-  is durably in the ResultCache.  An interrupted sweep rerun with the
+  is durably in the ResultStore.  An interrupted sweep rerun with the
   same journal resumes from completed work: journaled-complete jobs
   are served from the cache with zero re-simulation.
 
@@ -251,8 +251,9 @@ def _attempt_in_worker(
 ):
     """Pool-worker wrapper: fire any planned fault, then simulate.
 
-    Module-level so it pickles; ``simulate`` must itself be a
-    module-level callable (``repro.experiments.parallel._simulate``).
+    Module-level so it pickles; ``simulate`` must itself pickle
+    (``repro.experiments.runner._simulate``, possibly behind a
+    :func:`functools.partial`).
     """
     if plan is not None:
         plan.maybe_fire(job_id, apps, attempt, in_worker=True)
@@ -285,15 +286,16 @@ def execute_jobs(
     journal: BatchJournal | None = None,
     stats: ResilienceStats | None = None,
     fault_plan: FaultPlan | None = None,
-    on_complete: Callable[[int, Any], None] | None = None,
+    on_complete: Callable[[int, Any, float], None] | None = None,
 ) -> list:
     """Run ``jobs`` (a deduplicated ``(config, apps)`` list) to completion.
 
-    Returns results in job order.  ``on_complete(index, result)`` fires
-    as soon as a job's result exists — *before* its journal line — so
-    callers persist results (memo + cache) ahead of the completion
-    record; a crash between the two re-simulates one job instead of
-    trusting a journal entry with no backing data.
+    Returns results in job order.  ``on_complete(index, result, wall_s)``
+    fires as soon as a job's result exists — *before* its journal line —
+    with the wall time its successful attempt took, so callers persist
+    results (the store) ahead of the completion record; a crash between
+    the two re-simulates one job instead of trusting a journal entry
+    with no backing data.
 
     Raises :class:`~repro.common.errors.SimulationTimeout`,
     :class:`~repro.common.errors.WorkerCrashed`, or
@@ -316,7 +318,7 @@ def execute_jobs(
         results[state.index] = result
         pending.discard(state.index)
         if on_complete is not None:
-            on_complete(state.index, result)
+            on_complete(state.index, result, wall_s)
         if journal is not None:
             journal.record_complete(
                 state.job_id, state.attempts + 1, source, wall_s

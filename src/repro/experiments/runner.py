@@ -1,19 +1,23 @@
 """Build-and-run plumbing for experiments.
 
-A :class:`Runner` turns a :class:`~repro.experiments.config.SystemConfig`
+:func:`run_mix` turns a :class:`~repro.experiments.config.SystemConfig`
 plus a list of application names into a complete simulated system
 (workload streams -> SMT core -> cache hierarchy -> DRAM), runs it,
-and returns a :class:`MixResult`.  Single-thread baseline runs (needed
-by the weighted-speedup metric) are cached per configuration, since
-every figure reuses them across many multiprogrammed runs.
+and returns a :class:`MixResult`.  A :class:`Runner` is the one path
+from a job to its result: in-process memo, optional persistent store,
+then fresh simulation, serial or across a process pool.  Single-thread
+baseline runs (needed by the weighted-speedup metric) go through it
+too, since every figure reuses them across many multiprogrammed runs.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import os
-import time
+import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -29,10 +33,12 @@ from repro.dram.system import MemorySystem
 from repro.engine import core_class
 from repro.experiments.config import SystemConfig
 from repro.experiments.resilience import (
+    BatchJournal,
     ResilienceStats,
     RetryPolicy,
     execute_jobs,
 )
+from repro.faults import FaultPlan
 from repro.os.vm import VirtualMemory
 from repro.metrics.speedup import weighted_speedup
 from repro.telemetry import MetricRegistry, Telemetry
@@ -40,7 +46,7 @@ from repro.telemetry.manifest import (
     RunManifest,
     RunRecord,
     default_manifest_dir,
-    run_id as _run_id,
+    run_id,
 )
 from repro.workloads.generator import SyntheticStream
 from repro.workloads.mixes import WorkloadMix
@@ -244,9 +250,114 @@ def run_mix(
     )
 
 
-def run_single(config: SystemConfig, app: str) -> MixResult:
-    """Run one application alone on the given configuration."""
-    return run_mix(config, [app])
+def _interned(dc):
+    """A copy of dataclass ``dc`` with every string field re-interned.
+
+    A config that crossed a process boundary holds fresh (unpickled)
+    string objects, while a locally built one holds compile-time
+    interned literals shared with the simulator internals.  The values
+    are equal either way, but the *object sharing* differs, so pickles
+    of the two results differ byte-wise.  Re-interning restores the
+    sharing, making pooled and served results byte-identical to serial
+    ones.
+    """
+    changes = {
+        f.name: sys.intern(value)
+        for f in dataclasses.fields(dc)
+        if isinstance(value := getattr(dc, f.name), str)
+    }
+    return dataclasses.replace(dc, **changes) if changes else dc
+
+
+def _simulate(
+    config: SystemConfig,
+    apps: tuple[str, ...],
+    collect_metrics: bool = False,
+    sanitize: bool = False,
+) -> MixResult:
+    """Simulate one job: the entry point of every local execution.
+
+    Module-level so it pickles across a process pool.  The job is
+    normalized first (see :func:`_interned`), so its result is the same
+    bytes in-process, in a pool worker and in the service.
+    ``collect_metrics`` gives the run a live metric registry whose
+    snapshot rides back on ``MixResult.metrics``; ``sanitize`` runs it
+    under a :class:`~repro.analysis.sanitizer.SimSanitizer` that raises
+    :class:`~repro.analysis.sanitizer.SanitizerError` on any violation.
+    """
+    config = _interned(config)
+    if config.core is not None:
+        config = dataclasses.replace(config, core=_interned(config.core))
+    apps = tuple(sys.intern(a) for a in apps)
+    telemetry = Telemetry() if collect_metrics else None
+    sanitizer = None
+    if sanitize:
+        sanitizer = SimSanitizer(
+            tracer=telemetry.tracer if telemetry is not None else None
+        )
+    result = run_mix(config, apps, telemetry=telemetry, sanitizer=sanitizer)
+    if sanitizer is not None:
+        sanitizer.raise_if_violations()
+    return result
+
+
+def load_or_simulate(
+    jobs: Sequence[tuple],
+    store=None,
+    parallelism: int = 1,
+    collect_metrics: bool = False,
+    sanitize: bool = False,
+    policy: RetryPolicy | None = None,
+    journal: BatchJournal | None = None,
+    stats: ResilienceStats | None = None,
+    fault_plan: FaultPlan | None = None,
+) -> list[tuple[MixResult, str, float]]:
+    """Serve distinct ``(config, apps)`` jobs from ``store`` or by simulating.
+
+    Returns ``(result, source, wall_s)`` per job, in job order: source
+    ``"disk-cache"`` for a store hit, ``"simulated"`` for a fresh run
+    whose ``wall_s`` is the time
+    :func:`~repro.experiments.resilience.execute_jobs` measured for it.
+    Misses run through that executor (``parallelism`` > 1 fans them
+    across a process pool; ``policy``, ``journal``, ``stats`` and
+    ``fault_plan`` are documented there), and each fresh result is put
+    in ``store`` as it completes, before its journal line, so an
+    interruption at any point loses at most in-flight work.  A store
+    hit for a job the journal records complete counts as resumed in
+    ``stats``.
+    """
+    served: list = [None] * len(jobs)
+    misses: list[int] = []
+    for i, (config, apps) in enumerate(jobs):
+        result = store.get(config, apps) if store is not None else None
+        if result is None:
+            misses.append(i)
+            continue
+        served[i] = (result, "disk-cache", 0.0)
+        if journal is not None and stats is not None:
+            if journal.completed(run_id(config, apps)):
+                stats.resumed_jobs += 1
+    if misses:
+
+        def persist(n: int, result: MixResult, wall_s: float) -> None:
+            i = misses[n]
+            if store is not None:
+                store.put(*jobs[i], result)
+            served[i] = (result, "simulated", wall_s)
+
+        execute_jobs(
+            [jobs[i] for i in misses],
+            partial(
+                _simulate, collect_metrics=collect_metrics, sanitize=sanitize
+            ),
+            parallelism=parallelism,
+            policy=policy,
+            journal=journal,
+            stats=stats,
+            fault_plan=fault_plan,
+            on_complete=persist,
+        )
+    return served
 
 
 class Runner:
@@ -254,12 +365,17 @@ class Runner:
 
     Every run — multiprogrammed or single-thread baseline — is memoized
     in-process, keyed by ``(config.cache_key(), apps)``; all runs are
-    deterministic given that identity, so a cached result is
-    bit-identical to a fresh one.  An optional persistent
-    :class:`~repro.experiments.parallel.ResultCache` sits behind the
-    memo, so independently constructed runners (separate figure
-    drivers, repeat CLI invocations) share baselines and mix results
-    across processes.
+    deterministic given that identity, so a memoized result is
+    bit-identical to a fresh one.  :meth:`run_many`, :meth:`run_mix`
+    and :meth:`single` all go through :meth:`_serve`, which dedupes,
+    answers from the memo, records provenance and hands the misses to
+    :meth:`_execute`.  Locally that is :func:`load_or_simulate`: the
+    optional persistent ``cache`` (a
+    :class:`~repro.service.store.ResultStore`, shared across runners
+    and processes), then fresh simulation, serial for ``jobs=1`` and
+    across ``jobs`` worker processes otherwise.  Results are collected
+    by job index, never by completion order, so every route returns
+    the same bytes.
 
     ``baseline_multiplier`` stretches the instruction budget of
     single-thread baseline runs: weighted speedup divides by the
@@ -267,133 +383,108 @@ class Runner:
     WS number; longer (cached, cheap) baselines damp it.
 
     Fault tolerance: ``retry_policy`` (see
-    :class:`~repro.experiments.resilience.RetryPolicy`) retries
-    transient failures of fresh simulations; ``journal`` (a
+    :class:`~repro.experiments.resilience.RetryPolicy`) adds per-job
+    timeouts, retries and pool rebuilds; ``journal`` (a
     :class:`~repro.experiments.resilience.BatchJournal`) records every
     outcome crash-safely so an interrupted campaign resumes from
-    completed work; ``fault_plan`` injects deterministic chaos.  When
-    any of these are active, unrecoverable failures surface as
+    completed work; ``fault_plan`` injects deterministic chaos.  A
+    simulation that cannot be recovered raises
     :class:`~repro.common.errors.BatchAborted` (or its timeout/crash
-    refinements) carrying the failing job's identity; with none of
-    them (the default) execution and error behaviour are exactly as
-    before.  ``runner.resilience`` accumulates retry/timeout/crash
-    counters either way and is folded into the manifest.
+    refinements) carrying the failing job's identity, with the original
+    exception as ``__cause__``.  ``runner.resilience`` accumulates
+    retry/timeout/crash counters and is folded into the manifest.
     """
 
     def __init__(
         self,
-        baseline_multiplier: int = 3,
+        jobs: int = 1,
         cache=None,
+        baseline_multiplier: int = 3,
         collect_metrics: bool = False,
         sanitize: bool = False,
-        retry_policy=None,
-        fault_plan=None,
-        journal=None,
+        retry_policy: RetryPolicy | None = None,
+        journal: BatchJournal | None = None,
+        fault_plan: FaultPlan | None = None,
     ) -> None:
+        if jobs < 1:
+            raise ValueError("jobs must be >= 1")
         if baseline_multiplier < 1:
             raise ValueError("baseline_multiplier must be >= 1")
-        self.baseline_multiplier = baseline_multiplier
-        #: Optional persistent ResultCache (see repro.experiments.parallel).
+        #: Worker processes for fresh simulations (1 = serial, in-process).
+        self.jobs = jobs
+        #: Optional persistent ResultStore behind the memo.
         self.cache = cache
+        self.baseline_multiplier = baseline_multiplier
         #: When set, fresh simulations run with a live MetricRegistry
         #: and their snapshots land on ``MixResult.metrics`` and in the
         #: manifest.
         self.collect_metrics = collect_metrics
         #: When set (or REPRO_SANITIZE=1), every fresh simulation runs
         #: under a :class:`~repro.analysis.sanitizer.SimSanitizer` and
-        #: raises SanitizerError if any invariant was violated.
+        #: fails on any violated invariant.
         self.sanitize = sanitize or sanitize_requested()
         #: Fault-tolerance policy for fresh simulations (None = default).
         self.retry_policy = retry_policy
-        #: Deterministic fault injection (chaos testing only).
-        self.fault_plan = fault_plan
         #: Crash-safe batch journal (resume support).
         self.journal = journal
+        #: Deterministic fault injection (chaos testing only).
+        self.fault_plan = fault_plan
         #: Retry/timeout/crash counters + failure records for this runner.
         self.resilience = ResilienceStats()
-        # Route single runs through the resilient executor only when
-        # something beyond plain execution was requested, so default
-        # runners keep raising original exceptions unwrapped.
-        self._resilient = (
-            (retry_policy is not None and retry_policy != RetryPolicy())
-            or fault_plan is not None
-            or journal is not None
-        )
-        self._results: dict[tuple, MixResult] = {}
+        self._memo: dict[tuple, MixResult] = {}
         #: Provenance of every distinct run served, keyed by run id
-        #: (first source wins -- a later memo hit does not demote a
-        #: "simulated" record).
+        #: (first source wins).
         self._records: dict[str, RunRecord] = {}
 
     def _record(
         self, config: SystemConfig, apps: tuple[str, ...], source: str,
-        wall_time_s: float = 0.0, result: MixResult | None = None,
+        wall_time_s: float, result: MixResult,
     ) -> None:
-        rid = _run_id(config, apps)
+        rid = run_id(config, apps)
         if rid not in self._records:
             sampling = None
-            if result is not None and isinstance(result.core.extra, dict):
+            if isinstance(result.core.extra, dict):
                 sampling = result.core.extra.get("sampling")
             self._records[rid] = RunRecord.from_run(
                 config, apps, source=source, wall_time_s=wall_time_s,
                 sampling=sampling,
             )
 
-    def _simulate_once(self, config: SystemConfig, apps: tuple[str, ...]) -> MixResult:
-        """One fresh simulation with this runner's telemetry/sanitize setup."""
-        telemetry = Telemetry() if self.collect_metrics else None
-        if self.sanitize:
-            sanitizer = SimSanitizer(
-                tracer=telemetry.tracer if telemetry is not None else None
-            )
-            result = run_mix(
-                config, apps, telemetry=telemetry, sanitizer=sanitizer
-            )
-            sanitizer.raise_if_violations()
-            return result
-        return run_mix(config, apps, telemetry=telemetry)
+    def _serve(self, jobs: Sequence) -> list[MixResult]:
+        """The one path from ``(config, apps)`` jobs to results, in order.
 
-    def _cached_run(self, config: SystemConfig, apps: tuple[str, ...]) -> MixResult:
-        key = (config.cache_key(), apps)
-        result = self._results.get(key)
-        if result is not None:
-            self._record(config, apps, "memo", result=result)
-            return result
-        if self.cache is not None:
-            result = self.cache.get(config, apps)
-            if result is not None:
-                self._record(config, apps, "disk-cache", result=result)
-                if self.journal is not None and self.journal.completed(
-                    _run_id(config, apps)
-                ):
-                    self.resilience.resumed_jobs += 1
-        if result is None:
-            start = time.perf_counter()
-            if self._resilient:
-                result = execute_jobs(
-                    [(config, apps)],
-                    self._simulate_once,
-                    parallelism=1,
-                    policy=self.retry_policy,
-                    journal=self.journal,
-                    stats=self.resilience,
-                    fault_plan=self.fault_plan,
-                    on_complete=lambda _i, res: (
-                        self.cache.put(config, apps, res)
-                        if self.cache is not None
-                        else None
-                    ),
-                )[0]
-            else:
-                result = self._simulate_once(config, apps)
-                if self.cache is not None:
-                    self.cache.put(config, apps, result)
-            self._record(
-                config, apps, "simulated", time.perf_counter() - start,
-                result=result,
-            )
-        self._results[key] = result
-        return result
+        Duplicates and memo hits cost nothing; every distinct miss goes
+        to :meth:`_execute` in one batch, and its result is memoized
+        and recorded with the source and wall time the executor gives.
+        """
+        normalized = [(config, tuple(apps)) for config, apps in jobs]
+        keys = [(config.cache_key(), apps) for config, apps in normalized]
+        misses: dict[tuple, tuple] = {}
+        for key, job in zip(keys, normalized):
+            if key not in self._memo:
+                misses.setdefault(key, job)
+        if misses:
+            served = self._execute(list(misses.values()))
+            for (key, (config, apps)), (result, source, wall_s) in zip(
+                misses.items(), served
+            ):
+                self._memo[key] = result
+                self._record(config, apps, source, wall_s, result)
+        return [self._memo[key] for key in keys]
+
+    def _execute(self, jobs: list[tuple]) -> list[tuple[MixResult, str, float]]:
+        """Resolve distinct memo misses: ``(result, source, wall_s)`` each."""
+        return load_or_simulate(
+            jobs,
+            self.cache,
+            parallelism=self.jobs,
+            collect_metrics=self.collect_metrics,
+            sanitize=self.sanitize,
+            policy=self.retry_policy,
+            journal=self.journal,
+            stats=self.resilience,
+            fault_plan=self.fault_plan,
+        )
 
     # ------------------------------------------------------------------
     # provenance
@@ -414,12 +505,11 @@ class Runner:
         extra = {}
         if self.resilience.eventful:
             extra["resilience"] = self.resilience.as_dict()
-        snapshots = [
-            r.metrics for r in self._results.values() if r.metrics
-        ]
+        snapshots = [r.metrics for r in self._memo.values() if r.metrics]
         return RunManifest(
             records=self.records,
             metrics=MetricRegistry.merge(snapshots) if snapshots else {},
+            workers=self.jobs,
             wall_time_s=sum(r.wall_time_s for r in self._records.values()),
             extra=extra,
         )
@@ -429,23 +519,21 @@ class Runner:
         target = default_manifest_dir() if directory is None else directory
         return self.manifest().write(target)
 
-    def run_mix(self, config: SystemConfig, mix: WorkloadMix | Sequence[str]) -> MixResult:
-        apps = mix.apps if isinstance(mix, WorkloadMix) else tuple(mix)
-        return self._cached_run(config, apps)
+    # ------------------------------------------------------------------
+    # the driver-facing API
 
     def run_many(self, jobs: Sequence) -> list[MixResult]:
         """Run a list of ``(config, apps)`` jobs, returning results in order.
 
-        The serial reference implementation; every job goes through the
-        shared cache, so duplicates cost nothing.
-        :class:`~repro.experiments.parallel.ParallelRunner` overrides
-        this with a process-pool fan-out — figure drivers submit their
-        whole job list here before reading individual results, so one
-        runner swap parallelizes every experiment path.
+        Figure drivers submit their whole job list here before reading
+        individual results, so every miss of an experiment runs in one
+        batch (one pool fan-out with ``jobs`` > 1).
         """
-        return [
-            self._cached_run(config, tuple(apps)) for config, apps in jobs
-        ]
+        return self._serve(jobs)
+
+    def run_mix(self, config: SystemConfig, mix: WorkloadMix | Sequence[str]) -> MixResult:
+        apps = mix.apps if isinstance(mix, WorkloadMix) else tuple(mix)
+        return self._serve([(config, apps)])[0]
 
     def baseline_config(self, config: SystemConfig) -> SystemConfig:
         """The (budget-stretched) config a single-thread baseline runs on."""
@@ -461,7 +549,7 @@ class Runner:
         return (self.baseline_config(config), (app,))
 
     def single(self, config: SystemConfig, app: str) -> MixResult:
-        return self._cached_run(self.baseline_config(config), (app,))
+        return self._serve([self.baseline_job(config, app)])[0]
 
     def single_ipc(self, config: SystemConfig, app: str) -> float:
         return self.single(config, app).core.threads[0].ipc

@@ -48,7 +48,7 @@ killing, hanging, or crashing the scheduler/API process itself at a
 deterministic point in a campaign.
 
 Cache-corruption helpers (:func:`corrupt_cache_entry`) truncate,
-garbage, or type-confuse a persistent ``ResultCache`` entry in place so
+garbage, or type-confuse a persistent ``ResultStore`` entry in place so
 tests can exercise the quarantine path.
 
 A plan can be shipped to a CLI invocation through the

@@ -3,13 +3,11 @@
 The ROADMAP's serving story, in four pieces that compose with (never
 fork) the existing execution stack:
 
-* :class:`~repro.service.store.ResultStore` -- the persistent
-  :class:`~repro.experiments.parallel.ResultCache` generalized into a
-  content-addressed artifact store: a versioned JSON index with
-  per-entry integrity digests, atomic compare-and-publish writes, and
-  ``stats``/``verify``/``gc`` maintenance.  Same file naming as the
-  cache, so a store opened over any old ``--cache-dir`` serves its
-  results.
+* :class:`~repro.service.store.ResultStore` -- the one persistent
+  result store (also behind a local ``--cache-dir``): content-addressed
+  entries, a versioned JSON index with per-entry integrity digests
+  checked on every read, atomic compare-and-publish writes, and
+  ``stats``/``verify``/``gc`` maintenance.
 * :class:`~repro.service.scheduler.CampaignScheduler` -- a daemon that
   accepts jobs and whole figure campaigns (each expanded to exactly
   the job plan its experiment's driver runs), dedupes them by cache

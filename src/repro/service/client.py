@@ -450,10 +450,12 @@ class ServiceClient:
 class ServiceRunner(Runner):
     """A :class:`Runner` whose simulations execute on a remote service.
 
-    Keeps the full local memo (so drivers re-reading results pay
-    nothing) and the standard provenance records with ``source:
-    "service"``; everything else — weighted speedups, baselines,
-    figure logic — runs unchanged against remote results.
+    Memo, deduplication and provenance are the runner's own; only where
+    a miss executes differs.  :meth:`_execute` submits the whole batch
+    up front, then waits for and fetches each result in job order, so
+    the output is deterministic and identical to a local run.  Records
+    carry ``source: "service"``; everything else — weighted speedups,
+    baselines, figure logic — runs unchanged against remote results.
     """
 
     def __init__(
@@ -468,57 +470,29 @@ class ServiceRunner(Runner):
         self.timeout = timeout
         self.poll_s = poll_s
 
-    def _cached_run(self, config: SystemConfig, apps: tuple[str, ...]) -> MixResult:
-        key = (config.cache_key(), apps)
-        result = self._results.get(key)
-        if result is not None:
-            self._record(config, apps, "memo")
-            return result
-        start = time.perf_counter()
-        result = self.client.run(config, apps, timeout=self.timeout)
-        self._results[key] = result
-        self._record(config, apps, "service", time.perf_counter() - start)
-        return result
-
     def run_many(self, jobs: Sequence) -> list[MixResult]:
-        """Submit the whole batch up front, then wait and fetch.
+        # Defined here, not inherited: bench/trace.py wraps the
+        # ``run_many`` in each runner class's own body.
+        return self._serve(jobs)
 
-        Submission order is preserved and results are collected by
-        job index, so the output is deterministic and identical to the
-        serial path.
-        """
-        normalized = [(config, tuple(apps)) for config, apps in jobs]
-        start = time.perf_counter()
-        tickets: dict[tuple, str] = {}
-        for config, apps in normalized:
-            memo_key = (config.cache_key(), apps)
-            if memo_key in self._results or memo_key in tickets:
-                continue
-            tickets[memo_key] = self.client.submit(config, apps)["key"]
+    def _execute(self, jobs: list[tuple]) -> list[tuple[MixResult, str, float]]:
+        tickets = [self.client.submit(config, apps)["key"] for config, apps in jobs]
         deadline = time.monotonic() + self.timeout
-        for (config, apps) in normalized:
-            memo_key = (config.cache_key(), apps)
-            if memo_key in self._results:
-                self._record(config, apps, "memo")
-                continue
-            remaining = max(0.1, deadline - time.monotonic())
+        served = []
+        for ticket in tickets:
+            start = time.perf_counter()
             status = self.client.wait_job(
-                tickets[memo_key], timeout=remaining, poll_s=self.poll_s
+                ticket,
+                timeout=max(0.1, deadline - time.monotonic()),
+                poll_s=self.poll_s,
             )
             if status.get("state") != "done":
                 raise ServiceError(
-                    f"job {tickets[memo_key][:16]} failed: "
-                    f"{status.get('detail', '')}"
+                    f"job {ticket[:16]} failed: {status.get('detail', '')}"
                 )
-            self._results[memo_key] = self.client.fetch(tickets[memo_key])
-            self._record(
-                config, apps, "service",
-                (time.perf_counter() - start) / max(1, len(tickets)),
-            )
-        return [
-            self._results[(config.cache_key(), apps)]
-            for config, apps in normalized
-        ]
+            result = self.client.fetch(ticket)
+            served.append((result, "service", time.perf_counter() - start))
+        return served
 
 
 __all__ = [

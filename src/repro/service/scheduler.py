@@ -23,13 +23,14 @@ Design:
   killed at any instant and restarted without losing or duplicating
   work.
 * **The worker contract is the resilience layer.**  Batches execute
-  through :func:`~repro.experiments.parallel.run_many` with the
-  store as cache, a :class:`~repro.experiments.resilience.RetryPolicy`
-  and a crash-safe :class:`~repro.experiments.resilience.BatchJournal`
-  — timeouts, bounded retries, pool rebuilds, and journal-backed
-  resume all come for free, and results are bit-identical to a local
-  ``run_many`` of the same job list because they *are* the same code
-  path.
+  through :func:`~repro.experiments.runner.load_or_simulate`, the
+  function a local :class:`~repro.experiments.runner.Runner` hands its
+  misses to, with the store, a
+  :class:`~repro.experiments.resilience.RetryPolicy` and a crash-safe
+  :class:`~repro.experiments.resilience.BatchJournal` — timeouts,
+  bounded retries, pool rebuilds, and journal-backed resume all come
+  for free, and results are bit-identical to a local run of the same
+  job list because they *are* the same code path.
 * **Leases supervise the workers** (see
   :mod:`repro.service.supervision`).  Every job entering a batch is
   granted a persisted lease; landing in the store is the heartbeat; a
@@ -53,12 +54,12 @@ from typing import Sequence
 
 from repro.common.errors import JobFailureError
 from repro.experiments.config import SystemConfig
-from repro.experiments.parallel import run_many
 from repro.experiments.resilience import (
     BatchJournal,
     ResilienceStats,
     RetryPolicy,
 )
+from repro.experiments.runner import load_or_simulate
 from repro.faults import FaultPlan
 from repro.service.jobs import JobSpec, campaign_id, campaign_jobs
 from repro.service.store import ResultStore
@@ -191,7 +192,6 @@ class CampaignScheduler:
         self._queue: deque[str] = deque()
         self._campaigns: dict[str, dict] = {}
         self._records: dict[str, RunRecord] = {}
-        self._memo: dict[tuple, object] = {}
         self._thread: threading.Thread | None = None
         self._stop = False
         self._crashed = False
@@ -474,13 +474,11 @@ class CampaignScheduler:
             (self._jobs[key].spec.config, self._jobs[key].spec.apps)
             for key in keys
         ]
-        start = time.perf_counter()
         try:
-            run_many(
+            served = load_or_simulate(
                 jobs,
+                self.store,
                 parallelism=self.workers,
-                cache=self.store,
-                memo=self._memo,
                 policy=self.policy,
                 journal=self.journal,
                 stats=self.stats,
@@ -510,13 +508,11 @@ class CampaignScheduler:
                 len(keys), requeued, detail,
             )
             return
-        wall = time.perf_counter() - start
-        per_job = wall / len(keys) if keys else 0.0
         with self._cond:
-            for key in keys:
+            for key, (_, _, wall_s) in zip(keys, served):
                 job = self._jobs[key]
                 if job.state != "done":
-                    self._finish(job, "service", per_job)
+                    self._finish(job, "service", wall_s)
 
     def _loop(self) -> None:
         try:
@@ -539,7 +535,9 @@ class CampaignScheduler:
                     self._cond.wait(0.5)
                 if self._stop and not self._queue:
                     return
-                keys = list(self._queue)
+                # A job whose lease expired and whose batch then aborted
+                # is requeued twice; it must still run once.
+                keys = list(dict.fromkeys(self._queue))
                 self._queue.clear()
                 holder = f"batch-{self.batches + 1}"
                 for key in keys:

@@ -1,38 +1,42 @@
-"""Content-addressed, versioned result store shared by the service.
+"""Content-addressed, versioned store of simulation results.
 
-:class:`ResultStore` generalizes
-:class:`~repro.experiments.parallel.ResultCache` from a private runner
-cache into the artifact store that schedulers and API workers share:
+:class:`ResultStore` is the one persistent home of
+:class:`~repro.experiments.runner.MixResult` objects: behind a local
+``--cache-dir`` run, and as the artifact store that schedulers and API
+workers share.
 
 * **Content-addressed keys** — an entry's name is the SHA-256 of
-  ``(schema version, config.cache_key(), apps)``; the same digest the
-  cache has always used, so a store opened over an existing
-  ``--cache-dir`` serves every previously cached result.
+  ``(schema version, config.cache_key(), apps)``, so independently
+  constructed runners, repeat CLI invocations and the service all find
+  each other's results.
 * **Integrity index** — ``index.json`` records each entry's payload
-  SHA-256 and size.  Reads by key verify bytes against the index
-  before serving; a mismatch quarantines the entry (reusing the
-  cache's quarantine machinery) and reads as a miss, so a flipped bit
-  on disk can never reach an HTTP client.
+  SHA-256 and size.  Every read, by key or by ``(config, apps)``,
+  verifies the bytes against the index before serving; a mismatch
+  quarantines the entry and reads as a miss, so a flipped bit on disk
+  can never reach a figure or an HTTP client.
+* **Heal on read** — an entry with no index row (a crash between the
+  publish and the index write, or a directory from before the index)
+  is validated by unpickling on its first read and indexed then.
 * **Atomic compare-and-publish writes** — all writes go through
-  :meth:`ResultCache.publish_path` (fsynced temp file, first-writer-
-  wins ``os.replace``), so concurrent schedulers/threads/processes
-  cannot tear an entry, and the index update is folded in under a
+  :meth:`ResultStore.publish_path` (fsynced temp file, first-writer-
+  wins hard link), so concurrent schedulers/threads/processes cannot
+  tear an entry, and the index update is folded in under a
   process-local lock.
+* **Quarantine** — an entry that cannot be read back (torn pickle,
+  garbage bytes, a payload that is not a :class:`MixResult`, a digest
+  mismatch) is moved to ``quarantine/``, counted in ``corrupt`` apart
+  from ``misses``, and logged; readers only ever see a miss.
 * **Operator tooling** — :meth:`verify` re-hashes every entry against
   the index, :meth:`gc` drains the quarantine and stale temp files and
   prunes orphaned index rows, :meth:`reindex` rebuilds the index from
   the payloads.  The ``repro cache`` CLI drives all three.
-
-The index is maintained by whichever process owns the store (the
-service); plain :class:`ResultCache` writers sharing the directory
-don't update it, and the store heals: an unindexed entry is validated
-by unpickling on first read and indexed then.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import pickle
 import threading
@@ -42,15 +46,23 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.experiments.config import SystemConfig
-from repro.experiments.parallel import (
-    CACHE_SCHEMA_VERSION,
-    STALE_TMP_SECONDS,
-    ResultCache,
-)
 from repro.experiments.runner import MixResult
+
+log = logging.getLogger("repro.service.store")
 
 #: Index document schema version.
 INDEX_SCHEMA = 1
+
+#: Bump whenever the meaning of stored results changes (simulator
+#: semantics, MixResult schema, profile calibration, ...).  A bump
+#: silently invalidates every previously written entry.
+#: v2: MixResult grew the ``metrics`` telemetry-snapshot field.
+CACHE_SCHEMA_VERSION = 2
+
+#: ``*.tmp`` orphans older than this are removed on open and by
+#: :meth:`ResultStore.gc`; younger ones may belong to a concurrent
+#: writer mid-publish and are left alone.
+STALE_TMP_SECONDS = 3600.0
 
 
 def payload_digest(data: bytes) -> str:
@@ -65,8 +77,8 @@ def job_key(
 ) -> str:
     """The content-addressed key of one job, without a store instance.
 
-    Exactly :meth:`ResultStore.key_for` (the digest the cache has
-    always used); exposed at module level so the typed client can
+    Exactly :meth:`ResultStore.key_for`; exposed at module level so
+    the typed client can
     derive idempotency keys for submits before any store exists on its
     side of the wire.
     """
@@ -134,13 +146,15 @@ class GCReport:
         }
 
 
-class ResultStore(ResultCache):
-    """A :class:`ResultCache` with an integrity index and key-level API.
+class ResultStore:
+    """Persistent store of :class:`MixResult` objects, one file per job.
 
-    Everything the cache guarantees still holds (atomic fsynced
-    publishes, quarantine of undecodable entries, version-stamped
-    digests); the store adds byte-level reads/writes by key — what an
-    HTTP service needs — and digest verification on every keyed read.
+    Reads and writes go by ``(config, apps)`` (:meth:`get` /
+    :meth:`put`, what a runner needs) or by content-addressed key
+    (:meth:`get_bytes` / :meth:`publish`, what an HTTP service needs);
+    both go through the same digest-verified path.  Lookups never
+    raise on corruption: a bad entry is quarantined and reads as a
+    miss.
     """
 
     INDEX_NAME = "index.json"
@@ -148,22 +162,57 @@ class ResultStore(ResultCache):
     def __init__(
         self, cache_dir: str | os.PathLike, version: int = CACHE_SCHEMA_VERSION
     ) -> None:
-        super().__init__(cache_dir, version)
+        self.cache_dir = Path(cache_dir).expanduser()
+        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        self.version = version
+        self.hits = 0
+        self.misses = 0
+        #: Entries quarantined because they could not be read back.
+        self.corrupt = 0
         self._lock = threading.RLock()
         self._entries: dict[str, dict] = {}
+        self._sweep_stale_tmp()
         self._load_index()
+
+    def _sweep_stale_tmp(self) -> int:
+        """Remove ``*.tmp`` orphans left by crashed writers; return count.
+
+        Only files older than :data:`STALE_TMP_SECONDS` are removed: a
+        young temp file belongs to a writer between fsync and link, and
+        unlinking it under that writer turns its atomic publish into a
+        FileNotFoundError.
+        """
+        removed = 0
+        now = time.time()  # repro: allow(DET002) file-age housekeeping, not simulation
+        for tmp in sorted(self.cache_dir.glob("*.tmp")):
+            try:
+                if now - tmp.stat().st_mtime > STALE_TMP_SECONDS:
+                    tmp.unlink()
+                    removed += 1
+                    log.warning("removed stale store temp file %s", tmp)
+            except OSError:
+                pass  # already gone, or unreadable -- leave it
+        return removed
 
     # ------------------------------------------------------------------
     # keys and paths
 
     def key_for(self, config: SystemConfig, apps: Sequence[str]) -> str:
         """The content-addressed key (hex digest) of one job."""
-        return self.path_for(config, apps).stem
+        return job_key(config, apps, self.version)
 
     def path_for_key(self, key: str) -> Path:
         if not key or any(c not in "0123456789abcdef" for c in key):
             raise ValueError(f"malformed store key {key!r}")
         return self.cache_dir / f"{key}.pkl"
+
+    def path_for(self, config: SystemConfig, apps: Sequence[str]) -> Path:
+        """Entry path for one job (exposed for inspection/tests)."""
+        return self.path_for_key(self.key_for(config, apps))
+
+    @property
+    def quarantine_dir(self) -> Path:
+        return self.cache_dir / "quarantine"
 
     def has(self, key: str) -> bool:
         return self.path_for_key(key).exists()
@@ -171,6 +220,21 @@ class ResultStore(ResultCache):
     def keys(self) -> list[str]:
         """Keys of every entry currently on disk, sorted."""
         return sorted(p.stem for p in self.cache_dir.glob("*.pkl"))
+
+    def __len__(self) -> int:
+        # Counting only -- entry order cannot influence the result.
+        return sum(1 for _ in self.cache_dir.glob("*.pkl"))  # repro: allow(DET006) count only
+
+    def clear(self) -> None:
+        """Delete every entry and its index row."""
+        with self._lock:
+            for entry in sorted(self.cache_dir.glob("*.pkl")):
+                try:
+                    entry.unlink()
+                except OSError:
+                    pass
+            self._entries = {}
+            self._save_index()
 
     # ------------------------------------------------------------------
     # index persistence
@@ -222,14 +286,48 @@ class ResultStore(ResultCache):
     # ------------------------------------------------------------------
     # reads
 
+    def _quarantine(self, path: Path, reason: str) -> None:
+        self.corrupt += 1
+        target = self.quarantine_dir / path.name
+        try:
+            self.quarantine_dir.mkdir(exist_ok=True)
+            os.replace(path, target)
+        except OSError:
+            # Lost a race (another reader quarantined it, or a writer
+            # healed it); the warning below still records the sighting.
+            target = path
+        log.warning(
+            "quarantined corrupt store entry %s -> %s (%s); will re-simulate",
+            path.name, target, reason,
+        )
+
+    @staticmethod
+    def _valid_payload(result: object) -> bool:
+        """Schema check: only a well-formed :class:`MixResult` may escape.
+
+        A wrong-type payload (hand-edited file, version skew, a pickle
+        of something else entirely) would otherwise propagate into
+        figure drivers and corrupt their output silently.
+        """
+        return (
+            isinstance(result, MixResult)
+            and isinstance(getattr(result, "apps", None), tuple)
+            and getattr(result, "core", None) is not None
+            and getattr(result, "hierarchy", None) is not None
+        )
+
+    def get(self, config: SystemConfig, apps: Sequence[str]) -> MixResult | None:
+        """The stored result of one job, or None (miss or corrupt)."""
+        return self.get_by_key(self.key_for(config, apps))
+
     def get_bytes(self, key: str) -> bytes | None:
         """Raw payload bytes for ``key``, integrity-checked.
 
         An indexed entry must hash to its recorded digest; an unindexed
-        one (written by a plain :class:`ResultCache`) must unpickle to a
-        valid :class:`MixResult`, after which it is indexed so later
-        reads pay only the hash.  Any failure quarantines the entry and
-        reads as a miss — corruption never propagates to a caller.
+        one must unpickle to a valid :class:`MixResult`, after which it
+        is indexed so later reads pay only the hash.  Any failure
+        quarantines the entry and reads as a miss — corruption never
+        propagates to a caller.
         """
         path = self.path_for_key(key)
         try:
@@ -261,7 +359,10 @@ class ResultStore(ResultCache):
         data = self.get_bytes(key)
         if data is None:
             return None
-        result = pickle.loads(data)
+        try:
+            result = pickle.loads(data)
+        except Exception as exc:
+            result = exc
         if not self._valid_payload(result):
             self._quarantine(
                 self.path_for_key(key),
@@ -303,10 +404,57 @@ class ResultStore(ResultCache):
     def put(
         self, config: SystemConfig, apps: Sequence[str], result: MixResult
     ) -> bool:
+        """Persist ``result``; returns whether this call published it."""
         return self.publish(
             self.key_for(config, apps),
             pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
         )
+
+    def publish_path(self, path: Path, data: bytes) -> bool:
+        """Atomically publish ``data`` at ``path``; first writer wins.
+
+        The temp file is named by pid *and* thread id: two threads of
+        one process (two runners sharing a directory, a scheduler next
+        to an API worker) stage to different files instead of
+        interleaving writes into one.  The staged file is then
+        hard-linked into place — link(2) fails if the name already
+        exists, so of any number of racing writers *exactly one*
+        observes success, with no check-then-act window.  An existing
+        entry is left untouched — every writer of a key produces the
+        same deterministic bytes, so the loser just drops its copy;
+        readers only ever observe a complete entry either way.  The
+        index is not touched here; :meth:`publish` adds the row.
+        Returns True when this call installed the entry.
+        """
+        if path.exists():
+            return False
+        tmp = path.with_name(
+            f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+        )
+        with open(tmp, "wb") as handle:
+            handle.write(data)
+            # Without the fsync a host crash can surface the link but
+            # not the data, leaving a zero-length entry that passes the
+            # atomic-publish contract while holding nothing.
+            handle.flush()
+            os.fsync(handle.fileno())
+        try:
+            os.link(tmp, path)
+            published = True
+        except FileExistsError:
+            published = False
+        except OSError:  # pragma: no cover - fs without hard links
+            # Degrade to replace: content is still atomic and correct,
+            # only the exactly-one-True return is best-effort here.
+            published = not path.exists()
+            if published:
+                os.replace(tmp, path)
+                return True
+        try:
+            tmp.unlink()
+        except OSError:  # pragma: no cover - already swept
+            pass
+        return published
 
     # ------------------------------------------------------------------
     # maintenance
@@ -426,17 +574,7 @@ class ResultStore(ResultCache):
                     report.quarantined_removed += 1
                 except OSError:  # pragma: no cover - racing unlink
                     pass
-        # Only *stale* temp files are orphans.  A young tmp belongs to
-        # a writer between fsync and os.link; unlinking it under that
-        # writer turns its atomic publish into a FileNotFoundError.
-        now = time.time()  # repro: allow(DET002) file-age housekeeping, not simulation
-        for tmp in sorted(self.cache_dir.glob("*.tmp")):
-            try:
-                if now - tmp.stat().st_mtime > STALE_TMP_SECONDS:
-                    tmp.unlink()
-                    report.tmp_removed += 1
-            except OSError:  # pragma: no cover - racing unlink
-                pass
+        report.tmp_removed = self._sweep_stale_tmp()
         with self._lock:
             live = {p.stem for p in sorted(self.cache_dir.glob("*.pkl"))}
             orphans = [k for k in self._entries if k not in live]
@@ -449,6 +587,7 @@ class ResultStore(ResultCache):
 
 
 __all__ = [
+    "CACHE_SCHEMA_VERSION",
     "GCReport",
     "INDEX_SCHEMA",
     "ResultStore",

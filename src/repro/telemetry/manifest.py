@@ -4,9 +4,9 @@ A manifest is the provenance record of an experiment invocation: one
 :class:`RunRecord` per distinct ``(config, apps)`` simulation (config
 hash, seed, workload mix, where the result came from, wall time) plus
 run-wide metadata (package version, worker count, merged metric
-snapshot).  :class:`~repro.experiments.runner.Runner` and
-:class:`~repro.experiments.parallel.ParallelRunner` collect records for
-every run they serve; the CLI writes the merged manifest next to the
+snapshot).  :class:`~repro.experiments.runner.Runner` (serial or
+process-pool) collects records for every run it serves; the CLI
+writes the merged manifest next to the
 results and prints its path, so any figure or table can be traced back
 to the exact configuration that produced it.
 

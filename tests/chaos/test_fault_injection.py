@@ -1,7 +1,7 @@
 """Chaos suite: inject real faults, assert bit-identical recovery.
 
 Every test here runs actual process pools, kills actual workers, or
-corrupts actual cache files, then checks the one property the
+corrupts actual store files, then checks the one property the
 resilience layer exists to provide: a recovered batch produces results
 *bit-identical* to an undisturbed run.  The suite is excluded from the
 tier-1 run (pool startup and deliberate hangs cost seconds); the CI
@@ -17,18 +17,15 @@ import pytest
 
 from repro.common.errors import SimulationTimeout, WorkerCrashed
 from repro.experiments.config import SystemConfig
-from repro.experiments.parallel import ResultCache, run_many
-from repro.experiments.resilience import (
-    BatchJournal,
-    ResilienceStats,
-    RetryPolicy,
-)
+from repro.experiments.resilience import BatchJournal, RetryPolicy
+from repro.experiments.runner import Runner
 from repro.faults import (
     FAULT_PLAN_ENV,
     FaultPlan,
     FaultSpec,
     corrupt_cache_entry,
 )
+from repro.service.store import ResultStore
 
 pytestmark = pytest.mark.chaos
 
@@ -67,7 +64,7 @@ def _fingerprints(results):
 @pytest.fixture(scope="module")
 def clean_run(config):
     """The undisturbed reference batch every recovery is compared to."""
-    return _fingerprints(run_many(_jobs(config)))
+    return _fingerprints(Runner().run_many(_jobs(config)))
 
 
 class TestPoolRecovery:
@@ -80,14 +77,11 @@ class TestPoolRecovery:
         plan = FaultPlan(
             specs=(FaultSpec(kind="crash", apps=("mcf",), attempt=0),)
         )
-        stats = ResilienceStats()
-        results = run_many(
-            _jobs(config),
-            parallelism=2,
-            policy=RetryPolicy(retries=1),
-            fault_plan=plan,
-            stats=stats,
+        runner = Runner(
+            jobs=2, retry_policy=RetryPolicy(retries=1), fault_plan=plan
         )
+        results = runner.run_many(_jobs(config))
+        stats = runner.resilience
         assert _fingerprints(results) == clean_run
         assert stats.worker_crashes >= 1
         assert stats.pool_rebuilds >= 1
@@ -96,13 +90,11 @@ class TestPoolRecovery:
         plan = FaultPlan(
             specs=(FaultSpec(kind="crash", apps=("mcf",), attempt=None),)
         )
+        runner = Runner(
+            jobs=2, retry_policy=RetryPolicy(retries=1), fault_plan=plan
+        )
         with pytest.raises(WorkerCrashed) as info:
-            run_many(
-                _jobs(config),
-                parallelism=2,
-                policy=RetryPolicy(retries=1),
-                fault_plan=plan,
-            )
+            runner.run_many(_jobs(config))
         # a broken pool cannot identify the culprit, so every in-flight
         # job is charged the crash -- the job that exhausts its attempts
         # first may be a collateral one, but it always carries identity
@@ -117,16 +109,14 @@ class TestPoolRecovery:
                 FaultSpec(kind="hang", apps=("mcf",), attempt=0, seconds=60.0),
             )
         )
-        stats = ResilienceStats()
-        results = run_many(
-            _jobs(config),
-            parallelism=2,
-            policy=RetryPolicy(retries=1, timeout_s=3.0),
+        runner = Runner(
+            jobs=2,
+            retry_policy=RetryPolicy(retries=1, timeout_s=3.0),
             fault_plan=plan,
-            stats=stats,
         )
+        results = runner.run_many(_jobs(config))
         assert _fingerprints(results) == clean_run
-        assert stats.timeouts == 1
+        assert runner.resilience.timeouts == 1
 
     def test_hung_worker_without_retries_raises_timeout(self, config):
         plan = FaultPlan(
@@ -134,13 +124,13 @@ class TestPoolRecovery:
                 FaultSpec(kind="hang", apps=("mcf",), attempt=None, seconds=60.0),
             )
         )
+        runner = Runner(
+            jobs=2,
+            retry_policy=RetryPolicy(retries=0, timeout_s=2.0),
+            fault_plan=plan,
+        )
         with pytest.raises(SimulationTimeout) as info:
-            run_many(
-                _jobs(config),
-                parallelism=2,
-                policy=RetryPolicy(retries=0, timeout_s=2.0),
-                fault_plan=plan,
-            )
+            runner.run_many(_jobs(config))
         assert info.value.apps == ("mcf",)
         assert info.value.failures[-1].kind == "timeout"
 
@@ -155,16 +145,14 @@ class TestPoolRecovery:
                 FaultSpec(kind="crash", apps=("mcf",), attempt=1),
             )
         )
-        stats = ResilienceStats()
-        results = run_many(
-            _jobs(config),
-            parallelism=2,
-            policy=RetryPolicy(retries=3, max_pool_rebuilds=0),
+        runner = Runner(
+            jobs=2,
+            retry_policy=RetryPolicy(retries=3, max_pool_rebuilds=0),
             fault_plan=plan,
-            stats=stats,
         )
+        results = runner.run_many(_jobs(config))
         assert _fingerprints(results) == clean_run
-        assert stats.serial_fallbacks == 1
+        assert runner.resilience.serial_fallbacks == 1
 
 
 class TestCacheChaos:
@@ -173,25 +161,25 @@ class TestCacheChaos:
     ):
         """End-to-end: corrupt a cache file between runs; the next run
         quarantines it, re-simulates, and matches the clean batch."""
-        cache = ResultCache(tmp_path / "cache")
-        run_many(_jobs(config), cache=cache)
+        cache = ResultStore(tmp_path / "cache")
+        Runner(cache=cache).run_many(_jobs(config))
         corrupted = corrupt_cache_entry(
             cache, config, ("mcf",), mode="truncate"
         )
         assert corrupted.exists()
-        fresh = ResultCache(tmp_path / "cache")
-        results = run_many(_jobs(config), cache=fresh)
+        fresh = ResultStore(tmp_path / "cache")
+        results = Runner(cache=fresh).run_many(_jobs(config))
         assert _fingerprints(results) == clean_run
         assert fresh.corrupt == 1
         assert len(list(fresh.quarantine_dir.glob("*.pkl"))) == 1
 
     @pytest.mark.parametrize("mode", ["garbage", "empty", "wrong-type"])
     def test_every_corruption_mode_recovers(self, config, tmp_path, mode):
-        cache = ResultCache(tmp_path / "cache")
-        baseline = run_many([(config, ("gzip",))], cache=cache)
+        cache = ResultStore(tmp_path / "cache")
+        baseline = Runner(cache=cache).run_many([(config, ("gzip",))])
         corrupt_cache_entry(cache, config, ("gzip",), mode=mode)
-        fresh = ResultCache(tmp_path / "cache")
-        again = run_many([(config, ("gzip",))], cache=fresh)
+        fresh = ResultStore(tmp_path / "cache")
+        again = Runner(cache=fresh).run_many([(config, ("gzip",))])
         assert _fingerprints(again) == _fingerprints(baseline)
         assert fresh.corrupt == 1
 
@@ -208,15 +196,14 @@ class TestInterruptedBatchResume:
                 FaultSpec(kind="exception", apps=("gzip", "mcf"), attempt=None),
             )
         )
-        cache = ResultCache(tmp_path / "cache")
         journal = BatchJournal(tmp_path / "journal.jsonl")
+        runner = Runner(
+            cache=ResultStore(tmp_path / "cache"),
+            journal=journal,
+            fault_plan=plan,
+        )
         with pytest.raises(Exception):
-            run_many(
-                _jobs(config),
-                cache=cache,
-                journal=journal,
-                fault_plan=plan,
-            )
+            runner.run_many(_jobs(config))
         journal.close()
         completed_before = sum(
             1
@@ -226,16 +213,13 @@ class TestInterruptedBatchResume:
         assert 0 < completed_before < JOBS_PER_BATCH
 
         resumed_journal = BatchJournal(tmp_path / "journal.jsonl", resume=True)
-        stats = ResilienceStats()
-        results = run_many(
-            _jobs(config),
-            cache=ResultCache(tmp_path / "cache"),
-            journal=resumed_journal,
-            stats=stats,
+        runner = Runner(
+            cache=ResultStore(tmp_path / "cache"), journal=resumed_journal
         )
+        results = runner.run_many(_jobs(config))
         resumed_journal.close()
         assert _fingerprints(results) == clean_run
-        assert stats.resumed_jobs == completed_before
+        assert runner.resilience.resumed_jobs == completed_before
 
     def test_cli_abort_then_resume_is_byte_identical(self, tmp_path):
         """The full CLI contract, as the CI chaos lane runs it: a

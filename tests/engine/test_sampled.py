@@ -4,7 +4,7 @@ The sampled engine trades bit-identity for speed, so its tests pin a
 different contract than the fast engine's:
 
 * determinism — same seed and sampling parameters give byte-identical
-  estimates, serially, under :class:`ParallelRunner`, and across a
+  estimates, serially, across a process pool, and across a
   crash/``--resume`` cycle (the cache key includes the sampling
   schedule, so cached sampled results can never masquerade as exact
   ones);
@@ -28,8 +28,8 @@ from repro.engine.oracle import (
 )
 from repro.engine.sampled import SampledSMTCore, SamplingParams
 from repro.experiments.config import SystemConfig
-from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import Runner, run_mix
+from repro.service.store import ResultStore
 from repro.workloads.mixes import MIXES
 
 
@@ -118,17 +118,17 @@ class TestDeterminism:
 
     def test_serial_and_parallel_runner_agree(self):
         serial = Runner().run_mix(_config(), APPS)
-        parallel = ParallelRunner(jobs=2).run_mix(_config(), APPS)
+        parallel = Runner(jobs=2).run_mix(_config(), APPS)
         assert _fingerprint(serial) == _fingerprint(parallel)
 
     def test_resume_from_cache_is_identical(self, tmp_path):
         config = _config()
-        first = ParallelRunner(cache_dir=tmp_path / "cache").run_mix(
+        first = Runner(cache=ResultStore(tmp_path / "cache")).run_mix(
             config, APPS
         )
-        # A fresh runner over the same cache dir replays the persisted
+        # A fresh runner over the same store replays the persisted
         # result (the crash/--resume path) instead of re-simulating.
-        resumed = ParallelRunner(cache_dir=tmp_path / "cache").run_mix(
+        resumed = Runner(cache=ResultStore(tmp_path / "cache")).run_mix(
             config, APPS
         )
         assert _fingerprint(first) == _fingerprint(resumed)

@@ -71,12 +71,13 @@ class PinnedRunner(Runner):
         finally:
             self._inside = False
 
-    def _cached_run(self, config, apps):
+    def _serve(self, jobs):
         if not self._inside:
             planned = {(c.cache_key(), a) for plan in self.plans for c, a in plan}
-            if (config.cache_key(), apps) not in planned:
-                self.unplanned.append(run_id(config, apps))
-        return super()._cached_run(config, apps)
+            for config, apps in jobs:
+                if (config.cache_key(), tuple(apps)) not in planned:
+                    self.unplanned.append(run_id(config, apps))
+        return super()._serve(jobs)
 
 
 def _measure() -> dict[str, dict]:

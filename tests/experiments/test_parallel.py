@@ -1,25 +1,42 @@
-"""Tests for the parallel experiment engine and persistent result cache."""
+"""Tests for pooled execution and the persistent store behind a Runner."""
 
 import pickle
 
 import pytest
 
-import repro.experiments.parallel as parallel
 import repro.experiments.runner as runner_mod
+from repro.experiments.cli import _make_runner, build_parser
 from repro.experiments.figures import run_experiment
-from repro.experiments.parallel import (
-    CACHE_SCHEMA_VERSION,
-    ParallelRunner,
-    ResultCache,
-    run_many,
-)
 from repro.experiments.runner import Runner, run_mix
+from repro.service.store import CACHE_SCHEMA_VERSION, ResultStore
 from repro.workloads.mixes import MIXES
 
 
+def _count_simulations(monkeypatch) -> list:
+    """Record the apps of every fresh simulation a runner starts."""
+    calls = []
+    real = runner_mod._simulate
+
+    def counting(config, apps, **kwargs):
+        calls.append(apps)
+        return real(config, apps, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "_simulate", counting)
+    return calls
+
+
+def _forbid_simulation(monkeypatch) -> None:
+    def explode(config, apps, **kwargs):
+        raise AssertionError(f"unexpected simulation of {apps}")
+
+    monkeypatch.setattr(runner_mod, "_simulate", explode)
+
+
 class TestResultCache:
+    """The store in its result-cache role: reads and writes by job."""
+
     def test_roundtrip(self, tiny_config, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         result = run_mix(tiny_config, ("gzip",))
         cache.put(tiny_config, ("gzip",), result)
         loaded = cache.get(tiny_config, ("gzip",))
@@ -28,30 +45,30 @@ class TestResultCache:
         assert loaded.core.cycles == result.core.cycles
 
     def test_empty_cache_misses(self, tiny_config, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         assert cache.get(tiny_config, ("gzip",)) is None
         assert cache.misses == 1
         assert cache.hits == 0
 
     def test_keyed_by_config_and_apps(self, tiny_config, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         result = run_mix(tiny_config, ("gzip",))
         cache.put(tiny_config, ("gzip",), result)
         assert cache.get(tiny_config, ("eon",)) is None
         assert cache.get(tiny_config.with_(channels=4), ("gzip",)) is None
 
     def test_version_bump_invalidates(self, tiny_config, tmp_path):
-        cache = ResultCache(tmp_path, version=CACHE_SCHEMA_VERSION)
+        cache = ResultStore(tmp_path, version=CACHE_SCHEMA_VERSION)
         result = run_mix(tiny_config, ("gzip",))
         cache.put(tiny_config, ("gzip",), result)
-        bumped = ResultCache(tmp_path, version=CACHE_SCHEMA_VERSION + 1)
+        bumped = ResultStore(tmp_path, version=CACHE_SCHEMA_VERSION + 1)
         assert bumped.get(tiny_config, ("gzip",)) is None
         # ... and the old stamp still resolves.
-        same = ResultCache(tmp_path, version=CACHE_SCHEMA_VERSION)
+        same = ResultStore(tmp_path, version=CACHE_SCHEMA_VERSION)
         assert same.get(tiny_config, ("gzip",)) is not None
 
     def test_corrupt_entry_is_a_miss(self, tiny_config, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         result = run_mix(tiny_config, ("gzip",))
         cache.put(tiny_config, ("gzip",), result)
         # Different corruptions raise different exception classes from
@@ -68,7 +85,7 @@ class TestResultCache:
         fail on it again (and counted as a plain miss, hiding the
         corruption from operators).
         """
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         result = run_mix(tiny_config, ("gzip",))
         cache.put(tiny_config, ("gzip",), result)
         path = cache.path_for(tiny_config, ("gzip",))
@@ -83,10 +100,10 @@ class TestResultCache:
         assert cache.corrupt == 1 and cache.misses == 1
 
     def test_corruption_logs_a_warning(self, tiny_config, tmp_path, caplog):
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         cache.put(tiny_config, ("gzip",), run_mix(tiny_config, ("gzip",)))
         cache.path_for(tiny_config, ("gzip",)).write_bytes(b"garbage")
-        with caplog.at_level("WARNING", logger="repro.experiments.parallel"):
+        with caplog.at_level("WARNING", logger="repro.service.store"):
             assert cache.get(tiny_config, ("gzip",)) is None
         assert any("quarantined" in r.message for r in caplog.records)
 
@@ -99,7 +116,7 @@ class TestResultCache:
         """
         import pickle as _pickle
 
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         cache.put(tiny_config, ("gzip",), run_mix(tiny_config, ("gzip",)))
         path = cache.path_for(tiny_config, ("gzip",))
         path.write_bytes(_pickle.dumps({"imposter": True}))
@@ -119,12 +136,12 @@ class TestResultCache:
         _os.utime(stale, (old, old))
         fresh = tmp_path / "cafe.pkl.67890.tmp"
         fresh.write_bytes(b"in flight right now")
-        ResultCache(tmp_path)
+        ResultStore(tmp_path)
         assert not stale.exists()
         assert fresh.exists()
 
     def test_len_and_clear(self, tiny_config, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         cache.put(tiny_config, ("gzip",), run_mix(tiny_config, ("gzip",)))
         assert len(cache) == 1
         cache.clear()
@@ -139,14 +156,14 @@ class TestResultCache:
 
 def _hammer_cache(cache_dir, config, apps, result, rounds):
     """Worker: rewrite the same cache entry over and over."""
-    cache = ResultCache(cache_dir)
+    cache = ResultStore(cache_dir)
     for _ in range(rounds):
         cache.put(config, apps, result)
     return True
 
 
 class TestResultCacheConcurrency:
-    """Satellite: the os.replace write path under concurrent writers."""
+    """The publish path under concurrent writers."""
 
     def test_concurrent_writers_never_tear_an_entry(
         self, tiny_config, tmp_path
@@ -154,7 +171,7 @@ class TestResultCacheConcurrency:
         from concurrent.futures import ProcessPoolExecutor
 
         result = run_mix(tiny_config, ("gzip",))
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         with ProcessPoolExecutor(max_workers=4) as pool:
             futures = [
                 pool.submit(
@@ -179,7 +196,7 @@ class TestResultCacheConcurrency:
     def test_corrupt_entry_then_rewrite_round_trip(
         self, tiny_config, tmp_path
     ):
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         result = run_mix(tiny_config, ("gzip",))
         cache.put(tiny_config, ("gzip",), result)
         path = cache.path_for(tiny_config, ("gzip",))
@@ -202,30 +219,24 @@ class TestRunMany:
             (tiny_config, ("gzip",)),
             (tiny_config, ("mcf", "gzip")),
         ]
-        results = run_many(jobs)
+        results = Runner().run_many(jobs)
         assert [r.apps for r in results] == [("mcf",), ("gzip",), ("mcf", "gzip")]
 
     def test_duplicate_jobs_simulated_once(self, tiny_config, monkeypatch):
-        calls = []
-        real = parallel._simulate
-
-        def counting(config, apps):
-            calls.append(apps)
-            return real(config, apps)
-
-        monkeypatch.setattr(parallel, "_simulate", counting)
-        results = run_many(
+        calls = _count_simulations(monkeypatch)
+        results = Runner().run_many(
             [(tiny_config, ("gzip",)), (tiny_config, ("gzip",))]
         )
         assert len(calls) == 1
         assert results[0] is results[1]
 
-    def test_memo_consulted_and_populated(self, tiny_config):
-        memo = {}
-        first = run_many([(tiny_config, ("gzip",))], memo=memo)
-        assert len(memo) == 1
-        second = run_many([(tiny_config, ("gzip",))], memo=memo)
+    def test_memo_consulted_and_populated(self, tiny_config, monkeypatch):
+        calls = _count_simulations(monkeypatch)
+        runner = Runner()
+        first = runner.run_many([(tiny_config, ("gzip",))])
+        second = runner.run_many([(tiny_config, ("gzip",))])
         assert second[0] is first[0]
+        assert calls == [("gzip",)]
 
 
 class TestParallelDeterminism:
@@ -234,7 +245,7 @@ class TestParallelDeterminism:
 
         Two figure-style job sets (fig2: fetch policies; fig6: channel
         counts) run serially and across four worker processes; every
-        per-mix metric must match bit for bit.
+        result must pickle to the same bytes.
         """
         mix = MIXES["2-MIX"]
         jobs = [
@@ -244,14 +255,10 @@ class TestParallelDeterminism:
             (tiny_config.with_(channels=n, gang=1), MIXES["2-MEM"].apps)
             for n in (2, 4)
         ]
-        serial = run_many(jobs, parallelism=1)
-        pooled = run_many(jobs, parallelism=4)
+        serial = Runner().run_many(jobs)
+        pooled = Runner(jobs=4).run_many(jobs)
         for s, p in zip(serial, pooled):
-            assert s.ipcs == p.ipcs
-            assert s.core.cycles == p.core.cycles
-            assert s.row_buffer_miss_rate == p.row_buffer_miss_rate
-            assert s.core.stall_cycles == p.core.stall_cycles
-            assert s.hierarchy == p.hierarchy
+            assert pickle.dumps(s) == pickle.dumps(p)
 
     def test_parallel_runner_figure_rows_match_serial(self, tiny_config):
         mixes = ["2-MEM"]
@@ -259,10 +266,47 @@ class TestParallelDeterminism:
             "fig4", config=tiny_config, runner=Runner(), mixes=mixes
         )
         pooled = run_experiment(
-            "fig4", config=tiny_config, runner=ParallelRunner(jobs=2),
-            mixes=mixes,
+            "fig4", config=tiny_config, runner=Runner(jobs=2), mixes=mixes,
         )
         assert serial.rows == pooled.rows
+
+
+class TestProvenance:
+    """One source per route: every runner width records the same way."""
+
+    JOBS = (("gzip",), ("mcf",))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_warm_hits_record_disk_cache(self, tiny_config, tmp_path, jobs):
+        batch = [(tiny_config, apps) for apps in self.JOBS]
+        Runner(cache=ResultStore(tmp_path)).run_many(batch)
+        warm = Runner(jobs=jobs, cache=ResultStore(tmp_path))
+        warm.run_many(batch)
+        assert [(r.source, r.wall_time_s) for r in warm.records] == [
+            ("disk-cache", 0.0), ("disk-cache", 0.0),
+        ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fresh_jobs_record_their_own_wall_time(
+        self, tiny_config, monkeypatch, jobs
+    ):
+        measured = {}
+        real = runner_mod.execute_jobs
+
+        def spying(job_list, simulate, on_complete, **kwargs):
+            def spy(i, result, wall_s):
+                measured[job_list[i][1]] = wall_s
+                on_complete(i, result, wall_s)
+
+            return real(job_list, simulate, on_complete=spy, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "execute_jobs", spying)
+        runner = Runner(jobs=jobs)
+        runner.run_many([(tiny_config, apps) for apps in self.JOBS])
+        assert sorted(measured) == sorted(self.JOBS)
+        assert {r.apps: (r.source, r.wall_time_s) for r in runner.records} == {
+            apps: ("simulated", wall_s) for apps, wall_s in measured.items()
+        }
 
 
 class TestPersistentReuse:
@@ -270,40 +314,26 @@ class TestPersistentReuse:
         self, tiny_config, tmp_path, monkeypatch
     ):
         jobs = [(tiny_config, ("gzip",)), (tiny_config, ("gzip", "mcf"))]
-        cache = ResultCache(tmp_path)
-        first = run_many(jobs, cache=cache)
-
-        def explode(config, apps):  # a warm rerun must never simulate
-            raise AssertionError(f"unexpected simulation of {apps}")
-
-        monkeypatch.setattr(parallel, "_simulate", explode)
-        second = run_many(jobs, cache=ResultCache(tmp_path))
+        first = Runner(cache=ResultStore(tmp_path)).run_many(jobs)
+        _forbid_simulation(monkeypatch)  # a warm rerun must never simulate
+        second = Runner(cache=ResultStore(tmp_path)).run_many(jobs)
         assert [r.ipcs for r in second] == [r.ipcs for r in first]
 
     def test_version_bump_forces_resimulation(
         self, tiny_config, tmp_path, monkeypatch
     ):
-        cache = ResultCache(tmp_path)
-        run_many([(tiny_config, ("gzip",))], cache=cache)
-        calls = []
-        real = parallel._simulate
-
-        def counting(config, apps):
-            calls.append(apps)
-            return real(config, apps)
-
-        monkeypatch.setattr(parallel, "_simulate", counting)
-        bumped = ResultCache(tmp_path, version=CACHE_SCHEMA_VERSION + 1)
-        run_many([(tiny_config, ("gzip",))], cache=bumped)
+        Runner(cache=ResultStore(tmp_path)).run_many([(tiny_config, ("gzip",))])
+        calls = _count_simulations(monkeypatch)
+        bumped = ResultStore(tmp_path, version=CACHE_SCHEMA_VERSION + 1)
+        Runner(cache=bumped).run_many([(tiny_config, ("gzip",))])
         assert calls == [("gzip",)]
-
     def test_runners_share_baselines_through_cache(
         self, tiny_config, tmp_path, monkeypatch
     ):
         """Satellite fix: independently constructed runners must not
         re-run identical single-thread baselines when they share the
         persistent cache."""
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         first = Runner(cache=cache)
         baseline = first.single(tiny_config, "gzip")
 
@@ -314,7 +344,7 @@ class TestPersistentReuse:
                 AssertionError("baseline should come from the cache")
             ),
         )
-        second = Runner(cache=ResultCache(tmp_path))
+        second = Runner(cache=ResultStore(tmp_path))
         again = second.single(tiny_config, "gzip")
         assert again.ipcs == baseline.ipcs
 
@@ -334,17 +364,23 @@ class TestPersistentReuse:
 
 
 class TestParallelRunnerApi:
+    """The Runner's execution options."""
+
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
-            ParallelRunner(jobs=0)
+            Runner(jobs=0)
 
     def test_cache_dir_creates_cache(self, tmp_path):
-        runner = ParallelRunner(cache_dir=tmp_path / "cache")
-        assert isinstance(runner.cache, ResultCache)
+        args = build_parser().parse_args(
+            ["fig4", "--jobs", "2", "--cache-dir", str(tmp_path / "cache")]
+        )
+        runner = _make_runner(args)
+        assert isinstance(runner.cache, ResultStore)
+        assert runner.jobs == 2
         assert (tmp_path / "cache").is_dir()
 
     def test_default_has_no_persistent_cache(self):
-        assert ParallelRunner().cache is None
+        assert Runner().cache is None
 
     def test_baseline_job_matches_single(self, tiny_config):
         runner = Runner()

@@ -3,25 +3,20 @@
 Pool-level chaos scenarios (killed workers, hung workers, end-to-end
 resume bit-identity) live in ``tests/chaos``; this file covers the
 units — retry policy, journal, and the serial failure paths of
-``run_many`` — which run fast enough for tier-1.
+``Runner.run_many`` — which run fast enough for tier-1.
 """
 
 import json
 
 import pytest
 
-import repro.experiments.parallel as parallel
 import repro.experiments.resilience as resilience
+import repro.experiments.runner as runner_mod
 from repro.common.errors import BatchAborted, JobFailure, WorkerCrashed
-from repro.experiments.parallel import ParallelRunner, ResultCache, run_many
-from repro.experiments.resilience import (
-    BatchJournal,
-    ResilienceStats,
-    RetryPolicy,
-    execute_jobs,
-)
+from repro.experiments.resilience import BatchJournal, RetryPolicy, execute_jobs
 from repro.experiments.runner import Runner
 from repro.faults import FaultPlan, FaultSpec, InjectedFault
+from repro.service.store import ResultStore
 
 
 class TestRetryPolicy:
@@ -92,14 +87,18 @@ class TestRunManyFailurePaths:
         failing job's config/apps identity attached (and the original
         exception chained), not a bare traceback from a nameless job."""
 
-        def explode(config, apps):
+        real = runner_mod._simulate
+
+        def explode(config, apps, **kwargs):
             if apps == ("mcf",):
                 raise ValueError("numerical goo")
-            return parallel.run_mix(config, apps)
+            return real(config, apps, **kwargs)
 
-        monkeypatch.setattr(parallel, "_simulate", explode)
+        monkeypatch.setattr(runner_mod, "_simulate", explode)
         with pytest.raises(BatchAborted) as info:
-            run_many([(tiny_config, ("gzip",)), (tiny_config, ("mcf",))])
+            Runner().run_many(
+                [(tiny_config, ("gzip",)), (tiny_config, ("mcf",))]
+            )
         assert info.value.apps == ("mcf",)
         assert info.value.job_id
         assert info.value.config_hash
@@ -109,14 +108,14 @@ class TestRunManyFailurePaths:
     def test_non_transient_exception_not_retried(self, tiny_config, monkeypatch):
         calls = []
 
-        def explode(config, apps):
+        def explode(config, apps, **kwargs):
             calls.append(apps)
             raise ValueError("deterministic bug: retrying is pointless")
 
-        monkeypatch.setattr(parallel, "_simulate", explode)
+        monkeypatch.setattr(runner_mod, "_simulate", explode)
         with pytest.raises(BatchAborted):
-            run_many(
-                [(tiny_config, ("gzip",))], policy=RetryPolicy(retries=3)
+            Runner(retry_policy=RetryPolicy(retries=3)).run_many(
+                [(tiny_config, ("gzip",))]
             )
         assert len(calls) == 1
 
@@ -124,14 +123,10 @@ class TestRunManyFailurePaths:
         plan = FaultPlan(
             specs=(FaultSpec(kind="exception", apps=("gzip",), attempt=0),)
         )
-        stats = ResilienceStats()
-        clean = run_many([(tiny_config, ("gzip",))])
-        recovered = run_many(
-            [(tiny_config, ("gzip",))],
-            policy=RetryPolicy(retries=1),
-            fault_plan=plan,
-            stats=stats,
-        )
+        clean = Runner().run_many([(tiny_config, ("gzip",))])
+        runner = Runner(retry_policy=RetryPolicy(retries=1), fault_plan=plan)
+        recovered = runner.run_many([(tiny_config, ("gzip",))])
+        stats = runner.resilience
         assert recovered[0].ipcs == clean[0].ipcs
         assert recovered[0].core.cycles == clean[0].core.cycles
         assert stats.retries == 1 and stats.injected_faults == 1
@@ -141,12 +136,9 @@ class TestRunManyFailurePaths:
         plan = FaultPlan(
             specs=(FaultSpec(kind="exception", apps=("gzip",), attempt=None),)
         )
+        runner = Runner(retry_policy=RetryPolicy(retries=2), fault_plan=plan)
         with pytest.raises(BatchAborted) as info:
-            run_many(
-                [(tiny_config, ("gzip",))],
-                policy=RetryPolicy(retries=2),
-                fault_plan=plan,
-            )
+            runner.run_many([(tiny_config, ("gzip",))])
         assert info.value.attempts == 3  # 1 try + 2 retries
         assert len(info.value.failures) == 3
 
@@ -162,9 +154,8 @@ class TestRunManyFailurePaths:
             (tiny_config, ("mcf",)),
             (tiny_config, ("gzip",)),  # duplicate of job 0
         ]
-        results = run_many(
-            jobs, policy=RetryPolicy(retries=1), fault_plan=plan
-        )
+        runner = Runner(retry_policy=RetryPolicy(retries=1), fault_plan=plan)
+        results = runner.run_many(jobs)
         assert all(r is not None for r in results)
         assert results[0] is results[2]
         assert results[0].apps == ("gzip",)
@@ -174,19 +165,20 @@ class TestRunManyFailurePaths:
     ):
         """Satellite: an interrupt aborts cleanly — completed work stays
         journaled, the interruption is recorded, and the batch resumes."""
-        real = parallel.run_mix
+        real = runner_mod._simulate
 
-        def interrupt_second(config, apps):
+        def interrupt_second(config, apps, **kwargs):
             if apps == ("mcf",):
                 raise KeyboardInterrupt
-            return real(config, apps)
+            return real(config, apps, **kwargs)
 
-        monkeypatch.setattr(parallel, "_simulate", interrupt_second)
-        cache = ResultCache(tmp_path / "cache")
+        monkeypatch.setattr(runner_mod, "_simulate", interrupt_second)
         journal = BatchJournal(tmp_path / "journal.jsonl")
         jobs = [(tiny_config, ("gzip",)), (tiny_config, ("mcf",))]
         with pytest.raises(KeyboardInterrupt):
-            run_many(jobs, cache=cache, journal=journal)
+            Runner(
+                cache=ResultStore(tmp_path / "cache"), journal=journal
+            ).run_many(jobs)
         journal.close()
         events = [
             json.loads(line)["event"]
@@ -195,18 +187,15 @@ class TestRunManyFailurePaths:
         assert "interrupted" in events
         assert events.count("complete") == 1
 
-        monkeypatch.setattr(parallel, "_simulate", real)
+        monkeypatch.setattr(runner_mod, "_simulate", real)
         resumed_journal = BatchJournal(tmp_path / "journal.jsonl", resume=True)
-        stats = ResilienceStats()
-        results = run_many(
-            jobs,
-            cache=ResultCache(tmp_path / "cache"),
-            journal=resumed_journal,
-            stats=stats,
+        runner = Runner(
+            cache=ResultStore(tmp_path / "cache"), journal=resumed_journal
         )
+        results = runner.run_many(jobs)
         resumed_journal.close()
         assert [r.apps for r in results] == [("gzip",), ("mcf",)]
-        assert stats.resumed_jobs == 1
+        assert runner.resilience.resumed_jobs == 1
 
     def test_keyboard_interrupt_pooled_cancels_futures(
         self, tiny_config, monkeypatch
@@ -223,7 +212,7 @@ class TestRunManyFailurePaths:
         with pytest.raises(KeyboardInterrupt):
             execute_jobs(
                 [(tiny_config, ("gzip",)), (tiny_config, ("mcf",))],
-                parallel._simulate,
+                runner_mod._simulate,
                 parallelism=2,
             )
         # every in-flight future was asked to cancel (already-running
@@ -238,26 +227,22 @@ class TestResumeSemantics:
         """The resume contract: journal + cache consulted first, zero
         re-simulation of journaled-complete jobs."""
         jobs = [(tiny_config, ("gzip",)), (tiny_config, ("mcf",))]
-        cache = ResultCache(tmp_path / "cache")
         journal = BatchJournal(tmp_path / "journal.jsonl")
-        first = run_many(jobs, cache=cache, journal=journal)
+        first = Runner(
+            cache=ResultStore(tmp_path / "cache"), journal=journal
+        ).run_many(jobs)
         journal.close()
 
-        def explode(config, apps):
+        def explode(config, apps, **kwargs):
             raise AssertionError(f"resumed batch re-simulated {apps}")
 
-        monkeypatch.setattr(parallel, "_simulate", explode)
+        monkeypatch.setattr(runner_mod, "_simulate", explode)
         journal = BatchJournal(tmp_path / "journal.jsonl", resume=True)
-        stats = ResilienceStats()
-        again = run_many(
-            jobs,
-            cache=ResultCache(tmp_path / "cache"),
-            journal=journal,
-            stats=stats,
-        )
+        runner = Runner(cache=ResultStore(tmp_path / "cache"), journal=journal)
+        again = runner.run_many(jobs)
         journal.close()
         assert [r.ipcs for r in again] == [r.ipcs for r in first]
-        assert stats.resumed_jobs == 2
+        assert runner.resilience.resumed_jobs == 2
 
     def test_journal_without_cache_entry_resimulates(
         self, tiny_config, tmp_path
@@ -265,22 +250,17 @@ class TestResumeSemantics:
         """A journaled-complete job whose cache entry vanished (wiped
         cache dir) is re-simulated rather than trusted blindly."""
         jobs = [(tiny_config, ("gzip",))]
-        cache = ResultCache(tmp_path / "cache")
+        cache = ResultStore(tmp_path / "cache")
         journal = BatchJournal(tmp_path / "journal.jsonl")
-        first = run_many(jobs, cache=cache, journal=journal)
+        first = Runner(cache=cache, journal=journal).run_many(jobs)
         journal.close()
         cache.clear()
         journal = BatchJournal(tmp_path / "journal.jsonl", resume=True)
-        stats = ResilienceStats()
-        again = run_many(
-            jobs,
-            cache=ResultCache(tmp_path / "cache"),
-            journal=journal,
-            stats=stats,
-        )
+        runner = Runner(cache=ResultStore(tmp_path / "cache"), journal=journal)
+        again = runner.run_many(jobs)
         journal.close()
         assert again[0].ipcs == first[0].ipcs
-        assert stats.resumed_jobs == 0  # nothing to resume from
+        assert runner.resilience.resumed_jobs == 0  # nothing to resume from
 
 
 class TestRunnerWiring:
@@ -312,22 +292,24 @@ class TestRunnerWiring:
             runner.run_mix(tiny_config, ["gzip"])
 
     def test_default_runner_raises_unwrapped(self, tiny_config, monkeypatch):
-        """Without any resilience options, a default Runner keeps its
-        historical contract: the original exception, unwrapped."""
-        import repro.experiments.runner as runner_mod
-
+        """A default Runner fails the way every route does: BatchAborted
+        with the failing job's identity, and the original exception
+        unwrapped as its ``__cause__``."""
         monkeypatch.setattr(
             runner_mod, "run_mix",
             lambda *a, **k: (_ for _ in ()).throw(ValueError("raw")),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(BatchAborted) as info:
             Runner().run_mix(tiny_config, ["gzip"])
+        assert info.value.apps == ("gzip",)
+        cause = info.value.__cause__
+        assert isinstance(cause, ValueError) and str(cause) == "raw"
 
     def test_manifest_records_resilience(self, tiny_config):
         plan = FaultPlan(
             specs=(FaultSpec(kind="exception", apps=("gzip",), attempt=0),)
         )
-        runner = ParallelRunner(retries=1, fault_plan=plan)
+        runner = Runner(retry_policy=RetryPolicy(retries=1), fault_plan=plan)
         runner.run_many([(tiny_config, ("gzip",))])
         manifest = runner.manifest()
         block = manifest.extra["resilience"]
@@ -336,14 +318,14 @@ class TestRunnerWiring:
         assert block["failures"][0]["apps"] == ["gzip"]
 
     def test_clean_manifest_has_no_resilience_block(self, tiny_config):
-        runner = ParallelRunner()
+        runner = Runner()
         runner.run_many([(tiny_config, ("gzip",))])
         assert "resilience" not in runner.manifest().extra
 
     def test_parallel_runner_journal_path_accepted(self, tiny_config, tmp_path):
-        runner = ParallelRunner(
-            cache_dir=tmp_path / "cache",
-            journal=tmp_path / "journal.jsonl",
+        runner = Runner(
+            cache=ResultStore(tmp_path / "cache"),
+            journal=BatchJournal(tmp_path / "journal.jsonl"),
         )
         runner.run_many([(tiny_config, ("gzip",))])
         runner.journal.close()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.runner import Runner, build_system, run_mix, run_single
+from repro.experiments.runner import Runner, build_system, run_mix
 from repro.workloads.mixes import get_mix
 
 
@@ -37,7 +37,7 @@ class TestRunMix:
         assert 0.0 <= result.row_buffer_miss_rate <= 1.0
 
     def test_single_is_one_thread(self, quick_config):
-        result = run_single(quick_config, "eon")
+        result = run_mix(quick_config, ["eon"])
         assert len(result.core.threads) == 1
 
     def test_dram_rate_computed(self, quick_config):

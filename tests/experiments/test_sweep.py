@@ -5,6 +5,7 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.experiments.runner import Runner
 from repro.experiments.sweep import Sweep
+from repro.telemetry.manifest import run_id
 
 
 class TestGrid:
@@ -66,6 +67,7 @@ class TestRun:
         )
         sweep.run(["gzip"])
         # both scheduler configs need gzip singles; they were cached
+        served = {record.run_id for record in runner.records}
         for scheduler in ("fcfs", "hit-first"):
             cfg = runner.baseline_config(quick_config.with_(scheduler=scheduler))
-            assert (cfg.cache_key(), ("gzip",)) in runner._results
+            assert run_id(cfg, ("gzip",)) in served

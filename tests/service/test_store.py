@@ -1,13 +1,18 @@
-"""Tests for the content-addressed ResultStore (and the cache CAS fix)."""
+"""Tests for the content-addressed ResultStore."""
 
 import os
 import pickle
+import struct
 import threading
 import time
 
-from repro.experiments.parallel import STALE_TMP_SECONDS, ResultCache
 from repro.experiments.runner import run_mix
-from repro.service.store import ResultStore, job_key, payload_digest
+from repro.service.store import (
+    STALE_TMP_SECONDS,
+    ResultStore,
+    job_key,
+    payload_digest,
+)
 
 
 def _payload(config, apps=("gzip",)):
@@ -18,12 +23,12 @@ def _payload(config, apps=("gzip",)):
 
 class TestKeys:
     def test_key_matches_cache_file_naming(self, tiny_config, tmp_path):
-        """A store over an old --cache-dir serves old cache entries."""
+        """Reads by key and by job address the same file."""
         store = ResultStore(tmp_path)
         key = store.key_for(tiny_config, ("gzip",))
-        assert store.path_for_key(key) == ResultCache(tmp_path).path_for(
-            tiny_config, ("gzip",)
-        )
+        path = store.path_for(tiny_config, ("gzip",))
+        assert store.path_for_key(key) == path
+        assert path == tmp_path / f"{job_key(tiny_config, ('gzip',))}.pkl"
 
     def test_malformed_key_rejected(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -81,8 +86,8 @@ class TestPublish:
     def test_concurrent_cache_writers_two_instances(
         self, tiny_config, tmp_path
     ):
-        """Two independent ResultCache objects over one directory."""
-        a, b = ResultCache(tmp_path), ResultCache(tmp_path)
+        """Two independent store objects over one directory."""
+        a, b = ResultStore(tmp_path), ResultStore(tmp_path)
         result = run_mix(tiny_config, ("gzip",))
         outcomes = []
         barrier = threading.Barrier(2)
@@ -99,7 +104,7 @@ class TestPublish:
         for t in threads:
             t.join()
         assert sum(outcomes) == 1
-        loaded = ResultCache(tmp_path).get(tiny_config, ("gzip",))
+        loaded = ResultStore(tmp_path).get(tiny_config, ("gzip",))
         assert loaded is not None and loaded.ipcs == result.ipcs
 
 
@@ -125,16 +130,40 @@ class TestIntegrity:
         assert (store.quarantine_dir / f"{key}.pkl").exists()
 
     def test_unindexed_cache_entry_healed(self, tiny_config, tmp_path):
-        """Entries written by a plain ResultCache get indexed on read."""
-        cache = ResultCache(tmp_path)
-        result = run_mix(tiny_config, ("gzip",))
-        cache.put(tiny_config, ("gzip",), result)
+        """An entry published without its index row (a crash between
+        the two writes) is validated and indexed on its first read."""
         store = ResultStore(tmp_path)
+        result = run_mix(tiny_config, ("gzip",))
+        store.publish_path(
+            store.path_for(tiny_config, ("gzip",)),
+            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
+        )
         key = store.key_for(tiny_config, ("gzip",))
         assert store.index_record(key) is None
-        loaded = store.get_by_key(key)
+        loaded = store.get(tiny_config, ("gzip",))
         assert loaded is not None and loaded.ipcs == result.ipcs
         assert store.index_record(key) is not None
+        assert ResultStore(tmp_path).index_record(key) is not None
+
+    def test_get_verifies_digest(self, tiny_config, tmp_path):
+        """A bit flipped inside a pickled float still unpickles, to a
+        different result; only the digest can tell.  ``get`` must
+        quarantine the entry instead of serving it."""
+        store = ResultStore(tmp_path)
+        result = run_mix(tiny_config, ("gzip",))
+        store.put(tiny_config, ("gzip",), result)
+        path = store.path_for(tiny_config, ("gzip",))
+        data = bytearray(path.read_bytes())
+        # BINFLOAT opcode, then the big-endian double.
+        needle = b"G" + struct.pack(">d", result.core.int_issue_coverage)
+        at = data.find(needle)
+        assert at >= 0 and data.count(needle) == 1
+        data[at + 8] ^= 1  # lowest mantissa bit
+        path.write_bytes(bytes(data))
+        assert pickle.loads(bytes(data)) != result  # decodes, but wrong
+        assert store.get(tiny_config, ("gzip",)) is None
+        assert store.corrupt == 1
+        assert (store.quarantine_dir / path.name).exists()
 
     def test_unindexed_garbage_quarantined(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -148,9 +177,11 @@ class TestIntegrity:
         key = store.key_for(tiny_config, ("gzip",))
         data = _payload(tiny_config)
         store.publish(key, data)
-        # Foreign (unindexed) entry from a plain cache writer.
+        # An entry on disk without its index row.
         other = tiny_config.with_(scheduler="fcfs")
-        ResultCache(tmp_path).put(other, ("gzip",), run_mix(other, ("gzip",)))
+        store.publish_path(
+            store.path_for(other, ("gzip",)), _payload(other)
+        )
         # Indexed entry whose file vanished.
         ghost = "cd" * 32
         store._entries[ghost] = {"sha256": "0" * 64, "size": 1}

@@ -236,16 +236,14 @@ class TestRunnerManifests:
         assert manifest.metrics["counters"]["cpu.cycles"] > 0
 
     def test_parallel_runner_manifest_deterministic(self, tiny_config):
-        from repro.experiments.parallel import ParallelRunner
-
         jobs = [
             (tiny_config, ("gzip",)),
             (tiny_config, ("mcf",)),
             (tiny_config, ("gzip",)),  # duplicate
         ]
-        a = ParallelRunner(collect_metrics=True)
+        a = Runner(jobs=2, collect_metrics=True)
         a.run_many(jobs)
-        b = ParallelRunner(collect_metrics=True)
+        b = Runner(jobs=2, collect_metrics=True)
         b.run_many(jobs)
         assert a.manifest().manifest_id == b.manifest().manifest_id
         assert len(a.records) == 2
