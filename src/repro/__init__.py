@@ -31,7 +31,7 @@ schedulers), :mod:`repro.workloads` (synthetic SPEC2000 profiles),
 
 from repro.experiments.config import SystemConfig
 from repro.experiments.figures import EXPERIMENTS, run_experiment
-from repro.experiments.resilience import BatchJournal, RetryPolicy
+from repro.experiments.resilience import JobLog, RetryPolicy
 from repro.experiments.runner import MixResult, Runner, run_mix
 from repro.faults import FaultPlan, FaultSpec
 from repro.metrics.speedup import harmonic_mean_speedup, weighted_speedup
@@ -47,11 +47,11 @@ from repro.workloads.spec2000 import get_profile, profile_names
 __version__ = "1.1.0"
 
 __all__ = [
-    "BatchJournal",
     "EXPERIMENTS",
     "EventTracer",
     "FaultPlan",
     "FaultSpec",
+    "JobLog",
     "MetricRegistry",
     "MixResult",
     "RetryPolicy",

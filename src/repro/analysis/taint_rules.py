@@ -3,7 +3,7 @@
 The dataflow pass (:mod:`repro.analysis.dataflow`) tracks values from
 *nondeterminism sources* to *determinism sinks* — places whose inputs
 must be a pure function of the simulation configuration because they
-feed cache keys, content-addressed store entries, journals, manifests,
+feed cache keys, content-addressed store entries, the job log, manifests,
 or HTTP response bodies.  This module is the catalog both ends consult:
 
 * :data:`SOURCES` / :func:`match_source` — calls that mint a
@@ -25,7 +25,7 @@ or HTTP response bodies.  This module is the catalog both ends consult:
 Unlike the per-line DET rules, a TNT finding carries the whole
 source→sink path, so codes are per *sink family*: the same wall-clock
 read is TNT001 when it reaches a cache key and TNT003 when it reaches
-a journal record.
+a job-log record.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ TNT_RULES: dict[str, tuple[str, Severity]] = {
         Severity.ERROR,
     ),
     "TNT003": (
-        "nondeterministic value flows into a batch-journal record",
+        "nondeterministic value flows into a job-log record",
         Severity.ERROR,
     ),
     "TNT004": (
@@ -163,10 +163,10 @@ SINKS: tuple[Sink, ...] = (
     Sink("TNT002", "put", ("cache", "store"), "cache/store payload"),
     Sink("TNT002", "publish", ("cache", "store"), "store publish"),
     Sink("TNT002", "publish_path", (), "atomic publish payload"),
-    # TNT003 — crash-safe journal lines (replayed on --resume).
-    Sink("TNT003", "record_complete", ("journal",), "journal complete record"),
-    Sink("TNT003", "record_failure", ("journal",), "journal failure record"),
-    Sink("TNT003", "_write_line", ("journal",), "journal line"),
+    # TNT003 — job-log records (replayed on --resume): every record,
+    # from the executor, the scheduler or the lease table, is written
+    # by JobLog.append.
+    Sink("TNT003", "append", ("joblog", "journal"), "job-log record"),
     # TNT004 — provenance records served by the result API.
     Sink("TNT004", "RunRecord", (), "run record"),
     Sink("TNT004", "RunManifest", (), "run manifest"),
@@ -189,8 +189,8 @@ def match_sink(
 
     ``receiver`` is the unparsed expression the method was called on
     (empty for plain calls); ``class_name`` is the enclosing class of
-    the *calling* function, which lets ``self._write_line(...)`` inside
-    ``BatchJournal`` match the ``journal`` hint.
+    the *calling* function, which lets ``self.append(...)`` inside
+    ``JobLog`` match the ``joblog`` hint.
     """
     simple = dotted.rsplit(".", 1)[-1]
     candidates = _SINKS_BY_NAME.get(simple)

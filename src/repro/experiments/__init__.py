@@ -13,7 +13,7 @@
   text, CSV and markdown renderings.
 * :mod:`repro.experiments.resilience` -- fault-tolerant batch
   execution: :class:`RetryPolicy` (timeouts/retries/pool recovery),
-  :class:`BatchJournal` (crash-safe resume), and
+  :class:`JobLog` (the one crash-safe job log), and
   :class:`ResilienceStats` (what a batch survived).
 """
 
@@ -25,16 +25,16 @@ from repro.experiments.figures import (
     run_experiment,
 )
 from repro.experiments.resilience import (
-    BatchJournal,
+    JobLog,
     ResilienceStats,
     RetryPolicy,
 )
 from repro.experiments.runner import MixResult, Runner, run_mix
 
 __all__ = [
-    "BatchJournal",
     "EXPERIMENTS",
     "FigureSpec",
+    "JobLog",
     "MixResult",
     "REGISTRY",
     "ResilienceStats",

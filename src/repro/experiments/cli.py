@@ -33,7 +33,7 @@ from repro.experiments.figures import (
     REGISTRY,
     run_experiment,
 )
-from repro.experiments.resilience import BatchJournal, RetryPolicy
+from repro.experiments.resilience import JobLog, RetryPolicy
 from repro.experiments.runner import Runner, run_mix
 from repro.faults import plan_from_env
 from repro.telemetry import EventTracer, Telemetry
@@ -153,15 +153,10 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--resume", action="store_true",
-        help="resume an interrupted batch from its journal: jobs recorded "
-        "complete are served from the result cache without re-simulating "
-        "(requires --cache-dir; results are bit-identical to an "
-        "uninterrupted run)",
-    )
-    parser.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="crash-safe batch journal path (default with --resume: "
-        "<cache-dir>/batch-journal.jsonl)",
+        help="resume an interrupted batch from its job log "
+        "(<cache-dir>/jobs.jsonl): jobs recorded complete are served from "
+        "the result cache without re-simulating (requires --cache-dir; "
+        "results are bit-identical to an uninterrupted run)",
     )
     parser.add_argument(
         "--remote", default=None, metavar="URL",
@@ -188,14 +183,11 @@ def _make_runner(args: argparse.Namespace) -> Runner:
         )
     cache_dir = getattr(args, "cache_dir", None)
     resume = getattr(args, "resume", False)
-    journal = getattr(args, "journal", None)
     if resume and not cache_dir:
         raise SystemExit(
             "error: --resume needs --cache-dir (completed jobs are "
             "served from the persistent result store)"
         )
-    if journal is None and resume:
-        journal = Path(cache_dir) / "batch-journal.jsonl"
     cache = None
     if cache_dir:
         from repro.service.store import ResultStore
@@ -209,7 +201,10 @@ def _make_runner(args: argparse.Namespace) -> Runner:
             retries=getattr(args, "retries", 0) or 0,
             timeout_s=getattr(args, "timeout", None),
         ),
-        journal=BatchJournal(journal, resume=resume) if journal else None,
+        journal=(
+            JobLog(Path(cache_dir) / "jobs.jsonl", resume=True)
+            if resume else None
+        ),
         fault_plan=plan_from_env(),
     )
 
@@ -402,9 +397,8 @@ def _print_runner_manifest(runner: Runner, args: argparse.Namespace) -> None:
     print(f"[manifest: {path}]")
     journal = getattr(runner, "journal", None)
     if journal is not None:
-        journal.record_event("batch-end")
         journal.close()
-        print(f"[journal: {journal.path}]")
+        print(f"[job log: {journal.path}]")
 
 
 def _print_resilience_summary(runner: Runner) -> None:
@@ -427,7 +421,7 @@ def _batch_failure(runner: Runner, exc: JobFailureError) -> int:
     if journal is not None:
         journal.close()
         print(
-            f"[journal: {journal.path}] completed work is safe; "
+            f"[job log: {journal.path}] completed work is safe; "
             "rerun with --resume to continue from it",
             file=sys.stderr,
         )

@@ -18,18 +18,20 @@ campaign actually meets:
   attribute is true, e.g. :class:`repro.faults.InjectedFault`) are
   retried up to ``RetryPolicy.retries`` times; every attempt leaves a
   :class:`~repro.common.errors.JobFailure` record in the stats and the
-  journal.  Backoff is derived from the job's content identity, not a
+  job log.  Backoff is derived from the job's content identity, not a
   wall-clock RNG, so reruns pause identically.
 * **Broken-pool recovery** — a worker that dies (OOM-kill, segfault,
   injected ``os._exit``) breaks the whole ``ProcessPoolExecutor``; the
   executor rebuilds the pool and resubmits unfinished work, and after
   ``max_pool_rebuilds`` rebuilds degrades gracefully to serial
   in-process execution so a pathological environment still completes.
-* **Crash-safe batch journal** — an append-only JSONL file records
-  every job outcome (fsynced line by line), written *after* the result
-  is durably in the ResultStore.  An interrupted sweep rerun with the
-  same journal resumes from completed work: journaled-complete jobs
-  are served from the cache with zero re-simulation.
+* **One crash-safe job log** — :class:`JobLog`, an append-only,
+  fsynced JSONL file whose records are the job state machine for both
+  a local ``--resume`` batch and the campaign service.  A completion is
+  written only *after* the result is durably in the ResultStore, and
+  every view a restart needs (pending queue, requeue counts, campaigns,
+  orphaned leases, terminal failures, completions) is one
+  :func:`replay` of it.
 
 Determinism: recovery never changes results.  A retried or resumed job
 re-runs the same deterministic simulation and the caller collects
@@ -43,11 +45,13 @@ from __future__ import annotations
 import json
 import logging
 import os
+import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -64,8 +68,8 @@ from repro.telemetry.manifest import config_hash, run_id
 
 log = logging.getLogger("repro.experiments.resilience")
 
-#: Journal document schema version (bump on incompatible line changes).
-JOURNAL_SCHEMA = 1
+#: Job log schema version (bump on an incompatible record change).
+JOB_LOG_SCHEMA = 1
 
 
 @dataclass(frozen=True)
@@ -111,19 +115,14 @@ class ResilienceStats:
     injected_faults: int = 0
     pool_rebuilds: int = 0
     serial_fallbacks: int = 0
-    #: Jobs served from the journal + cache on a resumed batch.
+    #: Jobs served from the log + store on a resumed batch.
     resumed_jobs: int = 0
     failures: list[JobFailure] = field(default_factory=list)
 
     def counters(self) -> dict:
         return {
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "worker_crashes": self.worker_crashes,
-            "injected_faults": self.injected_faults,
-            "pool_rebuilds": self.pool_rebuilds,
-            "serial_fallbacks": self.serial_fallbacks,
-            "resumed_jobs": self.resumed_jobs,
+            f.name: getattr(self, f.name)
+            for f in fields(self) if f.name != "failures"
         }
 
     @property
@@ -138,99 +137,169 @@ class ResilienceStats:
         }
 
 
-class BatchJournal:
-    """Append-only, crash-safe JSONL record of batch job outcomes.
+#: Every view :func:`replay` derives from a job log.
+VIEWS = (
+    "submitted", "pending", "requeues", "campaigns", "open_grants",
+    "terminal", "done",
+)
 
-    One line per event; ``complete`` lines are written only after the
-    job's result is durable in the persistent cache, and every line is
-    flushed and fsynced before the write returns, so the journal never
-    claims more than the cache holds.  Loading tolerates a torn final
-    line (the write the crash interrupted).
 
-    ``resume=True`` loads completed job ids from an existing file and
-    appends; otherwise an existing journal is truncated (a fresh
-    batch).
+def replay(records, view: dict | None = None) -> dict[str, dict]:
+    """Fold job-log records, in order, into every view a restart needs.
+
+    Each view is a dict keyed by job key: ``submitted`` (the job spec
+    of its first ``enqueue``, in submission order), ``pending`` (the
+    submitted jobs neither done nor terminally failed, in order),
+    ``requeues`` (requeues since the last ``enqueue``), ``open_grants``
+    (each ``grant`` no release or reclaim has closed), ``terminal``
+    (the detail of a terminal failure not since resubmitted) and
+    ``done`` (the number of completion records); ``campaigns`` is keyed
+    by campaign id.  Passing ``view`` folds the records into it.
+    """
+    if view is None:
+        view = {name: {} for name in VIEWS}
+    for record in records:
+        event, key = record.get("event"), record.get("key")
+        if event == "campaign":
+            view["campaigns"].setdefault(
+                record["campaign"],
+                {k: record.get(k) for k in ("experiment", "mixes", "keys")},
+            )
+        elif not isinstance(key, str):
+            continue
+        elif event == "enqueue":
+            view["submitted"].setdefault(key, record.get("job"))
+            view["requeues"].pop(key, None)
+            view["terminal"].pop(key, None)
+            if key not in view["done"]:
+                view["pending"].setdefault(key)
+        elif event == "grant":
+            view["open_grants"][key] = record
+        elif event == "requeue":
+            view["requeues"][key] = int(record["requeues"])
+        elif event in ("release", "reclaim"):
+            view["open_grants"].pop(key, None)
+            outcome = record.get("outcome")
+            if outcome == "done":
+                view["done"][key] = view["done"].get(key, 0) + 1
+            elif outcome == "failed":
+                view["terminal"][key] = str(record.get("detail", ""))
+            if outcome in ("done", "failed"):
+                view["pending"].pop(key, None)
+    return view
+
+
+def parse_records(data: bytes) -> list[dict]:
+    """Every whole record of a job log's bytes, in order.
+
+    A record is whole once its newline is written.  Anything after the
+    last newline, or a line that does not parse, is the torn write a
+    crash interrupted; the event it described never durably happened,
+    so it is skipped.
+    """
+    records = []
+    for line in data[: data.rfind(b"\n") + 1].splitlines():
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(record, dict):
+            records.append(record)
+    return records
+
+
+class JobLog:
+    """The one append-only, crash-safe JSONL record of job lifecycles.
+
+    Its records are the state machine of a local ``--resume`` batch and
+    of the campaign service alike (the record table is in
+    ``docs/robustness.md``); job records carry both ``key`` (store key)
+    and ``run`` (run id).  :attr:`view` is :func:`replay` of everything
+    written so far, kept current in memory by :meth:`append`.
+
+    :meth:`append` is one write and one fsync, however many records it
+    is given; records appended inside :meth:`group` share one.  A job's
+    completion (``release``/``done``) is appended only after its result
+    is durable in the store, and only once.
+
+    ``resume=True`` replays an existing file, cuts off a torn final
+    line so the next record starts on a line of its own, and appends;
+    otherwise the file is truncated for a fresh start.
     """
 
     def __init__(self, path: str | os.PathLike, resume: bool = False) -> None:
         self.path = Path(path).expanduser()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._completed: dict[str, dict] = {}
-        self.replayed_failures = 0
-        mode = "a" if resume and self.path.exists() else "w"
-        if mode == "a":
-            self._load()
-        self._handle = open(self.path, mode)
-        if mode == "w":
-            self._write_line(
-                {"event": "batch-start", "schema": JOURNAL_SCHEMA}
-            )
+        self._lock = threading.RLock()
+        self._buffer: list[str] | None = None
+        self._handle = open(self.path, "ab")
+        data = self.path.read_bytes() if resume else b""
+        data = data[: data.rfind(b"\n") + 1]
+        self._handle.truncate(len(data))
+        self.view = replay(parse_records(data))
+        if not data:
+            self.append({"event": "log-start", "schema": JOB_LOG_SCHEMA})
 
-    # ------------------------------------------------------------------
+    def append(self, *records: dict) -> None:
+        """Durably append ``records``: one write, one fsync.
 
-    def _load(self) -> None:
-        with open(self.path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
+        A second completion for a key is dropped: executor, supervisor
+        and resume may each see a result land, the first one writes.
+        """
+        with self._lock:
+            kept = []
+            for record in records:
+                if record.get("outcome") == "done" and (
+                    record["key"] in self.view["done"]
+                ):
                     continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    # A torn final line from the interrupted run; the
-                    # event it described never durably happened.
-                    continue
-                if record.get("event") == "complete":
-                    self._completed[record["job"]] = record
-                elif record.get("event") == "failure":
-                    self.replayed_failures += 1
+                replay([record], self.view)
+                kept.append(record)
+            text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in kept)
+            if not text:
+                return
+            if self._buffer is not None:
+                self._buffer.append(text)
+            else:
+                self._write(text)
 
-    def _write_line(self, record: dict) -> None:
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+    def _write(self, text: str) -> None:
+        self._handle.write(text.encode())
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
-    # ------------------------------------------------------------------
+    @contextmanager
+    def group(self):
+        """Group-commit every :meth:`append` inside the block."""
+        with self._lock:
+            if self._buffer is not None:  # nested: the outer group commits
+                yield
+                return
+            self._buffer = []
+            try:
+                yield
+            finally:
+                text, self._buffer = "".join(self._buffer), None
+                if text:
+                    self._write(text)
 
-    def completed(self, job_id: str) -> bool:
-        return job_id in self._completed
+    def records(self) -> list[dict]:
+        """Every durable record, in order (parsed from disk)."""
+        return parse_records(self.path.read_bytes())
 
-    @property
-    def completed_jobs(self) -> dict[str, dict]:
-        return dict(self._completed)
+    def completions(self) -> dict[str, int]:
+        """``key -> completion records`` over the whole durable log.
 
-    def record_complete(
-        self, job_id: str, attempts: int, source: str, wall_s: float
-    ) -> None:
-        record = {
-            "event": "complete",
-            "job": job_id,
-            "attempts": attempts,
-            "source": source,
-            "wall_s": round(wall_s, 6),
-        }
-        self._write_line(record)
-        self._completed[job_id] = record
-
-    def record_failure(self, failure: JobFailure) -> None:
-        self._write_line(
-            {
-                "event": "failure",
-                "job": failure.job_id,
-                "attempt": failure.attempt,
-                "kind": failure.kind,
-                "detail": failure.detail,
-            }
-        )
-
-    def record_event(self, event: str, **fields) -> None:
-        self._write_line({"event": event, **fields})
+        For a correctly recovered deployment every executed job maps to
+        exactly ``1`` -- the chaos harness's exactly-once assertion.
+        """
+        return replay(self.records())["done"]
 
     def close(self) -> None:
         if not self._handle.closed:
             self._handle.close()
 
-    def __enter__(self) -> "BatchJournal":
+    def __enter__(self) -> "JobLog":
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -267,13 +336,18 @@ def _attempt_in_worker(
 class _JobState:
     """Bookkeeping for one deduplicated job inside ``execute_jobs``."""
 
-    __slots__ = ("index", "config", "apps", "job_id", "cfg_hash", "attempts")
+    __slots__ = (
+        "index", "config", "apps", "job_id", "key", "cfg_hash", "attempts",
+    )
 
-    def __init__(self, index: int, config: Any, apps: tuple[str, ...]) -> None:
+    def __init__(
+        self, index: int, config: Any, apps: tuple[str, ...], key: str | None
+    ) -> None:
         self.index = index
         self.config = config
         self.apps = apps
         self.job_id = run_id(config, apps)
+        self.key = key if key is not None else self.job_id
         self.cfg_hash = config_hash(config)
         self.attempts = 0  # failed attempts so far
 
@@ -283,46 +357,57 @@ def execute_jobs(
     simulate: Callable,
     parallelism: int = 1,
     policy: RetryPolicy | None = None,
-    journal: BatchJournal | None = None,
+    journal: JobLog | None = None,
     stats: ResilienceStats | None = None,
     fault_plan: FaultPlan | None = None,
     on_complete: Callable[[int, Any, float], None] | None = None,
+    keys: Sequence[str] | None = None,
 ) -> list:
     """Run ``jobs`` (a deduplicated ``(config, apps)`` list) to completion.
 
     Returns results in job order.  ``on_complete(index, result, wall_s)``
-    fires as soon as a job's result exists — *before* its journal line —
-    with the wall time its successful attempt took, so callers persist
-    results (the store) ahead of the completion record; a crash between
-    the two re-simulates one job instead of trusting a journal entry
-    with no backing data.
+    fires as soon as a job's result exists — *before* its completion
+    record in ``journal`` — with the wall time its successful attempt
+    took, so callers persist results (the store) ahead of the record; a
+    crash between the two re-simulates one job instead of trusting a
+    log entry with no backing data.  ``keys`` are the jobs' store keys,
+    which their log records carry (default: the run ids).
 
     Raises :class:`~repro.common.errors.SimulationTimeout`,
     :class:`~repro.common.errors.WorkerCrashed`, or
     :class:`~repro.common.errors.BatchAborted` (all carrying the
     failing job's identity and the per-attempt failure records) when a
     job cannot be recovered within the policy.  ``KeyboardInterrupt``
-    cancels pending work, journals the interruption, and propagates —
-    the journal plus cache make the batch resumable.
+    cancels pending work, logs the interruption, and propagates — the
+    log plus the store make the batch resumable.
     """
     policy = policy if policy is not None else RetryPolicy()
     stats = stats if stats is not None else ResilienceStats()
-    states = [_JobState(i, config, tuple(apps)) for i, (config, apps) in enumerate(jobs)]
+    states = [
+        _JobState(i, config, tuple(apps), keys[i] if keys else None)
+        for i, (config, apps) in enumerate(jobs)
+    ]
     results: list = [None] * len(states)
     pending: set[int] = set(range(len(states)))
 
     # ------------------------------------------------------------------
     # shared outcome handling
 
+    def note(event: str, state: _JobState | None = None, **fields) -> None:
+        if journal is not None:
+            if state is not None:
+                fields.update(key=state.key, run=state.job_id)
+            journal.append({"event": event, **fields})
+
     def finish(state: _JobState, result: Any, source: str, wall_s: float) -> None:
         results[state.index] = result
         pending.discard(state.index)
         if on_complete is not None:
             on_complete(state.index, result, wall_s)
-        if journal is not None:
-            journal.record_complete(
-                state.job_id, state.attempts + 1, source, wall_s
-            )
+        note(
+            "release", state, outcome="done", attempts=state.attempts + 1,
+            source=source, wall_s=round(wall_s, 6),
+        )
 
     def fail(state: _JobState, kind: str, detail: str, cause: BaseException | None,
              retryable: bool) -> bool:
@@ -343,8 +428,9 @@ def execute_jobs(
             stats.worker_crashes += 1
         elif kind == "injected":
             stats.injected_faults += 1
-        if journal is not None:
-            journal.record_failure(failure)
+        note(
+            "failure", state, attempt=failure.attempt, kind=kind, detail=detail
+        )
         log.warning(
             "job %s (apps=%s) attempt %d failed: %s: %s",
             state.job_id[:16], ",".join(state.apps), state.attempts, kind, detail,
@@ -355,8 +441,7 @@ def execute_jobs(
             if delay > 0:
                 time.sleep(delay)
             return True
-        if journal is not None:
-            journal.record_event("abort", job=state.job_id, kind=kind)
+        note("abort", state, kind=kind)
         error_cls = {
             "timeout": SimulationTimeout,
             "crash": WorkerCrashed,
@@ -406,8 +491,7 @@ def execute_jobs(
                 result = simulate(state.config, state.apps)
                 finish(state, result, "serial", time.perf_counter() - start)
             except KeyboardInterrupt:
-                if journal is not None:
-                    journal.record_event("interrupted", job=state.job_id)
+                note("interrupted", state)
                 raise
             except Exception as exc:
                 kind, retryable = classify(exc)
@@ -511,8 +595,7 @@ def execute_jobs(
                     # the futures that already surfaced it).
                     rebuilds += 1
                     stats.pool_rebuilds += 1
-                    if journal is not None:
-                        journal.record_event("pool-rebuild", reason="broken")
+                    note("pool-rebuild", reason="broken")
                     return
                 now = time.monotonic()
                 expired = [
@@ -537,16 +620,14 @@ def execute_jobs(
                     # without consuming an attempt).
                     rebuilds += 1
                     stats.pool_rebuilds += 1
-                    if journal is not None:
-                        journal.record_event("pool-rebuild", reason="timeout")
+                    note("pool-rebuild", reason="timeout")
                     kill_pool(pool)
                     killed = True
                     return
         except KeyboardInterrupt:
             for future in inflight:
                 future.cancel()
-            if journal is not None:
-                journal.record_event("interrupted")
+            note("interrupted")
             kill_pool(pool)
             killed = True
             raise
@@ -566,10 +647,7 @@ def execute_jobs(
         while pending:
             if rebuilds > policy.max_pool_rebuilds:
                 stats.serial_fallbacks += 1
-                if journal is not None:
-                    journal.record_event(
-                        "serial-fallback", remaining=len(pending)
-                    )
+                note("serial-fallback", remaining=len(pending))
                 log.warning(
                     "process pool broke %d times; finishing %d job(s) serially",
                     rebuilds, len(pending),

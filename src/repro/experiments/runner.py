@@ -33,7 +33,7 @@ from repro.dram.system import MemorySystem
 from repro.engine import core_class
 from repro.experiments.config import SystemConfig
 from repro.experiments.resilience import (
-    BatchJournal,
+    JobLog,
     ResilienceStats,
     RetryPolicy,
     execute_jobs,
@@ -308,7 +308,7 @@ def load_or_simulate(
     collect_metrics: bool = False,
     sanitize: bool = False,
     policy: RetryPolicy | None = None,
-    journal: BatchJournal | None = None,
+    journal: JobLog | None = None,
     stats: ResilienceStats | None = None,
     fault_plan: FaultPlan | None = None,
 ) -> list[tuple[MixResult, str, float]]:
@@ -321,9 +321,9 @@ def load_or_simulate(
     Misses run through that executor (``parallelism`` > 1 fans them
     across a process pool; ``policy``, ``journal``, ``stats`` and
     ``fault_plan`` are documented there), and each fresh result is put
-    in ``store`` as it completes, before its journal line, so an
+    in ``store`` as it completes, before its completion record, so an
     interruption at any point loses at most in-flight work.  A store
-    hit for a job the journal records complete counts as resumed in
+    hit for a job the log records complete counts as resumed in
     ``stats``.
     """
     served: list = [None] * len(jobs)
@@ -335,7 +335,7 @@ def load_or_simulate(
             continue
         served[i] = (result, "disk-cache", 0.0)
         if journal is not None and stats is not None:
-            if journal.completed(run_id(config, apps)):
+            if store.key_for(config, apps) in journal.view["done"]:
                 stats.resumed_jobs += 1
     if misses:
 
@@ -356,6 +356,10 @@ def load_or_simulate(
             stats=stats,
             fault_plan=fault_plan,
             on_complete=persist,
+            keys=(
+                [store.key_for(*jobs[i]) for i in misses]
+                if store is not None else None
+            ),
         )
     return served
 
@@ -385,7 +389,7 @@ class Runner:
     Fault tolerance: ``retry_policy`` (see
     :class:`~repro.experiments.resilience.RetryPolicy`) adds per-job
     timeouts, retries and pool rebuilds; ``journal`` (a
-    :class:`~repro.experiments.resilience.BatchJournal`) records every
+    :class:`~repro.experiments.resilience.JobLog`) records every
     outcome crash-safely so an interrupted campaign resumes from
     completed work; ``fault_plan`` injects deterministic chaos.  A
     simulation that cannot be recovered raises
@@ -403,7 +407,7 @@ class Runner:
         collect_metrics: bool = False,
         sanitize: bool = False,
         retry_policy: RetryPolicy | None = None,
-        journal: BatchJournal | None = None,
+        journal: JobLog | None = None,
         fault_plan: FaultPlan | None = None,
     ) -> None:
         if jobs < 1:
@@ -425,7 +429,7 @@ class Runner:
         self.sanitize = sanitize or sanitize_requested()
         #: Fault-tolerance policy for fresh simulations (None = default).
         self.retry_policy = retry_policy
-        #: Crash-safe batch journal (resume support).
+        #: Crash-safe job log (resume support).
         self.journal = journal
         #: Deterministic fault injection (chaos testing only).
         self.fault_plan = fault_plan

@@ -12,8 +12,8 @@ fork) the existing execution stack:
   accepts jobs and whole figure campaigns (each expanded to exactly
   the job plan its experiment's driver runs), dedupes them by cache
   key with exactly-once semantics, and executes misses through the
-  fault-tolerant batch executor with a crash-safe persisted queue
-  (``--resume`` finishes interrupted campaigns).
+  fault-tolerant batch executor, keeping every job's lifecycle in one
+  crash-safe job log (``--resume`` finishes interrupted campaigns).
 * :mod:`~repro.service.api` -- a stdlib-only threaded HTTP API:
   ``POST /jobs`` answers stored results on a microsecond warm path (an
   in-memory LRU; a hit never spawns a simulation) and enqueues genuine

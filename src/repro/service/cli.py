@@ -82,8 +82,8 @@ def add_service_parsers(sub: argparse._SubParsersAction) -> None:
     )
     p.add_argument(
         "--resume", action="store_true",
-        help="reload the persisted queue/campaigns and finish "
-        "interrupted work instead of starting a fresh deployment",
+        help="replay the job log and finish interrupted work instead "
+        "of starting a fresh deployment",
     )
     p.add_argument(
         "--retries", type=int, default=1, metavar="N",

@@ -11,26 +11,27 @@ Design:
   content-addressed key and serialized under one lock: a key already
   present in the store answers ``done`` without touching the queue; a
   key already queued or running answers with the existing ticket; only
-  a genuinely new key appends a queue record.  N concurrent cache
-  misses for the same key therefore enqueue one job, and its journal
-  carries exactly one ``complete`` line.
-* **Deterministic, persisted queue.**  Every enqueue appends an
-  fsynced JSONL record (the full job spec, so the queue is
-  self-contained) to ``service/queue.jsonl``; the worker drains in
-  submission order.  On ``resume=True`` the queue is reloaded, jobs
-  whose key is already in the store are registered as done, and the
-  rest re-queue in their original order — the scheduler process can be
-  killed at any instant and restarted without losing or duplicating
-  work.
+  a genuinely new key appends an ``enqueue`` record.  N concurrent
+  cache misses for the same key therefore enqueue one job, and the log
+  carries exactly one completion for it.
+* **One persisted job log.**  Every enqueue (with the full job spec,
+  so the log is self-contained), campaign, lease grant, requeue,
+  completion and shutdown is a record in the fsynced, append-only
+  ``service/jobs.jsonl`` (a
+  :class:`~repro.experiments.resilience.JobLog`); the worker drains in
+  submission order.  On ``resume=True`` the log is replayed: jobs
+  whose key is already in the store are registered as done, terminal
+  failures stay failed, and the rest re-queue in their original order
+  — the scheduler process can be killed at any instant and restarted
+  without losing or duplicating work.
 * **The worker contract is the resilience layer.**  Batches execute
   through :func:`~repro.experiments.runner.load_or_simulate`, the
   function a local :class:`~repro.experiments.runner.Runner` hands its
   misses to, with the store, a
-  :class:`~repro.experiments.resilience.RetryPolicy` and a crash-safe
-  :class:`~repro.experiments.resilience.BatchJournal` — timeouts,
-  bounded retries, pool rebuilds, and journal-backed resume all come
-  for free, and results are bit-identical to a local run of the same
-  job list because they *are* the same code path.
+  :class:`~repro.experiments.resilience.RetryPolicy` and the job log —
+  timeouts, bounded retries, pool rebuilds, and log-backed resume all
+  come for free, and results are bit-identical to a local run of the
+  same job list because they *are* the same code path.
 * **Leases supervise the workers** (see
   :mod:`repro.service.supervision`).  Every job entering a batch is
   granted a persisted lease; landing in the store is the heartbeat; a
@@ -44,9 +45,7 @@ Design:
 
 from __future__ import annotations
 
-import json
 import logging
-import os
 import threading
 import time
 from collections import deque
@@ -55,7 +54,7 @@ from typing import Sequence
 from repro.common.errors import JobFailureError
 from repro.experiments.config import SystemConfig
 from repro.experiments.resilience import (
-    BatchJournal,
+    JobLog,
     ResilienceStats,
     RetryPolicy,
 )
@@ -74,9 +73,6 @@ from repro.service.supervision import (
 from repro.telemetry.manifest import RunManifest, RunRecord
 
 log = logging.getLogger("repro.service.scheduler")
-
-#: Queue document schema version.
-QUEUE_SCHEMA = 1
 
 #: Job lifecycle states reported by the scheduler and the API.
 JOB_STATES = ("queued", "running", "done", "failed")
@@ -99,9 +95,15 @@ class _Job:
         self.wall_s = 0.0
         #: Times this job was reclaimed and put back on the queue.
         self.requeues = 0
-        #: A terminal failure (budget exhausted) survives --resume; a
+        #: A terminal failure (budget exhausted) is a log record and
+        #: survives --resume, however the process ended; a
         #: circumstantial one (scheduler crash) re-runs instead.
         self.terminal = False
+
+    def record(self, event: str, **fields) -> dict:
+        """A job-log record about this job."""
+        return {"event": event, "key": self.key, "run": self.spec.run_id,
+                **fields}
 
     def status(self) -> dict:
         doc = {
@@ -132,9 +134,9 @@ class CampaignScheduler:
     policy:
         Fault-tolerance policy for the workers (default: fail fast).
     resume:
-        Reload ``service/queue.jsonl`` + ``campaigns.json`` +
-        ``leases.jsonl`` and continue an interrupted deployment
-        instead of starting fresh (orphaned leases are reclaimed).
+        Replay ``service/jobs.jsonl`` and continue an interrupted
+        deployment instead of starting fresh (orphaned leases are
+        reclaimed).
     lease_s:
         Heartbeat budget per lease: a batch must land *some* result
         this often or the supervisor declares it wedged.  Must exceed
@@ -172,25 +174,17 @@ class CampaignScheduler:
         self.lease_s = lease_s
         self.max_requeues = max_requeues
         self.fault_plan = fault_plan
-        self.service_dir = store.cache_dir / "service"
-        self.service_dir.mkdir(parents=True, exist_ok=True)
-        self.queue_path = self.service_dir / "queue.jsonl"
-        self.campaigns_path = self.service_dir / "campaigns.json"
-        self.journal = BatchJournal(
-            self.service_dir / "journal.jsonl", resume=resume
+        self.joblog = JobLog(
+            store.cache_dir / "service" / "jobs.jsonl", resume=resume
         )
         self.stats = ResilienceStats()
         self.sup_stats = SupervisionStats()
         self.leases = LeaseLog(
-            self.service_dir / "leases.jsonl",
-            resume=resume,
-            stats=self.sup_stats,
-            has_result=self.store.has,
+            self.joblog, stats=self.sup_stats, has_result=self.store.has
         )
         self._cond = threading.Condition(threading.RLock())
         self._jobs: dict[str, _Job] = {}
         self._queue: deque[str] = deque()
-        self._campaigns: dict[str, dict] = {}
         self._records: dict[str, RunRecord] = {}
         self._thread: threading.Thread | None = None
         self._stop = False
@@ -208,107 +202,35 @@ class CampaignScheduler:
         #: Completed-batch counter (diagnostics / tests).
         self.batches = 0
         if resume:
-            self._load()
-        else:
-            # A fresh deployment truncates the previous queue/campaigns
-            # (mirroring BatchJournal's fresh-start semantics).
-            self._queue_handle = open(self.queue_path, "w")
-            self._write_queue_line({"event": "queue-start", "schema": QUEUE_SCHEMA})
-            self._save_campaigns()
+            self._resume()
 
-    # ------------------------------------------------------------------
-    # persistence
-
-    def _write_queue_line(self, record: dict) -> None:
-        self._queue_handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._queue_handle.flush()
-        os.fsync(self._queue_handle.fileno())
-
-    def _load(self) -> None:
-        enqueued: list[tuple[str, JobSpec]] = []
-        requeues: dict[str, int] = {}
-        shutdown: dict | None = None
-        if self.queue_path.exists():
-            with open(self.queue_path) as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                        event = record.get("event")
-                        if event == "requeue":
-                            requeues[record["key"]] = int(
-                                record.get("requeues", 0)
-                            )
-                            continue
-                        if event == "shutdown":
-                            # Keep the last one; an unclean stop may be
-                            # followed by another stop's record.
-                            shutdown = record
-                            continue
-                        if event != "enqueue":
-                            continue
-                        spec = JobSpec.from_dict(record["job"])
-                    except (KeyError, ValueError):
-                        # A torn final line from the interrupted run.
-                        continue
-                    enqueued.append((record["key"], spec))
-        self._queue_handle = open(self.queue_path, "a")
-        if self.queue_path.exists():
-            # A kill -9 can leave the final line unterminated; appending
-            # straight onto it would corrupt the next record too.
-            tail = self.queue_path.read_bytes()[-1:]
-            if tail not in (b"", b"\n"):
-                self._queue_handle.write("\n")
-                self._queue_handle.flush()
-        failed_at_shutdown: dict[str, str] = {}
-        if shutdown is not None:
-            raw = shutdown.get("failed", {})
-            if isinstance(raw, dict):
-                failed_at_shutdown = {
-                    k: str(v) for k, v in raw.items() if isinstance(k, str)
-                }
-        for key, spec in enqueued:
-            if key in self._jobs:
+    def _resume(self) -> None:
+        """Rebuild the jobs and the queue from the replayed log."""
+        view = self.joblog.view
+        for key, doc in view["submitted"].items():
+            try:
+                spec = JobSpec.from_dict(doc)
+            except (KeyError, TypeError, ValueError):
                 continue
             job = _Job(spec, key)
-            job.requeues = requeues.get(key, 0)
+            job.requeues = view["requeues"].get(key, 0)
             self._jobs[key] = job
             if self.store.has(key):
                 self._finish(job, "store")
-            elif key in failed_at_shutdown:
+            elif key in view["terminal"]:
                 # The previous deployment already burned this job's
                 # requeue budget; don't silently re-run it.
                 job.state = "failed"
-                job.detail = failed_at_shutdown[key]
+                job.detail = view["terminal"][key]
                 job.terminal = True
             else:
                 self._queue.append(key)
-        try:
-            with open(self.campaigns_path) as handle:
-                doc = json.load(handle)
-            self._campaigns = doc.get("campaigns", {})
-        except (FileNotFoundError, ValueError):
-            self._campaigns = {}
         if self._queue:
             log.info(
                 "resumed queue: %d job(s) pending, %d already complete",
                 len(self._queue),
                 sum(1 for j in self._jobs.values() if j.state == "done"),
             )
-
-    def _save_campaigns(self) -> None:
-        doc = {"schema": QUEUE_SCHEMA, "campaigns": self._campaigns}
-        tmp = self.campaigns_path.with_name(
-            f"{self.campaigns_path.name}.{os.getpid()}.tmp"
-        )
-        with open(tmp, "w") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.campaigns_path)
 
     # ------------------------------------------------------------------
     # submission (exactly-once)
@@ -352,14 +274,7 @@ class CampaignScheduler:
             job.detail = ""
             job.terminal = False
             job.requeues = 0
-            self._write_queue_line(
-                {
-                    "event": "enqueue",
-                    "key": key,
-                    "run": spec.run_id,
-                    "job": spec.to_dict(),
-                }
-            )
+            self.joblog.append(job.record("enqueue", job=spec.to_dict()))
             self._queue.append(key)
             self._cond.notify_all()
             return job.status()
@@ -370,18 +285,24 @@ class CampaignScheduler:
         config: SystemConfig | None = None,
         mixes: Sequence[str] | None = None,
     ) -> dict:
-        """Expand a figure/ablation into jobs and submit them all."""
+        """Expand a figure/ablation into jobs and submit them all.
+
+        The campaign record and its enqueues are one group commit.
+        """
         jobs = campaign_jobs(experiment, config, mixes)
         cid = campaign_id(experiment, jobs)
         keys = [self.store.key_for(c, a) for c, a in jobs]
-        with self._cond:
-            if cid not in self._campaigns:
-                self._campaigns[cid] = {
-                    "experiment": experiment,
-                    "mixes": list(mixes) if mixes else None,
-                    "keys": keys,
-                }
-                self._save_campaigns()
+        with self._cond, self.joblog.group():
+            if cid not in self.joblog.view["campaigns"]:
+                self.joblog.append(
+                    {
+                        "event": "campaign",
+                        "campaign": cid,
+                        "experiment": experiment,
+                        "mixes": list(mixes) if mixes else None,
+                        "keys": keys,
+                    }
+                )
             for job_config, apps in jobs:
                 self.submit_job(job_config, apps)
         return self.campaign_status(cid)
@@ -400,7 +321,7 @@ class CampaignScheduler:
 
     def campaign_status(self, cid: str) -> dict | None:
         with self._cond:
-            campaign = self._campaigns.get(cid)
+            campaign = self.joblog.view["campaigns"].get(cid)
             if campaign is None:
                 return None
             states = {}
@@ -422,10 +343,6 @@ class CampaignScheduler:
             "complete": counts["done"] == len(campaign["keys"]),
             "states": states,
         }
-
-    def campaigns(self) -> dict[str, dict]:
-        with self._cond:
-            return {cid: dict(c) for cid, c in self._campaigns.items()}
 
     def record_for(self, rid: str) -> RunRecord | None:
         with self._cond:
@@ -464,10 +381,20 @@ class CampaignScheduler:
         job.detail = why
         self.leases.release(job.key, "requeued")
         self.sup_stats.requeues += 1
-        self._write_queue_line(
-            {"event": "requeue", "key": job.key, "requeues": job.requeues}
-        )
+        self.joblog.append(job.record("requeue", requeues=job.requeues))
         self._queue.append(job.key)
+
+    def _fail(self, job: _Job, detail: str) -> None:
+        """Fail a job terminally (caller holds lock); the record is what
+        keeps it failed across --resume."""
+        job.state = "failed"
+        job.detail = detail
+        job.terminal = True
+        if not self.leases.release(job.key, "failed", detail=detail):
+            # The supervisor already reclaimed the lease.
+            self.joblog.append(
+                job.record("release", outcome="failed", detail=detail)
+            )
 
     def _run_batch(self, keys: list[str]) -> None:
         jobs = [
@@ -480,14 +407,14 @@ class CampaignScheduler:
                 self.store,
                 parallelism=self.workers,
                 policy=self.policy,
-                journal=self.journal,
+                journal=self.joblog,
                 stats=self.stats,
                 fault_plan=self.fault_plan,
             )
         except JobFailureError as exc:
             detail = str(exc)
             requeued = 0
-            with self._cond:
+            with self._cond, self.joblog.group():
                 for key in keys:
                     job = self._jobs[key]
                     if self.store.has(key):
@@ -497,10 +424,7 @@ class CampaignScheduler:
                         self._requeue(job, detail)
                         requeued += 1
                     else:
-                        job.state = "failed"
-                        job.detail = detail
-                        job.terminal = True
-                        self.leases.release(key, "failed")
+                        self._fail(job, detail)
                 if requeued:
                     self._cond.notify_all()
             log.warning(
@@ -508,7 +432,7 @@ class CampaignScheduler:
                 len(keys), requeued, detail,
             )
             return
-        with self._cond:
+        with self._cond, self.joblog.group():
             for key, (_, _, wall_s) in zip(keys, served):
                 job = self._jobs[key]
                 if job.state != "done":
@@ -540,16 +464,17 @@ class CampaignScheduler:
                 keys = list(dict.fromkeys(self._queue))
                 self._queue.clear()
                 holder = f"batch-{self.batches + 1}"
-                for key in keys:
-                    job = self._jobs[key]
-                    job.state = "running"
-                    self.leases.grant(
-                        key,
-                        job.spec.run_id,
-                        holder,
-                        attempt=job.requeues,
-                        lease_s=self.lease_s,
-                    )
+                with self.joblog.group():
+                    for key in keys:
+                        job = self._jobs[key]
+                        job.state = "running"
+                        self.leases.grant(
+                            key,
+                            job.spec.run_id,
+                            holder,
+                            attempt=job.requeues,
+                            lease_s=self.lease_s,
+                        )
             self._run_batch(keys)
             with self._cond:
                 self.batches += 1
@@ -574,37 +499,22 @@ class CampaignScheduler:
                     "killed %d wedged worker process(es) after lease expiry",
                     killed,
                 )
-        with self._cond:
+        with self._cond, self.joblog.group():
             for lease in leases:
                 job = self._jobs.get(lease.key)
                 if job is None or job.state != "running":
                     continue
                 if self.store.has(lease.key):
                     self._finish(job, "service")
-                elif self._crashed or job.requeues >= self.max_requeues:
+                elif self._crashed:
                     job.state = "failed"
-                    if self._crashed:
-                        job.detail = "scheduler crashed with the job in flight"
-                    else:
-                        job.detail = (
-                            f"lease expired after {job.requeues} requeue(s)"
-                        )
-                        job.terminal = True
-                else:
-                    # Lease already reclaimed by the supervisor, so only
-                    # the queue bookkeeping is left to do here.
-                    job.requeues += 1
-                    job.state = "queued"
-                    job.detail = "lease expired; requeued"
-                    self.sup_stats.requeues += 1
-                    self._write_queue_line(
-                        {
-                            "event": "requeue",
-                            "key": job.key,
-                            "requeues": job.requeues,
-                        }
+                    job.detail = "scheduler crashed with the job in flight"
+                elif job.requeues >= self.max_requeues:
+                    self._fail(
+                        job, f"lease expired after {job.requeues} requeue(s)"
                     )
-                    self._queue.append(job.key)
+                else:
+                    self._requeue(job, "lease expired; requeued")
             self._cond.notify_all()
 
     @property
@@ -647,45 +557,34 @@ class CampaignScheduler:
                 self._thread = None
         self.supervisor.stop()
         with self._cond:
-            # The shutdown record tells the next --resume exactly which
-            # work finished (or terminally failed), so a stop() that
-            # timed out with jobs marked in-flight doesn't cause them
-            # to re-run if their results actually landed.
-            done = sorted(
-                j.key for j in self._jobs.values() if j.state == "done"
-            )
+            # The shutdown record names the work that finished (or
+            # terminally failed); its releases and it are one commit.
+            jobs = sorted(self._jobs.values(), key=lambda j: j.key)
+            done = [j.key for j in jobs if j.state == "done"]
             failed = {
-                j.key: j.detail
-                for j in sorted(
-                    (
-                        j for j in self._jobs.values()
-                        if j.state == "failed" and j.terminal
-                    ),
-                    key=lambda j: j.key,
-                )
+                j.key: j.detail for j in jobs
+                if j.state == "failed" and j.terminal
             }
-            for key in list(self.leases.active()):
-                self.leases.release(key, "shutdown")
-            if clean or done or failed:
-                self._write_queue_line(
-                    {
-                        "event": "shutdown",
-                        "clean": clean,
-                        "done": done,
-                        "failed": failed,
-                    }
-                )
+            with self.joblog.group():
+                for key in sorted(self.leases.active()):
+                    self.leases.release(key, "shutdown")
+                if clean or done or failed:
+                    self.joblog.append(
+                        {
+                            "event": "shutdown",
+                            "clean": clean,
+                            "done": done,
+                            "failed": failed,
+                        }
+                    )
         if clean:
             # A wedged worker thread may still be writing; leave the
-            # handles open rather than hand it a closed file.
-            self.journal.close()
-            self.leases.close()
-            if not self._queue_handle.closed:
-                self._queue_handle.close()
+            # log open rather than hand it a closed file.
+            self.joblog.close()
         else:
             log.warning(
                 "scheduler thread did not stop within %.1fs; "
-                "shutdown record written, handles left open", timeout or 0.0
+                "shutdown record written, log left open", timeout or 0.0
             )
 
     def drain(self, timeout: float | None = None) -> bool:
@@ -715,4 +614,4 @@ class CampaignScheduler:
         self.stop()
 
 
-__all__ = ["JOB_STATES", "QUEUE_SCHEMA", "CampaignScheduler"]
+__all__ = ["JOB_STATES", "CampaignScheduler"]

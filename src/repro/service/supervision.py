@@ -7,8 +7,9 @@ syscall) holds its jobs in ``running`` forever, and a ``kill -9`` of
 the whole service orphans every in-flight job until someone notices.
 This module closes that gap with one mechanism — the **lease**:
 
-* Every job entering execution is granted a persisted lease: an
-  fsynced JSONL record (``service/leases.jsonl``) naming the job key,
+* Every job entering execution is granted a persisted lease: a
+  ``grant`` record in the job log (``service/jobs.jsonl``, see
+  :class:`~repro.experiments.resilience.JobLog`) naming the job key,
   its run id, the holding batch, and the attempt number, plus an
   in-memory heartbeat deadline.
 * Progress is the heartbeat.  The :class:`Supervisor` thread watches
@@ -23,14 +24,15 @@ This module closes that gap with one mechanism — the **lease**:
   an OOM kill already takes (broken pool → rebuild → retry).
 * A ``kill -9`` of the whole service leaves ``grant`` records with no
   ``release``.  On ``resume=True`` those orphans are detected,
-  journaled as reclaimed, and counted — and because the queue replay
-  re-runs exactly the jobs whose results are not in the store, a
-  resumed scheduler never double-runs or orphans a job.
+  logged as reclaimed, and counted — and because the replay re-runs
+  exactly the jobs whose results are not in the store, a resumed
+  scheduler never double-runs or orphans a job.
 
 The log is the exactly-once proof: for any recovered deployment,
-:meth:`LeaseLog.completions` must map every job key to exactly one
-``release``/``done`` event, however many grants, reclaims, and
-process deaths happened in between.  The chaos suite asserts this.
+:meth:`~repro.experiments.resilience.JobLog.completions` must map
+every job key to exactly one ``release``/``done`` record, however
+many grants, reclaims, and process deaths happened in between.  The
+chaos suite asserts this.
 
 Determinism note: lease records carry durations and attempt counts,
 never wall-clock timestamps — deadlines live only in memory (monotonic
@@ -40,19 +42,15 @@ nondeterministic is persisted.
 
 from __future__ import annotations
 
-import json
 import logging
-import os
 import threading
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass
 from typing import Callable
 
-log = logging.getLogger("repro.service.supervision")
+from repro.experiments.resilience import JobLog
 
-#: Lease document schema version.
-LEASE_SCHEMA = 1
+log = logging.getLogger("repro.service.supervision")
 
 #: Default heartbeat budget: a batch must complete *some* job (or be
 #: explicitly renewed) this often or it is considered wedged.
@@ -73,22 +71,22 @@ class Lease:
     lease_s: float
     #: Monotonic heartbeat deadline; renewals push it forward.
     deadline: float
-    renewals: int = 0
 
     def renew(self, now: float) -> None:
         self.deadline = now + self.lease_s
-        self.renewals += 1
 
     def expired(self, now: float) -> bool:
         return now >= self.deadline
 
-    def as_dict(self) -> dict:
+    def record(self, event: str, **fields) -> dict:
+        """A job-log record about this lease."""
         return {
+            "event": event,
             "key": self.key,
-            "run_id": self.run_id,
+            "run": self.run_id,
             "holder": self.holder,
             "attempt": self.attempt,
-            "renewals": self.renewals,
+            **fields,
         }
 
 
@@ -114,19 +112,7 @@ class SupervisionStats:
     deadline_rejections: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "granted": self.granted,
-            "released": self.released,
-            "renewals": self.renewals,
-            "reclaimed": self.reclaimed,
-            "orphans_recovered": self.orphans_recovered,
-            "worker_kills": self.worker_kills,
-            "requeues": self.requeues,
-            "scheduler_crashes": self.scheduler_crashes,
-            "shed": self.shed,
-            "read_only_rejections": self.read_only_rejections,
-            "deadline_rejections": self.deadline_rejections,
-        }
+        return asdict(self)
 
     @property
     def eventful(self) -> bool:
@@ -136,71 +122,49 @@ class SupervisionStats:
 
 
 class LeaseLog:
-    """Append-only, crash-safe JSONL record of job leases.
+    """The in-memory lease table, writing through the job log.
 
-    Mirrors the batch journal's discipline: one object per line, every
-    line flushed and fsynced before the write returns, torn final
-    lines tolerated on load.  ``resume=True`` replays an existing log
-    and resolves every orphaned grant (a grant the killed process
-    never released): if ``has_result`` says the job's result landed,
-    the orphan gets the ``release/done`` record the crash swallowed —
-    the store entry is proof the job completed, and without the
-    compensating record the exactly-once proof (:meth:`completions`)
-    would undercount a job that did run.  Orphans with no result are
-    reclaimed with ``reason="orphaned"`` so the scheduler re-runs
-    them.  Without ``resume`` the log is truncated for a fresh
-    deployment.
+    Deadlines and renewals live only here; every ``grant``, ``release``
+    and ``reclaim`` is a record in the :class:`JobLog`, so the durable
+    lease history is :meth:`JobLog.records` and its open grants are
+    :attr:`JobLog.view`'s.  Constructed over a resumed log, the table
+    resolves every orphaned grant (one the killed process never
+    released): if ``has_result`` says the job's result landed, the
+    orphan gets the completion record the crash swallowed -- the store
+    entry is proof the job ran, and without the record the
+    exactly-once proof (:meth:`JobLog.completions`) would undercount
+    it.  Orphans with no result are reclaimed with
+    ``reason="orphaned"`` so the scheduler re-runs them.
     """
 
     def __init__(
         self,
-        path: str | os.PathLike,
-        resume: bool = False,
+        joblog: JobLog,
         stats: SupervisionStats | None = None,
         has_result: Callable[[str], bool] | None = None,
     ) -> None:
-        self.path = Path(path).expanduser()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.joblog = joblog
         self.stats = stats if stats is not None else SupervisionStats()
         self._active: dict[str, Lease] = {}
-        orphans: list[dict] = []
-        mode = "a" if resume and self.path.exists() else "w"
-        if mode == "a":
-            orphans = self._replay()
-        self._handle = open(self.path, mode)
-        if mode == "w":
-            self._append({"event": "lease-log-start", "schema": LEASE_SCHEMA})
-        else:
-            # A kill -9 can leave the final line unterminated; appending
-            # straight onto it would corrupt the next record too.
-            tail = self.path.read_bytes()[-1:]
-            if tail not in (b"", b"\n"):
-                self._handle.write("\n")
-                self._handle.flush()
+        grants = joblog.view["open_grants"]
+        orphans = sorted(grants)
         completed = 0
-        for grant in orphans:
-            key = grant["key"]
-            record = {
-                "key": key,
-                "holder": grant.get("holder", ""),
-                "attempt": grant.get("attempt", 0),
-            }
-            if has_result is not None and has_result(key):
-                # The killed process wrote this result but died before
-                # a supervisor tick could release the lease (the store
-                # write and the release are separate fsyncs, so a
-                # kill -9 can land between them).
-                self._append(
-                    {"event": "release", "outcome": "done", **record}
+        with joblog.group():
+            for key in orphans:
+                g = grants[key]
+                self._active[key] = Lease(
+                    key, g["run"], g["holder"], g["attempt"], g["lease_s"],
+                    deadline=0.0,
                 )
-                self.stats.released += 1
-                completed += 1
-            else:
-                self._append(
-                    {"event": "reclaim", "reason": "orphaned", **record}
-                )
-                self.stats.reclaimed += 1
-            self.stats.orphans_recovered += 1
+                if has_result is not None and has_result(key):
+                    # The killed process wrote this result but died
+                    # before its completion record (the store write and
+                    # the record are separate fsyncs).
+                    self.release(key, "done")
+                    completed += 1
+                else:
+                    self.reclaim(key, "orphaned")
+                self.stats.orphans_recovered += 1
         if orphans:
             log.warning(
                 "recovered %d orphaned lease(s) from the previous "
@@ -208,39 +172,6 @@ class LeaseLog:
                 len(orphans),
                 completed,
             )
-
-    # ------------------------------------------------------------------
-    # persistence
-
-    def _replay(self) -> list[dict]:
-        """Load the log; returns grant records never released/reclaimed."""
-        open_grants: dict[str, dict] = {}
-        with open(self.path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    # Torn final line from the interrupted run.
-                    continue
-                event = record.get("event")
-                key = record.get("key")
-                if event == "grant" and isinstance(key, str):
-                    open_grants[key] = record
-                elif event in ("release", "reclaim") and isinstance(key, str):
-                    open_grants.pop(key, None)
-        return [open_grants[k] for k in sorted(open_grants)]
-
-    def _append(self, record: dict) -> None:
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
 
     # ------------------------------------------------------------------
     # the lease lifecycle
@@ -256,25 +187,13 @@ class LeaseLog:
     ) -> Lease:
         """Grant (or re-grant) the lease for one in-flight job."""
         now = time.monotonic() if now is None else now
-        lease = Lease(
-            key=key,
-            run_id=run_id,
-            holder=holder,
-            attempt=attempt,
-            lease_s=lease_s,
-            deadline=now + lease_s,
-        )
+        lease = Lease(key, run_id, holder, attempt, lease_s, now + lease_s)
         self._active[key] = lease
-        self._append(
-            {
-                "event": "grant",
-                "key": key,
-                "run": run_id,
-                "holder": holder,
-                "attempt": attempt,
-                "lease_s": lease_s,
-            }
-        )
+        # Built from the arguments, not the lease: its deadline is a
+        # clock reading and must never reach the log.
+        self.joblog.append({"event": "grant", "key": key, "run": run_id,
+                            "holder": holder, "attempt": attempt,
+                            "lease_s": lease_s})
         self.stats.granted += 1
         return lease
 
@@ -294,22 +213,18 @@ class LeaseLog:
             self.stats.renewals += 1
         return len(self._active)
 
-    def release(self, key: str, outcome: str = "done") -> bool:
-        """Release an active lease; False if no lease is held for ``key``."""
+    def release(self, key: str, outcome: str = "done", **fields) -> bool:
+        """Release an active lease; False if no lease is held for ``key``.
+
+        ``done`` is the job's completion record, which the log keeps
+        only if the executor has not written it already.
+        """
         if outcome not in RELEASE_OUTCOMES:
             raise ValueError(f"unknown release outcome {outcome!r}")
         lease = self._active.pop(key, None)
         if lease is None:
             return False
-        self._append(
-            {
-                "event": "release",
-                "key": key,
-                "holder": lease.holder,
-                "attempt": lease.attempt,
-                "outcome": outcome,
-            }
-        )
+        self.joblog.append(lease.record("release", outcome=outcome, **fields))
         self.stats.released += 1
         return True
 
@@ -318,15 +233,7 @@ class LeaseLog:
         lease = self._active.pop(key, None)
         if lease is None:
             return None
-        self._append(
-            {
-                "event": "reclaim",
-                "key": key,
-                "holder": lease.holder,
-                "attempt": lease.attempt,
-                "reason": reason,
-            }
-        )
+        self.joblog.append(lease.record("reclaim", reason=reason))
         self.stats.reclaimed += 1
         return lease
 
@@ -356,49 +263,6 @@ class LeaseLog:
             "reclaimed": self.stats.reclaimed,
             "orphans_recovered": self.stats.orphans_recovered,
         }
-
-    # ------------------------------------------------------------------
-    # the exactly-once proof
-
-    def history(self) -> list[dict]:
-        """Every durable lease event, in order (parsed from disk)."""
-        events = []
-        try:
-            with open(self.path) as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        events.append(json.loads(line))
-                    except ValueError:
-                        continue
-        except FileNotFoundError:
-            pass
-        return events
-
-    def completions(self) -> dict[str, int]:
-        """``key -> count of release/done events`` over the whole log.
-
-        For a correctly recovered deployment every executed job maps to
-        exactly ``1`` — the chaos harness's exactly-once assertion.
-        """
-        counts: dict[str, int] = {}
-        for record in self.history():
-            if (
-                record.get("event") == "release"
-                and record.get("outcome") == "done"
-            ):
-                key = record.get("key")
-                if isinstance(key, str):
-                    counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    def __enter__(self) -> "LeaseLog":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 class Supervisor:
@@ -447,7 +311,8 @@ class Supervisor:
     def tick(self, now: float | None = None) -> list[Lease]:
         """One supervision pass; returns the leases reclaimed (if any)."""
         now = time.monotonic() if now is None else now
-        with self.cond:
+        # Everything one pass releases or reclaims is one commit.
+        with self.cond, self.leases.joblog.group():
             self.ticks += 1
             active = self.leases.active()
             landed = [
@@ -463,20 +328,12 @@ class Supervisor:
                 self.leases.renew_all(now)
                 self.cond.notify_all()
             if self.is_crashed():
-                reclaimed = [
-                    lease
-                    for lease in (
-                        self.leases.reclaim(key, "scheduler-crashed")
-                        for key in sorted(self.leases.active())
-                    )
-                    if lease is not None
-                ]
+                doomed = sorted(self.leases.active())
+                reason = "scheduler-crashed"
             else:
-                reclaimed = []
-                for lease in self.leases.expired(now):
-                    taken = self.leases.reclaim(lease.key, "lease-expired")
-                    if taken is not None:
-                        reclaimed.append(taken)
+                doomed = [lease.key for lease in self.leases.expired(now)]
+                reason = "lease-expired"
+            reclaimed = [self.leases.reclaim(key, reason) for key in doomed]
         if reclaimed:
             # Outside the lock: the callback may kill processes and
             # mutate scheduler state under its own locking discipline.
@@ -528,7 +385,6 @@ def kill_worker_processes() -> int:
 
 __all__ = [
     "DEFAULT_LEASE_S",
-    "LEASE_SCHEMA",
     "Lease",
     "LeaseLog",
     "RELEASE_OUTCOMES",

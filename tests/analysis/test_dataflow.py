@@ -101,19 +101,58 @@ class TestCrossFileTaint:
             "journal": """
                 import os
 
-                class BatchJournal:
-                    def record_complete(self, doc):
-                        self._write_line(doc)
-
-                    def _write_line(self, doc):
+                class JobLog:
+                    def append(self, *records):
                         pass
 
                 def note(journal):
-                    journal.record_complete({"worker": os.getpid()})
+                    journal.append({"event": "failure", "worker": os.getpid()})
             """,
         })
         report = run_deep(pkg)
         assert "TNT003" in finding_codes(report)
+
+    def test_monotonic_clock_into_lease_grant_record(self, tmp_path):
+        """A deadline is in-memory only; persisting it in the grant
+        record the job log replays is a TNT003."""
+        pkg = write_pkg(tmp_path, "lpkg", {
+            "leases": """
+                import time
+
+                class LeaseLog:
+                    def __init__(self, joblog):
+                        self.joblog = joblog
+
+                    def grant(self, key, lease_s):
+                        deadline = time.monotonic() + lease_s
+                        self.joblog.append(
+                            {"event": "grant", "key": key, "deadline": deadline}
+                        )
+            """,
+        })
+        report = run_deep(pkg)
+        (finding,) = [f for f in report.findings if f.code == "TNT003"]
+        assert finding.anchor == "wall-clock"
+        assert "append" in finding.trace[-1][2]
+
+    def test_lease_grant_without_clock_is_clean(self, tmp_path):
+        pkg = write_pkg(tmp_path, "cleanlease", {
+            "leases": """
+                import time
+
+                class LeaseLog:
+                    def __init__(self, joblog):
+                        self.joblog = joblog
+                        self.deadlines = {}
+
+                    def grant(self, key, lease_s):
+                        self.deadlines[key] = time.monotonic() + lease_s
+                        self.joblog.append(
+                            {"event": "grant", "key": key, "lease_s": lease_s}
+                        )
+            """,
+        })
+        assert "TNT003" not in finding_codes(run_deep(pkg))
 
     def test_sorted_listing_is_clean(self, tmp_path):
         """sorted(os.listdir()) into a cache key: order laundered."""
@@ -192,7 +231,7 @@ class TestCrossFileTaint:
                     created: float = field(default_factory=time.time)
 
                     def log(self, journal):
-                        journal.record_complete({"created": self.created})
+                        journal.append({"created": self.created})
             """,
         })
         report = run_deep(pkg)

@@ -17,7 +17,7 @@ import pytest
 
 from repro.common.errors import SimulationTimeout, WorkerCrashed
 from repro.experiments.config import SystemConfig
-from repro.experiments.resilience import BatchJournal, RetryPolicy
+from repro.experiments.resilience import JobLog, RetryPolicy
 from repro.experiments.runner import Runner
 from repro.faults import (
     FAULT_PLAN_ENV,
@@ -189,14 +189,14 @@ class TestInterruptedBatchResume:
         self, config, tmp_path, clean_run
     ):
         """The headline property: fault aborts a batch partway; the
-        resumed batch serves journaled work from the cache, simulates
+        resumed batch serves logged work from the cache, simulates
         only the remainder, and the full result set is bit-identical."""
         plan = FaultPlan(
             specs=(
                 FaultSpec(kind="exception", apps=("gzip", "mcf"), attempt=None),
             )
         )
-        journal = BatchJournal(tmp_path / "journal.jsonl")
+        journal = JobLog(tmp_path / "jobs.jsonl")
         runner = Runner(
             cache=ResultStore(tmp_path / "cache"),
             journal=journal,
@@ -207,12 +207,12 @@ class TestInterruptedBatchResume:
         journal.close()
         completed_before = sum(
             1
-            for line in (tmp_path / "journal.jsonl").read_text().splitlines()
-            if json.loads(line).get("event") == "complete"
+            for line in (tmp_path / "jobs.jsonl").read_text().splitlines()
+            if json.loads(line).get("outcome") == "done"
         )
         assert 0 < completed_before < JOBS_PER_BATCH
 
-        resumed_journal = BatchJournal(tmp_path / "journal.jsonl", resume=True)
+        resumed_journal = JobLog(tmp_path / "jobs.jsonl", resume=True)
         runner = Runner(
             cache=ResultStore(tmp_path / "cache"), journal=resumed_journal
         )
@@ -223,7 +223,7 @@ class TestInterruptedBatchResume:
 
     def test_cli_abort_then_resume_is_byte_identical(self, tmp_path):
         """The full CLI contract, as the CI chaos lane runs it: a
-        faulted ``fig10`` exits 3 and names its journal; the ``--resume``
+        faulted ``fig10`` exits 3 and names its job log; the ``--resume``
         rerun exits 0 and its CSV is byte-for-byte the clean run's."""
         base = [
             sys.executable, "-m", "repro", "fig10",

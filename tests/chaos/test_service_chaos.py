@@ -8,7 +8,7 @@ in a fig10 campaign.  A ``--resume`` restart must finish the campaign
 such that
 
 * the recovered store is **byte-identical** to an uninterrupted run,
-* the lease log proves every job executed **exactly once** (one
+* the job log proves every job executed **exactly once** (one
   ``release/done`` per key, however many grants/reclaims it took), and
 * the API **served read-only traffic** throughout the scheduler
   outage (warm reads and warm submits answered, cold submits shed
@@ -287,8 +287,8 @@ def chaos_run(tmp_path_factory, config, reference):
         key: ResultStore(store).path_for_key(key).read_bytes()
         for key in ResultStore(store).keys()
     }
-    observed["lease_events"] = _events(store / "service" / "leases.jsonl")
-    observed["queue_events"] = _events(store / "service" / "queue.jsonl")
+    observed["lease_events"] = _events(store / "service" / "jobs.jsonl")
+    observed["queue_events"] = observed["lease_events"]
     return observed
 
 
@@ -313,7 +313,7 @@ class TestByteIdentity:
 
 class TestExactlyOnce:
     def test_every_job_completed_exactly_once(self, chaos_run):
-        """The lease log's release/done count is 1 for every key."""
+        """The job log's release/done count is 1 for every key."""
         completions: dict[str, int] = {}
         for event in chaos_run["lease_events"]:
             if event.get("event") == "release" and event.get("outcome") == "done":

@@ -197,13 +197,11 @@ class TestResilienceFlags:
 
     def test_flags_parsed(self):
         args = build_parser().parse_args([
-            "fig10", "--timeout", "30", "--retries", "2",
-            "--resume", "--journal", "j.jsonl",
+            "fig10", "--timeout", "30", "--retries", "2", "--resume",
         ])
         assert args.timeout == 30.0
         assert args.retries == 2
         assert args.resume is True
-        assert args.journal == "j.jsonl"
 
     def test_resume_requires_cache_dir(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -213,17 +211,15 @@ class TestResilienceFlags:
     def test_journal_written_and_reported(self, capsys, tmp_path):
         code = main([
             "fig10", *self.QUICK, "--mixes", "2-MEM",
-            "--cache-dir", str(tmp_path / "cache"),
-            "--journal", str(tmp_path / "journal.jsonl"),
+            "--cache-dir", str(tmp_path / "cache"), "--resume",
         ])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "[journal: " in out
-        lines = (tmp_path / "journal.jsonl").read_text().splitlines()
-        events = [json.loads(line)["event"] for line in lines]
-        assert events[0] == "batch-start"
-        assert "complete" in events
-        assert events[-1] == "batch-end"
+        path = tmp_path / "cache" / "jobs.jsonl"
+        assert f"[job log: {path}]" in capsys.readouterr().out
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert records[0]["event"] == "log-start"
+        done = [r for r in records if r.get("outcome") == "done"]
+        assert done and all(r["event"] == "release" for r in done)
 
     def test_fault_plan_abort_then_resume(self, capsys, tmp_path, monkeypatch):
         """The chaos-lane flow, in-process: a fault plan aborts the run
@@ -240,8 +236,8 @@ class TestResilienceFlags:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert "--resume" in err
-        assert "batch-journal.jsonl" in err
+        assert "jobs.jsonl" in err
 
         monkeypatch.delenv(FAULT_PLAN_ENV)
         assert main(argv) == 0
-        assert "[journal: " in capsys.readouterr().out
+        assert "[job log: " in capsys.readouterr().out

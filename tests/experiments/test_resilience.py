@@ -2,7 +2,7 @@
 
 Pool-level chaos scenarios (killed workers, hung workers, end-to-end
 resume bit-identity) live in ``tests/chaos``; this file covers the
-units — retry policy, journal, and the serial failure paths of
+units — retry policy, job log, and the serial failure paths of
 ``Runner.run_many`` — which run fast enough for tier-1.
 """
 
@@ -12,8 +12,8 @@ import pytest
 
 import repro.experiments.resilience as resilience
 import repro.experiments.runner as runner_mod
-from repro.common.errors import BatchAborted, JobFailure, WorkerCrashed
-from repro.experiments.resilience import BatchJournal, RetryPolicy, execute_jobs
+from repro.common.errors import BatchAborted, WorkerCrashed
+from repro.experiments.resilience import JobLog, RetryPolicy, execute_jobs
 from repro.experiments.runner import Runner
 from repro.faults import FaultPlan, FaultSpec, InjectedFault
 from repro.service.store import ResultStore
@@ -37,46 +37,113 @@ class TestRetryPolicy:
         assert RetryPolicy().backoff_s("job", 3) == 0.0
 
 
-class TestBatchJournal:
+def _completions(path):
+    """Completion records in a job log file, in order."""
+    return [
+        record["key"]
+        for record in map(json.loads, path.read_text().splitlines())
+        if record["event"] == "release" and record.get("outcome") == "done"
+    ]
+
+
+def _done(key, **fields):
+    """A completion record for ``key``."""
+    return {"event": "release", "outcome": "done", "key": key,
+            "run": f"run-{key}", **fields}
+
+
+class TestJobLog:
     def test_records_round_trip(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with BatchJournal(path) as journal:
-            journal.record_complete("job-1", attempts=1, source="pool", wall_s=0.5)
-            journal.record_failure(
-                JobFailure("job-2", "cfg", ("mcf",), 1, "timeout", "60s")
-            )
-        resumed = BatchJournal(path, resume=True)
-        assert resumed.completed("job-1")
-        assert not resumed.completed("job-2")
-        assert resumed.replayed_failures == 1
+        path = tmp_path / "jobs.jsonl"
+        with JobLog(path) as log:
+            log.append(_done("k1", attempts=1, source="pool", wall_s=0.5))
+            log.append({"event": "failure", "key": "k2", "run": "r2",
+                        "attempt": 1, "kind": "timeout", "detail": "60s"})
+        resumed = JobLog(path, resume=True)
+        assert "k1" in resumed.view["done"]
+        assert "k2" not in resumed.view["done"]
+        assert [r["event"] for r in resumed.records()] == [
+            "log-start", "release", "failure",
+        ]
         resumed.close()
 
     def test_fresh_journal_truncates_existing(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with BatchJournal(path) as journal:
-            journal.record_complete("job-1", 1, "pool", 0.1)
-        with BatchJournal(path, resume=False) as journal:
-            assert not journal.completed("job-1")
+        path = tmp_path / "jobs.jsonl"
+        with JobLog(path) as log:
+            log.append(_done("k1"))
+        with JobLog(path, resume=False) as log:
+            assert "k1" not in log.view["done"]
+            assert log.records() == [{"event": "log-start", "schema": 1}]
 
     def test_torn_final_line_tolerated(self, tmp_path):
         """A crash mid-write leaves half a JSON line; loading must skip
         it — the event it described never durably happened."""
-        path = tmp_path / "journal.jsonl"
-        with BatchJournal(path) as journal:
-            journal.record_complete("job-1", 1, "pool", 0.1)
+        path = tmp_path / "jobs.jsonl"
+        with JobLog(path) as log:
+            log.append(_done("k1"))
         with open(path, "a") as handle:
-            handle.write('{"event": "complete", "job": "job-2", "at')
-        resumed = BatchJournal(path, resume=True)
-        assert resumed.completed("job-1")
-        assert not resumed.completed("job-2")
+            handle.write('{"event": "release", "outcome": "done", "key": "k2')
+        resumed = JobLog(path, resume=True)
+        assert "k1" in resumed.view["done"]
+        assert "k2" not in resumed.view["done"]
         resumed.close()
 
+    def test_resume_onto_torn_tail_keeps_next_completion(self, tmp_path):
+        """Regression: a log resumed onto an unterminated final line
+        must not glue the next record onto the fragment (which lost the
+        first completion written after resume)."""
+        path = tmp_path / "jobs.jsonl"
+        with JobLog(path) as log:
+            log.append(_done("a"))
+        with open(path, "a") as handle:
+            handle.write('{"event": "release", "outcome": "done", "key": "b')
+        with JobLog(path, resume=True) as resumed:
+            resumed.append(_done("c"))
+        assert JobLog(path, resume=True).view["done"] == {"a": 1, "c": 1}
+        assert _completions(path) == ["a", "c"]  # every line parses
+
     def test_lines_are_valid_sorted_json(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with BatchJournal(path) as journal:
-            journal.record_event("pool-rebuild", reason="broken")
+        path = tmp_path / "jobs.jsonl"
+        with JobLog(path) as log:
+            log.append({"event": "pool-rebuild", "reason": "broken"})
         for line in path.read_text().splitlines():
-            json.loads(line)
+            record = json.loads(line)
+            assert list(record) == sorted(record)
+
+    def test_one_completion_per_key(self, tmp_path):
+        """Executor, supervisor and resume may all see a result land;
+        only the first writes the completion."""
+        path = tmp_path / "jobs.jsonl"
+        with JobLog(path) as log:
+            log.append(_done("k", source="serial"))
+            log.append(_done("k", holder="batch-1"), _done("j"), _done("j"))
+        with JobLog(path, resume=True) as log:
+            log.append(_done("k"))
+            assert log.completions() == {"k": 1, "j": 1}
+        (first,) = [r for r in log.records() if r.get("key") == "k"]
+        assert first["source"] == "serial"
+
+    def test_group_commit_is_one_fsync(self, tmp_path, monkeypatch):
+        fsyncs = []
+        real = resilience.os.fsync
+        monkeypatch.setattr(
+            resilience.os, "fsync", lambda fd: fsyncs.append(fd) or real(fd)
+        )
+        log = JobLog(tmp_path / "jobs.jsonl")
+        fsyncs.clear()
+        log.append({"event": "grant", "key": "a"}, {"event": "grant", "key": "b"})
+        assert len(fsyncs) == 1
+        with log.group():
+            log.append({"event": "release", "key": "a", "outcome": "shutdown"})
+            with log.group():
+                log.append({"event": "shutdown", "clean": True})
+            assert len(fsyncs) == 1  # nothing written until the group ends
+        assert len(fsyncs) == 2
+        log.close()
+        assert [r["event"] for r in log.records()] == [
+            "log-start", "grant", "grant", "release", "shutdown",
+        ]
+        assert log.view["open_grants"].keys() == {"b"}
 
 
 class TestRunManyFailurePaths:
@@ -173,7 +240,7 @@ class TestRunManyFailurePaths:
             return real(config, apps, **kwargs)
 
         monkeypatch.setattr(runner_mod, "_simulate", interrupt_second)
-        journal = BatchJournal(tmp_path / "journal.jsonl")
+        journal = JobLog(tmp_path / "jobs.jsonl")
         jobs = [(tiny_config, ("gzip",)), (tiny_config, ("mcf",))]
         with pytest.raises(KeyboardInterrupt):
             Runner(
@@ -182,13 +249,13 @@ class TestRunManyFailurePaths:
         journal.close()
         events = [
             json.loads(line)["event"]
-            for line in (tmp_path / "journal.jsonl").read_text().splitlines()
+            for line in (tmp_path / "jobs.jsonl").read_text().splitlines()
         ]
         assert "interrupted" in events
-        assert events.count("complete") == 1
+        assert len(_completions(tmp_path / "jobs.jsonl")) == 1
 
         monkeypatch.setattr(runner_mod, "_simulate", real)
-        resumed_journal = BatchJournal(tmp_path / "journal.jsonl", resume=True)
+        resumed_journal = JobLog(tmp_path / "jobs.jsonl", resume=True)
         runner = Runner(
             cache=ResultStore(tmp_path / "cache"), journal=resumed_journal
         )
@@ -227,7 +294,7 @@ class TestResumeSemantics:
         """The resume contract: journal + cache consulted first, zero
         re-simulation of journaled-complete jobs."""
         jobs = [(tiny_config, ("gzip",)), (tiny_config, ("mcf",))]
-        journal = BatchJournal(tmp_path / "journal.jsonl")
+        journal = JobLog(tmp_path / "jobs.jsonl")
         first = Runner(
             cache=ResultStore(tmp_path / "cache"), journal=journal
         ).run_many(jobs)
@@ -237,7 +304,7 @@ class TestResumeSemantics:
             raise AssertionError(f"resumed batch re-simulated {apps}")
 
         monkeypatch.setattr(runner_mod, "_simulate", explode)
-        journal = BatchJournal(tmp_path / "journal.jsonl", resume=True)
+        journal = JobLog(tmp_path / "jobs.jsonl", resume=True)
         runner = Runner(cache=ResultStore(tmp_path / "cache"), journal=journal)
         again = runner.run_many(jobs)
         journal.close()
@@ -251,11 +318,11 @@ class TestResumeSemantics:
         cache dir) is re-simulated rather than trusted blindly."""
         jobs = [(tiny_config, ("gzip",))]
         cache = ResultStore(tmp_path / "cache")
-        journal = BatchJournal(tmp_path / "journal.jsonl")
+        journal = JobLog(tmp_path / "jobs.jsonl")
         first = Runner(cache=cache, journal=journal).run_many(jobs)
         journal.close()
         cache.clear()
-        journal = BatchJournal(tmp_path / "journal.jsonl", resume=True)
+        journal = JobLog(tmp_path / "jobs.jsonl", resume=True)
         runner = Runner(cache=ResultStore(tmp_path / "cache"), journal=journal)
         again = runner.run_many(jobs)
         journal.close()
@@ -325,16 +392,14 @@ class TestRunnerWiring:
     def test_parallel_runner_journal_path_accepted(self, tiny_config, tmp_path):
         runner = Runner(
             cache=ResultStore(tmp_path / "cache"),
-            journal=BatchJournal(tmp_path / "journal.jsonl"),
+            journal=JobLog(tmp_path / "jobs.jsonl"),
         )
         runner.run_many([(tiny_config, ("gzip",))])
         runner.journal.close()
-        assert (tmp_path / "journal.jsonl").exists()
-        events = [
-            json.loads(line)["event"]
-            for line in (tmp_path / "journal.jsonl").read_text().splitlines()
+        store = runner.cache
+        assert _completions(tmp_path / "jobs.jsonl") == [
+            store.key_for(tiny_config, ("gzip",))
         ]
-        assert events.count("complete") == 1
 
 
 class TestFaultPlanUnit:

@@ -1,7 +1,6 @@
 """End-to-end HTTP tests: exactly-once over the wire, bit-identity,
 warm-path behaviour, and the transparent ServiceRunner."""
 
-import json
 import pickle
 import threading
 import urllib.error
@@ -35,14 +34,6 @@ def service(tmp_path):
         thread.join(5)
 
 
-def _journal_completes(scheduler, rid):
-    lines = scheduler.journal.path.read_text().splitlines()
-    return [
-        r for r in map(json.loads, filter(None, map(str.strip, lines)))
-        if r.get("event") == "complete" and r.get("job") == rid
-    ]
-
-
 class TestExactlyOnce:
     def test_concurrent_posts_execute_once(self, service, tiny_config):
         client, scheduler = service
@@ -64,7 +55,7 @@ class TestExactlyOnce:
         (key,) = keys
         final = client.wait_job(key, timeout=120)
         assert final["state"] == "done"
-        assert len(_journal_completes(scheduler, final["run_id"])) == 1
+        assert scheduler.joblog.completions() == {key: 1}
 
     def test_warm_hit_never_spawns_a_simulation(self, service, tiny_config):
         client, scheduler = service

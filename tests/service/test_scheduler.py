@@ -11,19 +11,8 @@ from repro.service.store import ResultStore
 from repro.telemetry.manifest import run_id
 
 
-def _journal_lines(scheduler):
-    path = scheduler.journal.path
-    if not path.exists():
-        return []
-    return [
-        json.loads(line)
-        for line in path.read_text().splitlines()
-        if line.strip()
-    ]
-
-
 def _enqueue_records(store_dir):
-    path = store_dir / "service" / "queue.jsonl"
+    path = store_dir / "service" / "jobs.jsonl"
     return [
         json.loads(line)
         for line in path.read_text().splitlines()
@@ -56,7 +45,7 @@ class TestSubmission:
 
     def test_concurrent_submissions_exactly_once(self, tiny_config, tmp_path):
         """N concurrent submissions of one config -> one queue entry,
-        one simulation, one journal 'complete' line, N identical keys."""
+        one simulation, one completion record, N identical keys."""
         store = ResultStore(tmp_path)
         scheduler = CampaignScheduler(store, policy=RetryPolicy()).start()
         results = []
@@ -75,13 +64,10 @@ class TestSubmission:
         scheduler.stop()
         assert len({r["key"] for r in results}) == 1
         assert len(_enqueue_records(tmp_path)) == 1
-        rid = run_id(tiny_config, ("gzip",))
-        completes = [
-            r for r in _journal_lines(scheduler)
-            if r.get("event") == "complete" and r.get("job") == rid
-        ]
-        assert len(completes) == 1
         key = results[0]["key"]
+        assert scheduler.joblog.completions() == {key: 1}
+        (enqueue,) = _enqueue_records(tmp_path)
+        assert enqueue["run"] == run_id(tiny_config, ("gzip",))
         assert store.has(key)
         assert scheduler.job_status(key)["state"] == "done"
 

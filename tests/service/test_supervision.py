@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from repro.experiments.resilience import RetryPolicy
+from repro.experiments.resilience import JobLog, RetryPolicy
 from repro.experiments.runner import run_mix
 from repro.faults import FaultPlan, FaultSpec
 from repro.service.scheduler import CampaignScheduler
@@ -19,8 +19,8 @@ from repro.service.supervision import (
 )
 
 
-def _queue_events(store_dir):
-    path = store_dir / "service" / "queue.jsonl"
+def _log_events(store_dir):
+    path = store_dir / "service" / "jobs.jsonl"
     return [
         json.loads(line)
         for line in path.read_text().splitlines()
@@ -28,25 +28,30 @@ def _queue_events(store_dir):
     ]
 
 
+def _leases(path, resume=False, **kwargs):
+    """A lease table over the job log at ``path``."""
+    return LeaseLog(JobLog(path, resume=resume), **kwargs)
+
+
 class TestLeaseLog:
     def test_grant_release_roundtrip(self, tmp_path):
-        log = LeaseLog(tmp_path / "leases.jsonl")
+        log = _leases(tmp_path / "jobs.jsonl")
         lease = log.grant("k1", "run-1", "batch-1", attempt=0, now=100.0)
         assert log.held("k1")
         assert not lease.expired(100.0 + lease.lease_s - 1)
         assert lease.expired(100.0 + lease.lease_s)
         assert log.release("k1", "done") is True
         assert log.release("k1", "done") is False  # already gone
-        assert log.completions() == {"k1": 1}
+        assert log.joblog.completions() == {"k1": 1}
 
     def test_release_validates_outcome(self, tmp_path):
-        log = LeaseLog(tmp_path / "leases.jsonl")
+        log = _leases(tmp_path / "jobs.jsonl")
         log.grant("k1", "run-1", "b", attempt=0)
         with pytest.raises(ValueError, match="outcome"):
             log.release("k1", "exploded")
 
     def test_renewal_pushes_deadline(self, tmp_path):
-        log = LeaseLog(tmp_path / "leases.jsonl")
+        log = _leases(tmp_path / "jobs.jsonl")
         log.grant("k1", "r", "b", attempt=0, lease_s=10.0, now=0.0)
         assert log.expired(now=10.0) != []
         assert log.renew("k1", now=10.0)
@@ -55,34 +60,34 @@ class TestLeaseLog:
         assert not log.renew("missing")
 
     def test_reclaim_writes_reason(self, tmp_path):
-        log = LeaseLog(tmp_path / "leases.jsonl")
+        log = _leases(tmp_path / "jobs.jsonl")
         log.grant("k1", "r", "b", attempt=2)
         taken = log.reclaim("k1", "lease-expired")
         assert taken is not None and taken.attempt == 2
         assert log.reclaim("k1", "lease-expired") is None
-        events = log.history()
+        events = log.joblog.records()
         assert events[-1]["event"] == "reclaim"
         assert events[-1]["reason"] == "lease-expired"
         # Only release/done counts as a completion.
-        assert log.completions() == {}
+        assert log.joblog.completions() == {}
 
     def test_orphaned_grants_reclaimed_on_resume(self, tmp_path):
-        path = tmp_path / "leases.jsonl"
-        first = LeaseLog(path)
+        path = tmp_path / "jobs.jsonl"
+        first = _leases(path)
         first.grant("done-key", "r1", "b", attempt=0)
         first.release("done-key", "done")
         first.grant("orphan-key", "r2", "b", attempt=0)
         # kill -9: no release, no close.
         stats = SupervisionStats()
-        resumed = LeaseLog(path, resume=True, stats=stats)
+        resumed = _leases(path, resume=True, stats=stats)
         assert stats.orphans_recovered == 1
         assert not resumed.held("orphan-key")
         reclaims = [
-            e for e in resumed.history() if e["event"] == "reclaim"
+            e for e in resumed.joblog.records() if e["event"] == "reclaim"
         ]
         assert [r["key"] for r in reclaims] == ["orphan-key"]
         assert reclaims[0]["reason"] == "orphaned"
-        assert resumed.completions() == {"done-key": 1}
+        assert resumed.joblog.completions() == {"done-key": 1}
 
     def test_store_present_orphan_completed_on_resume(self, tmp_path):
         """A kill -9 can land between the store write and the lease
@@ -90,13 +95,13 @@ class TestLeaseLog:
         is proof of completion, so the orphan gets the swallowed
         release/done record instead of an ``orphaned`` reclaim — the
         exactly-once proof must count the job that did run."""
-        path = tmp_path / "leases.jsonl"
-        first = LeaseLog(path)
+        path = tmp_path / "jobs.jsonl"
+        first = _leases(path)
         first.grant("landed-key", "r1", "batch-1", attempt=1)
         first.grant("lost-key", "r2", "batch-1", attempt=0)
         # kill -9: no release, no close.
         stats = SupervisionStats()
-        resumed = LeaseLog(
+        resumed = _leases(
             path,
             resume=True,
             stats=stats,
@@ -106,8 +111,8 @@ class TestLeaseLog:
         assert stats.released == 1
         assert stats.reclaimed == 1
         assert not resumed.held("landed-key")
-        assert resumed.completions() == {"landed-key": 1}
-        events = resumed.history()
+        assert resumed.joblog.completions() == {"landed-key": 1}
+        events = resumed.joblog.records()
         done = [
             e
             for e in events
@@ -123,23 +128,24 @@ class TestLeaseLog:
 
     def test_no_timestamps_persisted(self, tmp_path):
         """Determinism: lease records carry durations, never clocks."""
-        log = LeaseLog(tmp_path / "leases.jsonl")
+        log = _leases(tmp_path / "jobs.jsonl")
         log.grant("k1", "r", "b", attempt=0)
         log.renew("k1")
         log.release("k1", "done")
-        for event in log.history():
+        for event in log.joblog.records():
             for field in ("deadline", "time", "timestamp", "now"):
                 assert field not in event
 
     def test_torn_final_line_tolerated(self, tmp_path):
-        path = tmp_path / "leases.jsonl"
-        log = LeaseLog(path)
+        path = tmp_path / "jobs.jsonl"
+        log = _leases(path)
         log.grant("k1", "r", "b", attempt=0)
-        log.close()
+        log.joblog.close()
         with open(path, "a") as handle:
             handle.write('{"event": "grant", "key": "torn')
-        resumed = LeaseLog(path, resume=True)
-        assert [e["key"] for e in resumed.history() if e["event"] == "reclaim"] == ["k1"]
+        resumed = _leases(path, resume=True)
+        events = resumed.joblog.records()
+        assert [e["key"] for e in events if e["event"] == "reclaim"] == ["k1"]
 
 
 class TestSupervisor:
@@ -157,7 +163,7 @@ class TestSupervisor:
         return sup, reclaimed, released
 
     def test_landing_releases_and_renews_siblings(self, tmp_path):
-        log = LeaseLog(tmp_path / "leases.jsonl")
+        log = _leases(tmp_path / "jobs.jsonl")
         log.grant("a", "r1", "b", attempt=0, lease_s=10.0, now=0.0)
         log.grant("b", "r2", "b", attempt=0, lease_s=10.0, now=0.0)
         sup, reclaimed, released = self._supervisor(log, landed={"a"})
@@ -166,10 +172,10 @@ class TestSupervisor:
         assert released == ["a"]
         assert not log.held("a") and log.held("b")
         assert reclaimed == []
-        assert log.completions() == {"a": 1}
+        assert log.joblog.completions() == {"a": 1}
 
     def test_expired_lease_reclaimed(self, tmp_path):
-        log = LeaseLog(tmp_path / "leases.jsonl")
+        log = _leases(tmp_path / "jobs.jsonl")
         log.grant("a", "r1", "b", attempt=0, lease_s=10.0, now=0.0)
         sup, reclaimed, _ = self._supervisor(log)
         assert sup.tick(now=5.0) == []  # within budget
@@ -179,19 +185,20 @@ class TestSupervisor:
         assert not log.held("a")
 
     def test_crash_reclaims_everything(self, tmp_path):
-        log = LeaseLog(tmp_path / "leases.jsonl")
+        log = _leases(tmp_path / "jobs.jsonl")
         log.grant("a", "r1", "b", attempt=0, lease_s=1000.0, now=0.0)
         log.grant("b", "r2", "b", attempt=0, lease_s=1000.0, now=0.0)
         sup, reclaimed, _ = self._supervisor(log, crashed=lambda: True)
         sup.tick(now=1.0)  # deadlines are far away; crash trumps them
         assert sorted(lease.key for lease in reclaimed) == ["a", "b"]
         reasons = {
-            e["reason"] for e in log.history() if e["event"] == "reclaim"
+            e["reason"] for e in log.joblog.records()
+            if e["event"] == "reclaim"
         }
         assert reasons == {"scheduler-crashed"}
 
     def test_thread_lifecycle(self, tmp_path):
-        log = LeaseLog(tmp_path / "leases.jsonl")
+        log = _leases(tmp_path / "jobs.jsonl")
         sup, _, _ = self._supervisor(log)
         sup.poll_s = 0.01
         sup.start()
@@ -237,9 +244,9 @@ class TestSchedulerRecovery:
         assert scheduler.drain(timeout=120)
         scheduler.stop()
         assert scheduler.job_status(key)["state"] == "done"
-        assert scheduler.leases.completions() == {key: 1}
+        assert scheduler.joblog.completions() == {key: 1}
         requeue_events = [
-            e for e in _queue_events(tmp_path) if e["event"] == "requeue"
+            e for e in _log_events(tmp_path) if e["event"] == "requeue"
         ]
         assert len(requeue_events) == 1
 
@@ -289,7 +296,7 @@ class TestSchedulerRecovery:
         assert scheduler.job_status(key)["state"] == "failed"
         reasons = {
             e["reason"]
-            for e in scheduler.leases.history()
+            for e in scheduler.joblog.records()
             if e["event"] == "reclaim"
         }
         assert reasons == {"scheduler-crashed"}
@@ -331,7 +338,7 @@ class TestCleanShutdown:
         with CampaignScheduler(store, policy=RetryPolicy()) as scheduler:
             key = scheduler.submit_job(tiny_config, ("gzip",))["key"]
             assert scheduler.drain(timeout=120)
-        events = _queue_events(tmp_path)
+        events = _log_events(tmp_path)
         shutdown = [e for e in events if e["event"] == "shutdown"]
         assert len(shutdown) == 1
         assert shutdown[0]["clean"] is True
@@ -384,6 +391,57 @@ class TestCleanShutdown:
         scheduler = CampaignScheduler(store, supervise=False)
         scheduler.leases.grant("ab" * 32, "r", "b", attempt=0)
         scheduler.stop()
-        events = scheduler.leases.history()
+        events = scheduler.joblog.records()
         releases = [e for e in events if e["event"] == "release"]
         assert releases and releases[-1]["outcome"] == "shutdown"
+
+
+class TestKilledDeployment:
+    """kill -9 leaves no shutdown record; the log alone must carry the
+    terminal failures across --resume."""
+
+    def _kill(self, scheduler):
+        # Stop the worker thread without stop(): nothing more is written.
+        with scheduler._cond:
+            scheduler._stop = True
+            scheduler._cond.notify_all()
+        if scheduler._thread is not None:
+            scheduler._thread.join(30)
+
+    def _assert_still_failed(self, tmp_path, key):
+        resumed = CampaignScheduler(
+            ResultStore(tmp_path), resume=True, supervise=False
+        )
+        assert resumed.job_status(key)["state"] == "failed"
+        assert resumed.queue_depth == 0
+        resumed.stop()
+
+    def test_aborted_batch_failure_survives_kill(self, tiny_config, tmp_path):
+        plan = FaultPlan(
+            specs=(FaultSpec(kind="exception", apps=("gzip",), attempt=None),)
+        )
+        scheduler = CampaignScheduler(
+            ResultStore(tmp_path), supervise=False, max_requeues=0,
+            fault_plan=plan,
+        ).start()
+        key = scheduler.submit_job(tiny_config, ("gzip",))["key"]
+        assert scheduler.drain(timeout=120)
+        assert scheduler.job_status(key)["state"] == "failed"
+        self._kill(scheduler)
+        self._assert_still_failed(tmp_path, key)
+
+    def test_expired_lease_failure_survives_kill(self, tiny_config, tmp_path):
+        scheduler = CampaignScheduler(
+            ResultStore(tmp_path), supervise=False, max_requeues=0
+        )
+        status = scheduler.submit_job(tiny_config, ("gzip",))
+        key = status["key"]
+        with scheduler._cond:
+            scheduler._jobs[key].state = "running"
+            scheduler._queue.clear()
+            scheduler.leases.grant(
+                key, status["run_id"], "b", attempt=0, lease_s=0.0
+            )
+        scheduler.supervisor.tick()
+        assert scheduler.job_status(key)["state"] == "failed"
+        self._assert_still_failed(tmp_path, key)
