@@ -105,8 +105,8 @@ class SetAssocCache:
         Same LRU movement, allocation, and write-back surfacing as
         ``access`` so warmed contents are exactly what a timed access
         would have left behind -- but the hit/miss counters are not
-        recorded, keeping measured-window hit rates uncontaminated.
-        Used by the sampled engine's fast-forward path.
+        recorded.  No caller in ``src/`` (see
+        :meth:`repro.cache.hierarchy.MemoryHierarchy.warm_access`).
         """
         index = self.set_index(line_addr)
         tag = line_addr // self.num_sets

@@ -289,25 +289,28 @@ class MemoryHierarchy:
         return done
 
     # ------------------------------------------------------------------
-    # functional warming (sampled engine's fast-forward path)
+    # functional warming (no caller in src/)
 
     def warm_access(self, addr: int, thread_id: int, write: bool = False) -> bool:
         """Advance cache/TLB/row-buffer state for one access, timelessly.
 
+        This method and the stat-less path under it have no caller in
+        ``src/``; they remain only because ``bench/trace.py`` wraps
+        ``MemoryHierarchy.warm_access`` by name, and go with the next
+        change to ``bench/``.
+
         Walks the same TLB -> translate -> L1D -> L2 -> L3 -> DRAM-row
         path as :meth:`load`/:meth:`store`, using the stat-less
-        ``touch`` variants, so the warmed contents after a fast-forward
-        region are what timed accesses would have built.  Returns
-        whether the access missed all cache levels and reached DRAM —
-        the sampled engine uses the per-region miss counts as the
-        covariate of its gap-CPI predictor.  Differences from the timed
+        ``touch`` variants, so the warmed contents are what timed
+        accesses would have built.  Returns whether the access missed
+        all cache levels and reached DRAM.  Differences from the timed
         path, by design:
 
         * no statistics, no events, no MSHR allocation -- lines already
           pending in the MSHR (left over from the previous detailed
           window) are skipped, exactly as a merged miss would be;
         * the whole miss path resolves instantly (simulated time does
-          not advance during fast-forward);
+          not advance);
         * L3 write-backs are dropped instead of queued to DRAM -- only
           the victim bank's row buffer would change, and the row state
           is warmed by the demand stream anyway.

@@ -54,9 +54,9 @@ class TLB:
     def touch(self, addr: int) -> None:
         """Functional warming: :meth:`access` without stats or penalty.
 
-        Same LRU movement and refill, so the resident set after a
-        fast-forward region matches what timed accesses would have
-        built; used by the sampled engine.
+        Same LRU movement and refill, so the resident set matches what
+        timed accesses would have built.  No caller in ``src/`` (see
+        :meth:`repro.cache.hierarchy.MemoryHierarchy.warm_access`).
         """
         page = addr // self.page_bytes
         pages = self._pages

@@ -284,7 +284,9 @@ class SMTCore:
             self._run_phase(warmup_instructions, max_cycles)
             self.hierarchy.reset_stats()
         start = self.cycle
-        base = self._measurement_base()
+        issue_cycles_base = self._int_issue_cycles
+        stall_base = dict(self.stall_cycles)
+        rejection_base = dict(self.dispatch_rejections)
         self._run_phase(instructions_per_thread, max_cycles)
         snapshot = self.hierarchy.snapshot()
         results = []
@@ -305,37 +307,9 @@ class SMTCore:
                     ),
                 )
             )
-        return self._result(base, self.cycle - start, results, reached_all)
-
-    def _measurement_base(self) -> tuple[int, int, dict, dict]:
-        """Clock and cumulative counters at the start of the measured
-        phase; :meth:`_result` reports the deltas against them."""
-        return (
-            self.cycle,
-            self._int_issue_cycles,
-            dict(self.stall_cycles),
-            dict(self.dispatch_rejections),
-        )
-
-    def _result(
-        self,
-        base: tuple[int, int, dict, dict],
-        cycles: int,
-        results: list[ThreadResult],
-        reached_all: bool,
-        **extra,
-    ) -> CoreResult:
-        """Publish the measured phase to the registry and package it.
-
-        The one result/telemetry tail every engine's ``run`` ends in:
-        ``cycles`` and ``results`` are the caller's (measured or
-        estimated), coverage and the stall/rejection deltas are always
-        what the core actually executed since ``base``.
-        """
-        start, issue_cycles_base, stall_base, rejection_base = base
-        elapsed = max(1, self.cycle - start)
+        cycles = self.cycle - start
         coverage = min(
-            1.0, (self._int_issue_cycles - issue_cycles_base) / elapsed
+            1.0, (self._int_issue_cycles - issue_cycles_base) / max(1, cycles)
         )
         stalls = {k: v - stall_base[k] for k, v in self.stall_cycles.items()}
         rejections = {
@@ -364,24 +338,16 @@ class SMTCore:
                 "int_issue_coverage": coverage,
                 "stall_cycles": stalls,
                 "dispatch_rejections": rejections,
-                **extra,
             },
         )
 
     # ------------------------------------------------------------------
     # phase loop
 
-    #: Optional per-thread commit targets for the next phase (the
-    #: sampled engine measures each thread's exact budget-crossing
-    #: cycle with these); None — the normal case — gives every thread
-    #: the phase's shared target.
-    _target_override: list[int] | None = None
-
     def _run_phase(self, per_thread_target: int, max_cycles: int) -> None:
-        override = self._target_override
-        for i, t in enumerate(self.threads):
+        for t in self.threads:
             t.warmup_committed = t.committed
-            t.target = per_thread_target if override is None else override[i]
+            t.target = per_thread_target
             t.finish_cycle = None
         self._unfinished = len(self.threads)
         deadline = self.cycle + max_cycles

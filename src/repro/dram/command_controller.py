@@ -109,10 +109,12 @@ class CommandChannelController(BaseChannelController):
         return self.banks[request.bank].open_row == request.row
 
     def warm_row(self, bank: int, row: int) -> None:
-        """Functional warming of the row buffer (sampled fast-forward).
+        """Functional warming of the row buffer.
 
         Mirrors :meth:`ChannelController.warm_row`: state only, no
-        timing/stats; no-op under the close page policy.
+        timing/stats; no-op under the close page policy.  No caller in
+        ``src/`` (see
+        :meth:`repro.cache.hierarchy.MemoryHierarchy.warm_access`).
         """
         if self.page_mode is PageMode.OPEN:
             self.banks[bank].open_row = row

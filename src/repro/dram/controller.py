@@ -192,9 +192,9 @@ class ChannelController(BaseChannelController):
     def warm_row(self, bank: int, row: int) -> None:
         """Functional warming: latch ``row`` with no timing or stats.
 
-        Used by the sampled engine's fast-forward path to keep
-        row-buffer locality realistic between detailed windows.  No-op
-        under the close page policy (banks are always precharged).
+        No-op under the close page policy (banks are always
+        precharged).  No caller in ``src/`` (see
+        :meth:`repro.cache.hierarchy.MemoryHierarchy.warm_access`).
         """
         if self._open_mode:
             self.banks[bank].open_row = row

@@ -211,11 +211,10 @@ class MemorySystem:
     def warm_line(self, line_addr: int) -> None:
         """Functional warming: open ``line_addr``'s row, nothing else.
 
-        The sampled engine's fast-forward path calls this for misses it
-        chooses not to simulate: the row buffer of the owning bank is
-        latched (open page mode only) so row locality carries into the
-        next detailed window, but no request is queued, no timing
-        advances, and no statistics are recorded.
+        The row buffer of the owning bank is latched (open page mode
+        only), but no request is queued, no timing advances, and no
+        statistics are recorded.  No caller in ``src/`` (see
+        :meth:`repro.cache.hierarchy.MemoryHierarchy.warm_access`).
         """
         channel, bank, row = self.mapping.map_line(line_addr)
         self.channels[channel].warm_row(bank, row)

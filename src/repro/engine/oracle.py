@@ -7,37 +7,24 @@ configuration under both engines and compares the resulting
 :class:`~repro.experiments.runner.MixResult` structures field by
 field — every counter, every per-thread statistic, every nested
 dataclass — reporting the precise path of the first divergences
-instead of a bare boolean.
-
-The oracle has two modes, selected by whether a :class:`Tolerance` is
-supplied:
-
-* **exact** (the default, and the only sound mode for the ``fast``
-  engine): structural field-by-field comparison, floats compared with
-  ``==`` — both engines must perform the same arithmetic on the same
-  values in the same order; any epsilon would hide a real ordering
-  divergence.
-* **bounded-error** (for the ``sampled`` engine, whose results are
-  estimates and explicitly outside the bit-identity contract): the
-  headline metrics — aggregate CPI, per-thread CPI, per-thread DRAM
-  accesses — must sit within per-metric relative-error thresholds.
+instead of a bare boolean.  Floats compare with ``==``: both engines
+must perform the same arithmetic on the same values in the same order;
+any epsilon would hide a real ordering divergence.
 
 Used three ways:
 
 * ``repro engine-diff`` (CLI) sweeps the fig10 configuration space —
   every memory-bound mix crossed with every scheduler the figure
   plots, plus single-config variations — and exits non-zero on any
-  divergence.  CI runs this as its own lane (and a second, tolerance
-  lane for the sampled engine).
+  divergence.  CI runs this as its own lane.
 * ``tests/engine/test_oracle.py`` runs a reduced sweep in tier-1.
 * ad-hoc: ``compare_engines(config, apps)`` for any configuration a
   developer suspects.
 
 Comparisons deliberately bypass the :class:`Runner` result cache:
-``SystemConfig.cache_key()`` excludes the engine field for the exact
-engines (bit-identity is what *makes* that sharing sound), so a cached
-result would compare one engine's output against itself and prove
-nothing.
+``SystemConfig.cache_key()`` excludes the engine field (bit-identity
+is what *makes* that sharing sound), so a cached result would compare
+one engine's output against itself and prove nothing.
 """
 
 from __future__ import annotations
@@ -46,16 +33,10 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.common.errors import ConfigError
-from repro.engine import ENGINE_NAMES
 from repro.experiments.config import SystemConfig
 from repro.experiments.figures import FIG10
 from repro.experiments.runner import MixResult, run_mix
 from repro.workloads.mixes import MIXES
-
-#: Float comparisons are exact (``==``): both engines must perform the
-#: same arithmetic on the same values in the same order.  Any epsilon
-#: would hide a real ordering divergence.
 
 #: Cap on recorded differences per comparison; the first divergence is
 #: the one that matters, the rest are usually its echoes.
@@ -94,39 +75,6 @@ EXTRA_VARIATIONS: tuple[tuple[str, object], ...] = (
     ("stall", lambda c: c.with_(fetch_policy="stall")),
     ("dg", lambda c: c.with_(fetch_policy="dg")),
 )
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Per-metric relative-error thresholds for bounded-error mode.
-
-    The defaults encode the sampled engine's accuracy contract: the
-    aggregate CPI (total wall cycles over the common instruction
-    budget — what fig10 plots) within 2%, and per-thread CPI within a
-    looser bound (a single thread's estimate rests on far fewer
-    windows than the aggregate).  Per-thread DRAM traffic is NOT
-    checked by default: the sampled engine's count is a known
-    underestimate in memory-bound mixes — functionally warmed caches
-    miss less than contended timed caches (see docs/performance.md) —
-    so it is an indicator, not a bounded metric; pass an explicit
-    ``dram_accesses`` bound to opt in.
-    """
-
-    #: Relative error bound on total wall cycles (aggregate CPI).
-    cpi: float = 0.02
-    #: Relative error bound on each thread's individual CPI.
-    thread_cpi: float = 0.15
-    #: Relative error bound on each thread's DRAM access count, or
-    #: ``None`` to skip the check (the default — see class docstring).
-    dram_accesses: float | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("cpi", "thread_cpi", "dram_accesses"):
-            value = getattr(self, name)
-            if value is None and name == "dram_accesses":
-                continue
-            if value <= 0:
-                raise ConfigError(f"tolerance {name} must be > 0")
 
 
 @dataclass(frozen=True)
@@ -241,89 +189,23 @@ def diff_results(
     return out
 
 
-def diff_within_tolerance(
-    baseline: MixResult, candidate: MixResult, tolerance: Tolerance
-) -> list[Divergence]:
-    """Bounded-error comparison of the headline metrics.
-
-    Returns one :class:`Divergence` per metric whose relative error
-    exceeds its :class:`Tolerance` threshold; the recorded path names
-    the metric and the violated bound.
-    """
-    out: list[Divergence] = []
-
-    def check(path: str, base: float, cand: float, bound: float) -> None:
-        if base == 0 and cand == 0:
-            return
-        err = abs(cand - base) / abs(base) if base else float("inf")
-        if err > bound:
-            out.append(
-                Divergence(
-                    f"{path} (rel err {err:.1%} > {bound:.1%})", base, cand
-                )
-            )
-
-    check(
-        "core.cycles", baseline.core.cycles, candidate.core.cycles,
-        tolerance.cpi,
-    )
-    for bt, ct in zip(baseline.core.threads, candidate.core.threads):
-        prefix = f"core.threads[{bt.thread_id}]"
-        check(
-            f"{prefix}.cpi",
-            bt.cycles / max(1, bt.committed),
-            ct.cycles / max(1, ct.committed),
-            tolerance.thread_cpi,
-        )
-        if tolerance.dram_accesses is not None:
-            check(
-                f"{prefix}.dram_accesses",
-                bt.dram_accesses,
-                ct.dram_accesses,
-                tolerance.dram_accesses,
-            )
-    return out
-
-
 def compare_engines(
-    config: SystemConfig,
-    apps: Sequence[str],
-    label: str | None = None,
-    *,
-    baseline: str = "reference",
-    candidate: str = "fast",
-    tolerance: Tolerance | None = None,
+    config: SystemConfig, apps: Sequence[str], label: str | None = None
 ) -> ComparisonReport:
-    """Run ``config`` under two engines and diff the results.
+    """Run ``config`` under both engines and diff the results.
 
-    Without ``tolerance`` the comparison is exact (structural,
-    field-by-field); with one it is bounded-error over the headline
-    metrics — the mode for the sampled engine, whose results are
-    estimates.  The two runs are freshly built simulations (no cache
-    involvement, see the module docstring); the baseline engine runs
-    first so a crash in the candidate engine cannot mask a
-    baseline-side failure.
+    The two runs are freshly built simulations (no cache involvement,
+    see the module docstring); the reference runs first so a crash in
+    the fast engine cannot mask a reference-side failure.
     """
-    for name in (baseline, candidate):
-        if name not in ENGINE_NAMES:
-            raise ConfigError(
-                f"unknown engine {name!r}; choose from "
-                f"{', '.join(sorted(ENGINE_NAMES))}"
-            )
     apps = tuple(apps)
-    base_result = run_mix(config.with_(engine=baseline), apps)
-    cand_result = run_mix(config.with_(engine=candidate), apps)
-    if tolerance is None:
-        divergences = diff_results(base_result, cand_result)
-    else:
-        divergences = diff_within_tolerance(
-            base_result, cand_result, tolerance
-        )
+    reference = run_mix(config.with_(engine="reference"), apps)
+    fast = run_mix(config.with_(engine="fast"), apps)
     return ComparisonReport(
         label=label or _default_label(config, apps),
         config=config,
         apps=apps,
-        divergences=divergences,
+        divergences=diff_results(reference, fast),
     )
 
 
@@ -337,22 +219,18 @@ def _default_label(config: SystemConfig, apps: tuple[str, ...]) -> str:
 def fig10_sweep_jobs(
     config: SystemConfig | None = None,
     mixes: Sequence[str] | None = None,
-    schedulers: Sequence[str] | None = None,
-    include_variations: bool = True,
 ) -> list[tuple[str, SystemConfig, tuple[str, ...]]]:
     """The ``(label, config, apps)`` jobs of the full oracle sweep.
 
-    ``mixes``/``schedulers`` restrict the cross product (defaults: the
-    full figure-10 grid); ``include_variations=False`` drops the extra
-    mapping/page-mode/controller variations.  Restriction exists for
-    lanes that pay a real reference run per configuration — the
-    bounded-error sampled lane — where the full grid would cost hours.
+    ``mixes`` restricts the figure-10 rows (default: all of them); the
+    extra variations run on the last mix of the sweep.
     """
     base = config or SystemConfig()
+    mixes = mixes or FIG10_MIXES
     jobs: list[tuple[str, SystemConfig, tuple[str, ...]]] = []
-    for mix_name in mixes or FIG10_MIXES:
+    for mix_name in mixes:
         mix = MIXES[mix_name]
-        for scheduler in schedulers or FIG10_SCHEDULERS:
+        for scheduler in FIG10_SCHEDULERS:
             jobs.append(
                 (
                     f"{mix_name} {scheduler}",
@@ -360,16 +238,11 @@ def fig10_sweep_jobs(
                     mix.apps,
                 )
             )
-    if include_variations:
-        variation_mix = MIXES[(mixes or FIG10_MIXES)[-1]]
-        for label, vary in EXTRA_VARIATIONS:
-            jobs.append(
-                (
-                    f"{variation_mix.name} {label}",
-                    vary(base),
-                    variation_mix.apps,
-                )
-            )
+    variation_mix = MIXES[mixes[-1]]
+    for label, vary in EXTRA_VARIATIONS:
+        jobs.append(
+            (f"{variation_mix.name} {label}", vary(base), variation_mix.apps)
+        )
     return jobs
 
 
@@ -378,32 +251,17 @@ def run_fig10_sweep(
     mixes: Sequence[str] | None = None,
     progress: Callable[[ComparisonReport], None] | None = None,
     fail_fast: bool = False,
-    *,
-    schedulers: Sequence[str] | None = None,
-    include_variations: bool = True,
-    baseline: str = "reference",
-    candidate: str = "fast",
-    tolerance: Tolerance | None = None,
 ) -> list[ComparisonReport]:
     """Compare engines across the fig10 sweep (see module docstring).
 
     ``progress`` (optional) is called with each finished
     :class:`ComparisonReport`; with ``fail_fast`` the sweep stops at
     the first divergence — the mode the CI lane uses, since one broken
-    config already invalidates the candidate engine.  ``baseline``,
-    ``candidate`` and ``tolerance`` select the engines and comparison
-    mode as in :func:`compare_engines`; ``mixes``/``schedulers``/
-    ``include_variations`` scope the job grid as in
-    :func:`fig10_sweep_jobs`.
+    config already invalidates the fast engine.
     """
     reports: list[ComparisonReport] = []
-    for label, job_config, apps in fig10_sweep_jobs(
-        config, mixes, schedulers, include_variations
-    ):
-        report = compare_engines(
-            job_config, apps, label=label,
-            baseline=baseline, candidate=candidate, tolerance=tolerance,
-        )
+    for label, job_config, apps in fig10_sweep_jobs(config, mixes):
+        report = compare_engines(job_config, apps, label=label)
         reports.append(report)
         if progress is not None:
             progress(report)

@@ -88,28 +88,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         help="execution engine (fast: the SMT core plus the "
         "stalled-window skip kernel and the stream memo, the default; "
         "reference: the same core with neither; bit-identical "
-        "by contract, enforced by 'engine-diff'; sampled: windowed "
-        "statistical estimates, checked by 'engine-diff --candidate "
-        "sampled --tolerance')",
-    )
-    parser.add_argument(
-        "--sampling-detail", type=int, default=None, metavar="N",
-        help="sampled engine: instructions measured per detailed window",
-    )
-    parser.add_argument(
-        "--sampling-ff", type=int, default=None, metavar="N",
-        help="sampled engine: instructions fast-forwarded between "
-        "windows (pacing thread)",
-    )
-    parser.add_argument(
-        "--sampling-warmup", type=int, default=None, metavar="N",
-        help="sampled engine: detailed-but-discarded instructions after "
-        "each fast-forward region",
-    )
-    parser.add_argument(
-        "--sampling-smoothing", type=int, default=None, metavar="K",
-        help="sampled engine: windows on each side of a gap whose mean "
-        "CPI charges it",
+        "by contract, enforced by 'engine-diff')",
     )
 
 
@@ -231,18 +210,6 @@ def _config_from_args(args: argparse.Namespace) -> SystemConfig:
         value = getattr(args, arg_name, None)
         if value is not None:
             overrides[field_name] = value
-    sampling_args = {
-        "detail_instructions": getattr(args, "sampling_detail", None),
-        "ff_instructions": getattr(args, "sampling_ff", None),
-        "window_warmup": getattr(args, "sampling_warmup", None),
-        "gap_smoothing": getattr(args, "sampling_smoothing", None),
-    }
-    if any(v is not None for v in sampling_args.values()):
-        from repro.engine.sampled import SamplingParams
-
-        overrides["sampling"] = SamplingParams(
-            **{k: v for k, v in sampling_args.items() if v is not None}
-        )
     return SystemConfig(**overrides)
 
 
@@ -339,9 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "engine-diff",
-        help="differential engine oracle: run two engines over the "
-        "fig10 sweep and fail on the first divergence (exact mode) or "
-        "out-of-tolerance metric (bounded-error mode)",
+        help="differential engine oracle: run the reference and fast "
+        "engines over the fig10 sweep and fail on the first divergence",
     )
     _add_config_arguments(p)
     p.add_argument(
@@ -350,32 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
         "memory-bound mixes)",
     )
     p.add_argument(
-        "--schedulers", nargs="+", default=None,
-        help="subset of DRAM schedulers to sweep (default: the fig10 "
-        "scheduler set)",
-    )
-    p.add_argument(
-        "--skip-variations", action="store_true",
-        help="drop the extra mapping/page-mode/controller variation "
-        "configs (useful when every configuration pays a reference run)",
-    )
-    p.add_argument(
         "--fail-fast", action="store_true",
         help="stop at the first diverging configuration (the CI mode)",
-    )
-    p.add_argument(
-        "--baseline", default="reference", metavar="ENGINE",
-        help="trusted engine to compare against (default: reference)",
-    )
-    p.add_argument(
-        "--candidate", default="fast", metavar="ENGINE",
-        help="engine under test (default: fast)",
-    )
-    p.add_argument(
-        "--tolerance", type=float, default=None, metavar="REL",
-        help="bounded-error mode: maximum relative aggregate-CPI error "
-        "(implied at 0.02 when the candidate is 'sampled'; exact "
-        "structural comparison otherwise)",
     )
 
     p = sub.add_parser(
@@ -497,29 +439,10 @@ def _run_figures(names: list[str], args: argparse.Namespace) -> int:
 def _run_engine_diff(args: argparse.Namespace) -> int:
     """The ``engine-diff`` oracle sweep; exit 0 only on zero divergence.
 
-    Exit codes: 0 all configurations pass, 1 at least one divergence /
-    tolerance violation, 2 unknown engine name.
+    Exit codes: 0 all configurations pass, 1 at least one divergence.
     """
-    from repro.engine.oracle import Tolerance, run_fig10_sweep, summarize
+    from repro.engine.oracle import run_fig10_sweep, summarize
 
-    baseline = getattr(args, "baseline", "reference")
-    candidate = getattr(args, "candidate", "fast")
-    for name in (baseline, candidate):
-        if name not in ENGINE_NAMES:
-            print(
-                f"error: unknown engine {name!r}; choose from "
-                f"{', '.join(sorted(ENGINE_NAMES))}",
-                file=sys.stderr,
-            )
-            return 2
-    tolerance = None
-    tol_arg = getattr(args, "tolerance", None)
-    if tol_arg is not None:
-        tolerance = Tolerance(cpi=tol_arg)
-    elif candidate == "sampled" or baseline == "sampled":
-        # Sampled results are estimates; an exact comparison against
-        # them is meaningless, so bounded-error mode is implied.
-        tolerance = Tolerance()
     config = _config_from_args(args)
     start = time.perf_counter()
     reports = run_fig10_sweep(
@@ -527,11 +450,6 @@ def _run_engine_diff(args: argparse.Namespace) -> int:
         mixes=getattr(args, "mixes", None),
         progress=lambda report: print(report.render(), flush=True),
         fail_fast=args.fail_fast,
-        schedulers=getattr(args, "schedulers", None),
-        include_variations=not getattr(args, "skip_variations", False),
-        baseline=baseline,
-        candidate=candidate,
-        tolerance=tolerance,
     )
     print(f"[swept {len(reports)} configurations "
           f"in {time.perf_counter() - start:.1f}s]")

@@ -19,7 +19,7 @@ from repro.common.errors import ConfigError
 from repro.cache.hierarchy import HierarchyParams
 from repro.cpu.core import CoreParams
 from repro.dram.bank import PageMode
-from repro.engine import ENGINE_NAMES, SamplingParams
+from repro.engine import ENGINE_NAMES
 
 
 def _default_engine() -> str:
@@ -75,21 +75,14 @@ class SystemConfig:
 
     # --- run control ---
     #: Execution engine: "reference" (the one SMT core, ticking every
-    #: non-idle cycle and generating µops afresh), "fast" (the same
+    #: non-idle cycle and generating µops afresh) or "fast" (the same
     #: core plus the stalled-window skip kernel and the µop-stream
-    #: memo; the default), or "sampled" (statistical sampling; opt-in,
-    #: produces *estimates*).  Reference and fast are bit-identical by
-    #: contract — see repro.engine and the ``repro engine-diff`` oracle
-    #: that enforces it; sampled is held to a per-metric error bound
-    #: instead.  The *default* (not an explicit choice) can be
-    #: overridden with the ``REPRO_ENGINE`` environment variable, which
-    #: is how CI forces the whole test suite through a particular
-    #: engine.
+    #: memo; the default).  They are bit-identical by contract — see
+    #: repro.engine and the ``repro engine-diff`` oracle that enforces
+    #: it.  The *default* (not an explicit choice) can be overridden
+    #: with the ``REPRO_ENGINE`` environment variable, which is how CI
+    #: forces the whole test suite through a particular engine.
     engine: str = field(default_factory=lambda: _default_engine())
-    #: Window schedule of the sampled engine (ignored by the exact
-    #: engines).  Part of ``cache_key`` only when ``engine="sampled"``,
-    #: since sampling parameters change the estimates.
-    sampling: SamplingParams = field(default_factory=SamplingParams)
     #: Footprint/cache scale divisor (see module docstring).
     scale: int = 8
     #: Committed instructions measured per thread.
@@ -174,24 +167,13 @@ class SystemConfig:
 
         Used by the runner to cache single-thread baseline runs.
         ``core`` is flattened since dataclasses with dict fields don't
-        hash.  The *exact* engines ("reference"/"fast") are deliberately
-        not part of the key: they are bit-identical by contract
-        (enforced by the engine-diff oracle lane), so a result computed
-        under either is valid for both and caches stay shared across
-        that choice.  The sampled engine produces estimates that depend
-        on the window schedule, so selecting it appends a
-        ``("sampled", <sampling key>)`` component — leaving every
-        non-sampled config's key byte-identical to what it always was.
+        hash.  The engine is deliberately not part of the key: the two
+        engines are bit-identical by contract (enforced by the
+        engine-diff oracle lane), so a result computed under either is
+        valid for both and caches stay shared across that choice.
         """
         core = dataclasses.asdict(self.core)
         core["latencies"] = tuple(sorted(core["latencies"].items()))
-        if self.engine == "sampled":
-            return self._base_cache_key(core) + (
-                ("sampled", self.sampling.cache_key()),
-            )
-        return self._base_cache_key(core)
-
-    def _base_cache_key(self, core: dict) -> tuple:
         return (
             self.dram_type,
             self.channels,

@@ -148,9 +148,6 @@ def build_system(
         )
         workloads.append((app, stream))
         icache_rngs.append(child_rng(config.seed, f"icache:{app}:{i}"))
-    core_kwargs = {"telemetry": telemetry}
-    if config.engine == "sampled":
-        core_kwargs["sampling"] = config.sampling
     core = core_class(config.engine)(
         config.core,
         event_queue,
@@ -158,7 +155,7 @@ def build_system(
         config.fetch_policy,
         workloads,
         icache_rngs,
-        **core_kwargs,
+        telemetry=telemetry,
     )
     prewarm(hierarchy, [stream.footprint() for _, stream in workloads])
     if sanitizer is not None:
@@ -440,20 +437,6 @@ class Runner:
         #: (first source wins).
         self._records: dict[str, RunRecord] = {}
 
-    def _record(
-        self, config: SystemConfig, apps: tuple[str, ...], source: str,
-        wall_time_s: float, result: MixResult,
-    ) -> None:
-        rid = run_id(config, apps)
-        if rid not in self._records:
-            sampling = None
-            if isinstance(result.core.extra, dict):
-                sampling = result.core.extra.get("sampling")
-            self._records[rid] = RunRecord.from_run(
-                config, apps, source=source, wall_time_s=wall_time_s,
-                sampling=sampling,
-            )
-
     def _serve(self, jobs: Sequence) -> list[MixResult]:
         """The one path from ``(config, apps)`` jobs to results, in order.
 
@@ -473,7 +456,11 @@ class Runner:
                 misses.items(), served
             ):
                 self._memo[key] = result
-                self._record(config, apps, source, wall_s, result)
+                rid = run_id(config, apps)
+                if rid not in self._records:
+                    self._records[rid] = RunRecord.from_run(
+                        config, apps, source=source, wall_time_s=wall_s
+                    )
         return [self._memo[key] for key in keys]
 
     def _execute(self, jobs: list[tuple]) -> list[tuple[MixResult, str, float]]:

@@ -25,7 +25,6 @@ from typing import Sequence
 
 from repro.common.types import OpClass
 from repro.cpu.core import CoreParams
-from repro.engine.sampled import SamplingParams
 from repro.experiments.config import SystemConfig
 from repro.experiments.figures import REGISTRY, plan
 from repro.experiments.runner import Runner
@@ -65,7 +64,6 @@ def config_from_dict(doc: dict) -> SystemConfig:
     """
     doc = _intern_strings(doc)
     core_doc = doc.pop("core", None)
-    sampling_doc = doc.pop("sampling", None)
     known = {f.name for f in dataclasses.fields(SystemConfig)}
     unknown = sorted(set(doc) - known)
     if unknown:
@@ -93,15 +91,6 @@ def config_from_dict(doc: dict) -> SystemConfig:
                 if op.name in latencies
             }
         doc["core"] = CoreParams(**core_doc)
-    if sampling_doc is not None:
-        sampling_known = {f.name for f in dataclasses.fields(SamplingParams)}
-        sampling_unknown = sorted(set(sampling_doc) - sampling_known)
-        if sampling_unknown:
-            raise ValueError(
-                "unknown SamplingParams field(s): "
-                f"{', '.join(sampling_unknown)}"
-            )
-        doc["sampling"] = SamplingParams(**sampling_doc)
     return SystemConfig(**doc)
 
 

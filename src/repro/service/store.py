@@ -57,7 +57,8 @@ INDEX_SCHEMA = 1
 #: semantics, MixResult schema, profile calibration, ...).  A bump
 #: silently invalidates every previously written entry.
 #: v2: MixResult grew the ``metrics`` telemetry-snapshot field.
-CACHE_SCHEMA_VERSION = 2
+#: v3: SystemConfig (pickled inside every result) lost ``sampling``.
+CACHE_SCHEMA_VERSION = 3
 
 #: ``*.tmp`` orphans older than this are removed on open and by
 #: :meth:`ResultStore.gc`; younger ones may belong to a concurrent

@@ -64,14 +64,9 @@ class RunRecord:
     #: Where the result came from: simulated | memo | disk-cache | pool.
     source: str = "simulated"
     wall_time_s: float = 0.0
-    #: Execution engine the result was produced under.  Exact engines
-    #: ("reference"/"fast") are interchangeable; "sampled" marks the
-    #: result as an estimate.
+    #: Execution engine the result was produced under (the engines are
+    #: bit-identical, so this is provenance only).
     engine: str = "fast"
-    #: Sampled-engine window/error metadata (schedule knobs, windows
-    #: run, measured fraction, CPI confidence interval) — None for
-    #: exact-engine runs.
-    sampling: dict | None = None
 
     def as_dict(self) -> dict:
         """JSON-safe view of this record (what the service API serves)."""
@@ -81,19 +76,7 @@ class RunRecord:
     def from_run(
         cls, config, apps: Sequence[str],
         source: str = "simulated", wall_time_s: float = 0.0,
-        sampling: dict | None = None,
     ) -> "RunRecord":
-        engine = getattr(config, "engine", "fast")
-        if sampling is None and engine == "sampled":
-            # No per-run metadata supplied (e.g. a cache hit): record
-            # at least the schedule, which is part of the run identity.
-            s = config.sampling
-            sampling = {
-                "detail_instructions": s.detail_instructions,
-                "ff_instructions": s.ff_instructions,
-                "window_warmup": s.window_warmup,
-                "gap_smoothing": s.gap_smoothing,
-            }
         return cls(
             run_id=run_id(config, apps),
             config_hash=config_hash(config),
@@ -105,8 +88,7 @@ class RunRecord:
             warmup_instructions=config.warmup_instructions,
             source=source,
             wall_time_s=wall_time_s,
-            engine=engine,
-            sampling=sampling,
+            engine=getattr(config, "engine", "fast"),
         )
 
 

@@ -47,6 +47,16 @@ class TestConfigCodec:
     def test_unknown_field_is_loud(self):
         with pytest.raises(ValueError, match="unknown SystemConfig"):
             config_from_dict({"shedualer": "fcfs"})
+        # What a client built before the sampled engine was removed
+        # still sends with every config.
+        stale = {
+            "sampling": {
+                "detail_instructions": 2000, "ff_instructions": 18000,
+                "window_warmup": 1000, "gap_smoothing": 2,
+            },
+        }
+        with pytest.raises(ValueError, match="unknown SystemConfig"):
+            config_from_dict(stale)
 
     def test_unknown_core_field_is_loud(self, tiny_config):
         doc = config_to_dict(tiny_config)

@@ -50,6 +50,39 @@ class TestDisabledIsInvisible:
         core.run(200)
         assert core.timeline == []
 
+    def test_disabled_path_is_zero_cost(self, quick_config, monkeypatch):
+        """With telemetry off, the simulation must make *zero* instrument
+        calls — not even no-op calls on the null singletons.
+
+        The hot paths (core tick, fetch policies, DRAM issue) hoist their
+        telemetry checks so a disabled run never touches an instrument;
+        this pins that audit by counting invocations on the
+        null-instrument classes during an untelemetered run of each
+        engine.
+        """
+        from repro.telemetry import registry as reg
+        from repro.workloads.mixes import MIXES
+
+        calls = {"n": 0}
+
+        def counting(self, *args, **kwargs):
+            calls["n"] += 1
+
+        monkeypatch.setattr(reg._NullCounter, "add", counting)
+        monkeypatch.setattr(reg._NullGauge, "set", counting)
+        monkeypatch.setattr(reg._NullHistogram, "observe", counting)
+        monkeypatch.setattr(reg._NullSeries, "record", counting)
+
+        for engine in ("fast", "reference"):
+            calls["n"] = 0
+            config = quick_config.with_(engine=engine)
+            result = run_mix(config, MIXES["2-MEM"].apps)
+            assert result.core.cycles > 0
+            assert calls["n"] == 0, (
+                f"{engine} engine made {calls['n']} instrument calls "
+                "with telemetry disabled"
+            )
+
 
 class TestRegistryThroughTheStack:
     def test_metric_hierarchy_populated(self, quick_config):
