@@ -102,10 +102,10 @@ class SanitizedEventQueue(EventQueue):
         while heap and heap[0][0] <= time:
             when, _seq, fn, args = heappop(heap)
             self._check_fire(when)
-            self._now = when
+            self.now = when
             fn(*args)
             fired += 1
-        self._now = time
+        self.now = time
         return fired
 
     def run_all(self, limit: int = 10_000_000) -> int:
@@ -114,14 +114,14 @@ class SanitizedEventQueue(EventQueue):
         while heap:
             when, _seq, fn, args = heappop(heap)
             self._check_fire(when)
-            self._now = when
+            self.now = when
             fn(*args)
             fired += 1
             if fired > limit:
                 raise SimulationError(
                     f"event limit {limit} exceeded; runaway loop?"
                 )
-        return self._now
+        return self.now
 
 
 class _ShadowBank:

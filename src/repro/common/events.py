@@ -40,17 +40,16 @@ class EventQueue:
     ['b', 'a']
     """
 
-    __slots__ = ("_heap", "_seq", "_now")
+    __slots__ = ("_heap", "_seq", "now")
 
     def __init__(self) -> None:
         self._heap: list[Tuple[int, int, EventFn, tuple]] = []
         self._seq = 0
-        self._now = 0
-
-    @property
-    def now(self) -> int:
-        """Timestamp of the most recently fired event (or 0)."""
-        return self._now
+        #: Timestamp of the most recently fired event, or the last
+        #: ``run_until`` target (0 before either).  A plain slot: every
+        #: DRAM request reads it several times.  The SMT core writes it
+        #: directly when it advances the clock past an empty window.
+        self.now = 0
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -61,9 +60,9 @@ class EventQueue:
         ``time`` may equal the current time (fires on the next pump) but
         must never be in the past.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"event scheduled at {time} before current time {self._now}"
+                f"event scheduled at {time} before current time {self.now}"
             )
         self._seq += 1
         heappush(self._heap, (time, self._seq, fn, args))
@@ -79,9 +78,6 @@ class EventQueue:
         if not heap:
             return None
         return heap[0][0]
-
-    #: Backwards-compatible alias for :meth:`peek_time`.
-    next_time = peek_time
 
     def run_until(self, time: int) -> int:
         """Fire every event with timestamp ``<= time`` in order.
@@ -101,7 +97,7 @@ class EventQueue:
         """
         heap = self._heap
         if not heap or heap[0][0] > time:
-            self._now = time
+            self.now = time
             return 0
         return self._drain(time)
 
@@ -116,10 +112,10 @@ class EventQueue:
         fired = 0
         while heap and heap[0][0] <= time:
             when, _seq, fn, args = pop(heap)
-            self._now = when
+            self.now = when
             fn(*args)
             fired += 1
-        self._now = time
+        self.now = time
         return fired
 
     def run_all(self, limit: int = 10_000_000) -> int:
@@ -133,9 +129,9 @@ class EventQueue:
         pop = heappop
         while heap:
             when, _seq, fn, args = pop(heap)
-            self._now = when
+            self.now = when
             fn(*args)
             fired += 1
             if fired > limit:
                 raise SimulationError(f"event limit {limit} exceeded; runaway loop?")
-        return self._now
+        return self.now

@@ -160,13 +160,21 @@ class TimeWeightedHistogram(WeightedHistogram):
         self._last_value: int = 0
 
     def observe(self, time: int, value: int) -> None:
-        """The tracked value becomes ``value`` at ``time``."""
-        if self._last_time is not None:
-            if time < self._last_time:
-                raise ValueError(
-                    f"observation at {time} before previous {self._last_time}"
-                )
-            self.add(self._last_value, float(time - self._last_time))
+        """The tracked value becomes ``value`` at ``time``.
+
+        Credits the elapsed segment to the bins itself rather than
+        through :meth:`add`: the memory system observes twice per
+        request submitted and twice per request completed, and the
+        weight here is never negative.
+        """
+        last = self._last_time
+        if last is not None:
+            if time < last:
+                raise ValueError(f"observation at {time} before previous {last}")
+            if time != last:
+                bins = self._bins
+                prev = self._last_value
+                bins[prev] = bins.get(prev, 0.0) + float(time - last)
         self._last_time = time
         self._last_value = value
 

@@ -84,6 +84,7 @@ class MemRequest:
         "req_id",
         "line_addr",
         "access",
+        "is_read",
         "thread_id",
         "arrival",
         "rob_occupancy",
@@ -115,6 +116,10 @@ class MemRequest:
         self.req_id = req_id
         self.line_addr = line_addr
         self.access = access
+        #: True for demand fills, False for write-backs.  A slot, not a
+        #: property: the controllers and schedulers read it several
+        #: times per request.
+        self.is_read = access is MemAccessType.READ
         self.thread_id = thread_id
         self.arrival = arrival
         self.rob_occupancy = rob_occupancy
@@ -129,11 +134,6 @@ class MemRequest:
         self.issue_time: int = -1
         self.finish_time: int = -1
         self.row_hit: bool = False
-
-    @property
-    def is_read(self) -> bool:
-        """True for demand fills, False for write-backs."""
-        return self.access is MemAccessType.READ
 
     def age(self, now: int) -> int:
         """Cycles this request has been waiting at time ``now``."""

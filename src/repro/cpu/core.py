@@ -384,7 +384,7 @@ class SMTCore:
             if heap and heap[0][0] <= cycle:
                 run_until(cycle)
             else:
-                event_queue._now = cycle
+                event_queue.now = cycle
             commit(cycle)
             fetched = fetch(cycle)
             if sampling and cycle >= self._next_sample:
@@ -691,9 +691,7 @@ class SMTCore:
         the first free issue slot at or after its ready time."""
         opc = node.opc
         event_queue = self.event_queue
-        # Read directly, as the phase loop writes it: this runs once
-        # per µop and the ``now`` property is a Python-level call.
-        now = event_queue._now
+        now = event_queue.now
         issue = node.ready_lb
         if now > issue:
             issue = now

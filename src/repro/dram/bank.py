@@ -38,13 +38,11 @@ class Bank:
     in :meth:`repro.dram.controller.ChannelController._issue`.
     """
 
-    __slots__ = ("open_row", "free_at", "services", "row_hits")
+    __slots__ = ("open_row", "free_at")
 
     def __init__(self) -> None:
         self.open_row: int | None = None
         self.free_at = 0
-        self.services = 0
-        self.row_hits = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Bank(open_row={self.open_row}, free_at={self.free_at})"

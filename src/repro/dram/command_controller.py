@@ -33,7 +33,6 @@ from __future__ import annotations
 import enum
 
 from repro.common.types import MemRequest
-from repro.dram.bank import PageMode
 from repro.dram.controller import BaseChannelController
 from repro.dram.geometry import DRAMGeometry
 from repro.dram.timing import DRAMTiming
@@ -46,6 +45,19 @@ class Command(enum.Enum):
     ACTIVATE = "activate"
     READ = "read"
     WRITE = "write"
+
+    # Members are singletons compared by identity, so the identity hash
+    # is exact; ``Enum.__hash__`` would cost a Python frame on every
+    # ``commands_issued`` update.
+    __hash__ = object.__hash__
+
+
+# Bound once: an ``Enum`` class attribute lookup is slow next to a
+# module global, and the pump and ``_issue`` test the kind per command.
+_PRECHARGE = Command.PRECHARGE
+_ACTIVATE = Command.ACTIVATE
+_READ = Command.READ
+_WRITE = Command.WRITE
 
 
 class _BankState:
@@ -103,10 +115,7 @@ class CommandChannelController(BaseChannelController):
         self._prepared: set[int] = set()
 
     # ------------------------------------------------------------------
-    # scheduler context protocol
-
-    def is_row_hit(self, request: MemRequest) -> bool:
-        return self.banks[request.bank].open_row == request.row
+    # functional warming
 
     def warm_row(self, bank: int, row: int) -> None:
         """Functional warming of the row buffer.
@@ -116,42 +125,18 @@ class CommandChannelController(BaseChannelController):
         ``src/`` (see
         :meth:`repro.cache.hierarchy.MemoryHierarchy.warm_access`).
         """
-        if self.page_mode is PageMode.OPEN:
+        if self._open_mode:
             self.banks[bank].open_row = row
-
-    # ------------------------------------------------------------------
-    # command legality
-
-    def _next_command(self, request: MemRequest) -> Command:
-        """The command this request needs next, given its bank state."""
-        bank = self.banks[request.bank]
-        if bank.open_row == request.row:
-            return Command.READ if request.is_read else Command.WRITE
-        if bank.open_row is None:
-            return Command.ACTIVATE
-        return Command.PRECHARGE
-
-    def _earliest_issue(self, request: MemRequest, command: Command) -> int:
-        """Earliest time the command could legally go on the buses."""
-        bank = self.banks[request.bank]
-        earliest = max(bank.ready_at, self.cmd_free_at)
-        if command is Command.ACTIVATE:
-            earliest = max(earliest, self.last_activate_at + self.timing.t_rrd)
-        elif command is Command.PRECHARGE:
-            earliest = max(
-                earliest,
-                bank.activated_at + self.timing.t_ras,
-                bank.burst_done_at,
-            )
-        else:  # READ / WRITE: respect the bus-commitment horizon
-            earliest = max(earliest, self.bus_free_at - self.horizon)
-        return earliest
 
     # ------------------------------------------------------------------
     # scheduling engine
 
     def _maybe_refresh(self, now: int) -> None:
-        """All-bank refresh: rows close, banks stall for tRFC."""
+        """All-bank refresh: rows close, banks stall for tRFC.
+
+        ``pump`` calls this only once a refresh is due; the guard stays
+        so the method is safe on its own.
+        """
         if self._next_refresh_at is None or now < self._next_refresh_at:
             return
         done = now + self.timing.t_rfc
@@ -164,19 +149,25 @@ class CommandChannelController(BaseChannelController):
     def pump(self) -> None:
         """Issue legal commands now; sleep until the next one is legal.
 
-        The legality scan inlines ``_next_command`` +
-        ``_earliest_issue`` with the channel-wide bounds (command bus,
-        tRRD window, data-bus horizon) hoisted out of the per-request
-        loop; they only change through ``_issue``, so one read per scan
-        is exact.  Same comparisons, same ``max`` semantics, bit-for-bit
-        identical issue order.
+        Each command's earliest legal time is the latest of its bank's
+        ``ready_at``, the command bus, and one bound by command kind:
+        the tRRD window for an ACTIVATE, tRAS and the bank's last burst
+        for a PRECHARGE, the data-bus horizon for a column command.
+        The channel-wide bounds only change through ``_issue``, so they
+        are read once per scan.  No event fires inside ``pump``, so
+        ``now`` is read once; a refresh that is not yet due is not a
+        call.
         """
         banks = self.banks
         t_rrd = self.timing.t_rrd
         t_ras = self.timing.t_ras
+        now = self.event_queue.now
         while True:
-            now = self.event_queue.now
-            self._maybe_refresh(now)
+            if (
+                self._next_refresh_at is not None
+                and now >= self._next_refresh_at
+            ):
+                self._maybe_refresh(now)
             pool = self._select_pool()
             if not pool:
                 return
@@ -206,6 +197,10 @@ class CommandChannelController(BaseChannelController):
                     ready.append(request)
                 elif earliest_future is None or at < earliest_future:
                     earliest_future = at
+                    if at == cmd_free:
+                        # No command is earlier than the command bus,
+                        # and cmd_free > now, so nothing is ready.
+                        break
             if not ready:
                 if earliest_future is not None:
                     self._wake_at(earliest_future)
@@ -217,7 +212,14 @@ class CommandChannelController(BaseChannelController):
             else:
                 request = self.scheduler.select(ready, now, self)
                 reason = None
-            self._issue(request, self._next_command(request), now, reason)
+            open_row = banks[request.bank].open_row
+            if open_row == request.row:
+                command = _READ if request.is_read else _WRITE
+            elif open_row is None:
+                command = _ACTIVATE
+            else:
+                command = _PRECHARGE
+            self._issue(request, command, now, reason)
 
     def _trace_command(
         self,
@@ -255,14 +257,14 @@ class CommandChannelController(BaseChannelController):
             self._c_commands[command].add()
         if request.issue_time < 0:
             request.issue_time = now
-        if command is Command.PRECHARGE:
+        if command is _PRECHARGE:
             self._prepared.add(request.req_id)
             bank.open_row = None
             bank.ready_at = now + timing.t_pre
             if self._tracer is not None:
                 self._trace_command("dram.PRE", request, now, timing.t_pre, reason)
             return
-        if command is Command.ACTIVATE:
+        if command is _ACTIVATE:
             self._prepared.add(request.req_id)
             bank.open_row = request.row
             bank.ready_at = now + timing.t_row  # tRCD
@@ -272,7 +274,7 @@ class CommandChannelController(BaseChannelController):
                 self._trace_command("dram.ACT", request, now, timing.t_row, reason)
             return
         # READ / WRITE: schedule the data burst.
-        direction = "r" if command is Command.READ else "w"
+        direction = "r" if command is _READ else "w"
         bus_available = self.bus_free_at
         if self.last_burst is not None and self.last_burst != direction:
             bus_available += timing.t_turnaround
@@ -285,7 +287,7 @@ class CommandChannelController(BaseChannelController):
         # requests that needed their own PRECHARGE/ACTIVATE are misses.
         hit = request.row_hit = request.req_id not in self._prepared
         self._prepared.discard(request.req_id)
-        if self.page_mode is PageMode.OPEN:
+        if self._open_mode:
             bank.ready_at = data_end
         else:
             # auto-precharge after the burst

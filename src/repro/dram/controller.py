@@ -40,9 +40,13 @@ class BaseChannelController:
     """What the request- and command-level controllers share, once:
     read/write queues with drain watermarks, the queue interface,
     telemetry/registry wiring and the sleep/wake plumbing.  What
-    differs — bank state, ``pump``, ``_issue``, ``is_row_hit``,
-    ``warm_row`` — stays in each subclass; nothing here branches on
-    which model it serves.
+    differs — bank state, ``pump``, ``_issue``, ``warm_row`` — stays
+    in each subclass; nothing here branches on which model it serves.
+
+    Each controller is its scheduler's
+    :class:`~repro.dram.schedulers.SchedulerContext`: ``banks`` (set by
+    the subclass) and ``outstanding``, the memory system's live
+    per-thread outstanding-request counts.
     """
 
     #: Write-queue watermarks for drain mode.
@@ -64,10 +68,12 @@ class BaseChannelController:
         self.channel_id = channel_id
         self.timing = timing
         self.page_mode = page_mode
+        self._open_mode = page_mode is PageMode.OPEN
         self.scheduler = scheduler
         self.event_queue = event_queue
         self.stats = stats
         self.system = system
+        self.outstanding = system.outstanding_by_thread
         self._tracer = telemetry.tracer if telemetry is not None else None
         registry = (
             telemetry.registry
@@ -98,10 +104,6 @@ class BaseChannelController:
         self.writes: list[MemRequest] = []
         self._draining = False
         self._next_wake: int | None = None
-
-    def outstanding_for_thread(self, thread_id: int) -> int:
-        """Live outstanding-request count (for the request-based scheme)."""
-        return self.system.outstanding_for_thread(thread_id)
 
     # ------------------------------------------------------------------
     # queue interface
@@ -135,7 +137,8 @@ class BaseChannelController:
 
     def _wake_at(self, time: int) -> None:
         now = self.event_queue.now
-        time = max(time, now + 1)
+        if time <= now:
+            time = now + 1
         if self._next_wake is not None and self._next_wake <= time:
             return
         self._next_wake = time
@@ -164,11 +167,10 @@ class ChannelController(BaseChannelController):
         )
         self.banks = [Bank() for _ in range(geometry.banks_per_logical_channel)]
         # Flattened bank-timing fast path: the three state-dependent
-        # service latencies and the page-mode branch are resolved once
-        # here (from the timing's precomputed per-page-mode table) so
-        # the per-request path is plain attribute arithmetic instead of
-        # enum/property dispatch.
-        self._open_mode = page_mode is PageMode.OPEN
+        # service latencies are resolved once here (from the timing's
+        # precomputed table for this page mode) so the per-request path
+        # is plain attribute arithmetic instead of enum/property
+        # dispatch.
         lat = timing.service_latency_table(self._open_mode)
         self._lat_hit = lat["hit"]
         self._lat_closed = lat["closed"]
@@ -176,18 +178,7 @@ class ChannelController(BaseChannelController):
         self._t_pre = timing.t_pre
 
     # ------------------------------------------------------------------
-    # scheduler context protocol
-
-    def is_row_hit(self, request: MemRequest) -> bool:
-        """Whether ``request`` would hit the row buffer right now.
-
-        Schedulers call this once per candidate per pump, so it is
-        kept branch-free.
-        """
-        return (
-            self._open_mode
-            and self.banks[request.bank].open_row == request.row
-        )
+    # functional warming
 
     def warm_row(self, bank: int, row: int) -> None:
         """Functional warming: latch ``row`` with no timing or stats.
@@ -229,7 +220,7 @@ class ChannelController(BaseChannelController):
                 pool = current
                 ready = [r for r in pool if banks[r.bank].free_at <= now]
             if not ready:
-                self._wake_at(min(banks[r.bank].free_at for r in pool))
+                self._wake_at(min([banks[r.bank].free_at for r in pool]))
                 return
             if self._tracer is not None:
                 request, reason = self.scheduler.select_with_reason(
@@ -265,9 +256,6 @@ class ChannelController(BaseChannelController):
             latency = self._lat_closed
         data_start = max(now + latency, self.bus_free_at)
         data_end = data_start + self.transfer
-        bank.services += 1
-        if hit:
-            bank.row_hits += 1
         if self._open_mode:
             bank.open_row = row
             bank.free_at = data_end

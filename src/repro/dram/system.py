@@ -88,6 +88,11 @@ class MemorySystem:
         self.controller_model = controller_model
         self.telemetry = telemetry
         self.stats = DRAMStats()
+        self._outstanding_total = 0
+        #: Live outstanding requests per thread (threads with none are
+        #: absent); the thread-aware schedulers read it through each
+        #: channel's ``outstanding``.
+        self.outstanding_by_thread: dict[int, int] = {}
         self.channels = [
             controller_cls(
                 channel_id=i,
@@ -102,8 +107,6 @@ class MemorySystem:
             )
             for i in range(geometry.logical_channels)
         ]
-        self._outstanding_total = 0
-        self._outstanding_by_thread: dict[int, int] = {}
         #: Per-simulation request-ID counter (see MemRequest.req_id):
         #: owned here so run N in a process is bit-identical to run 1.
         self._req_seq = 0
@@ -171,7 +174,7 @@ class MemorySystem:
         mapped = self.mapping.map_line(request.line_addr)
         request.channel, request.bank, request.row = mapped
         self._outstanding_total += 1
-        per_thread = self._outstanding_by_thread
+        per_thread = self.outstanding_by_thread
         per_thread[request.thread_id] = per_thread.get(request.thread_id, 0) + 1
         self._observe_concurrency(now)
         controller = self.channels[request.channel]
@@ -223,7 +226,7 @@ class MemorySystem:
         """Called by a controller when a request's data movement is done."""
         now = self.event_queue.now
         self._outstanding_total -= 1
-        per_thread = self._outstanding_by_thread
+        per_thread = self.outstanding_by_thread
         remaining = per_thread[request.thread_id] - 1
         if remaining:
             per_thread[request.thread_id] = remaining
@@ -238,7 +241,7 @@ class MemorySystem:
 
     def outstanding_for_thread(self, thread_id: int) -> int:
         """Outstanding DRAM requests for one thread (request-based scheme)."""
-        return self._outstanding_by_thread.get(thread_id, 0)
+        return self.outstanding_by_thread.get(thread_id, 0)
 
     @property
     def outstanding_total(self) -> int:
@@ -254,7 +257,7 @@ class MemorySystem:
     def _observe_concurrency(self, now: int) -> None:
         total = self._outstanding_total
         self.stats.outstanding.observe(now, total)
-        threads = len(self._outstanding_by_thread) if total >= 2 else 0
+        threads = len(self.outstanding_by_thread) if total >= 2 else 0
         self.stats.thread_concurrency.observe(now, threads)
 
     def reset_stats(self) -> None:

@@ -433,7 +433,7 @@ class FastSMTCore(SMTCore):
             self._commit_ptr = (self._commit_ptr + span) % nthreads
             new_cycle = cycle0 + span
             self.cycle = new_cycle
-            event_queue._now = new_cycle - 1
+            event_queue.now = new_cycle - 1
             # Loop: if stall persists past window_end (event batch due,
             # miss blocked one thread, ...), the next iteration proves
             # and replays the next window; anything else returns.

@@ -125,11 +125,6 @@ class TestNextTime:
         q.schedule(4, lambda: None)
         assert q.peek_time() == 4
 
-    def test_next_time_is_an_alias(self):
-        q = EventQueue()
-        q.schedule(7, lambda: None)
-        assert q.next_time() == q.peek_time() == 7
-
     def test_run_until_counts_fired_events(self):
         q = EventQueue()
         for t in (2, 3, 3, 30):

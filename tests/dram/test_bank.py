@@ -12,7 +12,7 @@ from repro.common.types import MemAccessType, MemRequest
 from repro.dram.bank import PageMode
 from repro.dram.controller import ChannelController
 from repro.dram.geometry import ddr_geometry
-from repro.dram.schedulers import make_scheduler
+from repro.dram.schedulers import is_row_hit, make_scheduler
 from repro.dram.stats import DRAMStats
 from repro.dram.timing import ddr_timing
 
@@ -21,6 +21,8 @@ T = ddr_timing()
 
 class _Sink:
     """Stands in for the MemorySystem: takes completions, nothing else."""
+
+    outstanding_by_thread: dict = {}
 
     def complete(self, request):
         pass
@@ -54,7 +56,7 @@ class Channel:
         return req
 
     def would_hit(self, row):
-        return self.controller.is_row_hit(self.request(row))
+        return is_row_hit(self.request(row), self.controller)
 
 
 def command_latency(req):
@@ -132,9 +134,9 @@ class TestServe:
         ch = Channel(PageMode.OPEN)
         for row in (7, 7, 9):
             ch.serve(row)
-        assert ch.bank.services == 3
-        assert ch.bank.row_hits == 1
-        assert ch.controller.stats.row_buffer.rate == 1 / 3
+        row_buffer = ch.controller.stats.row_buffer
+        assert (row_buffer.total, row_buffer.hits) == (3, 1)
+        assert row_buffer.rate == 1 / 3
 
     def test_row_changes_on_conflict(self):
         ch = Channel(PageMode.OPEN)

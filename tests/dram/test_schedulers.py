@@ -1,6 +1,8 @@
 """Tests for DRAM access schedulers (Sections 3 and 5.5)."""
 
 import itertools
+from collections import defaultdict
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,17 +22,18 @@ from repro.dram.schedulers import (
 
 
 class FakeContext:
-    """Scheduler context with scripted row-hit and outstanding info."""
+    """Scheduler context with scripted row hits and outstanding counts.
+
+    Every test request targets row 0 of a bank of its own (bank index =
+    ``req_id``); the banks of the ``hits`` requests hold row 0 open,
+    all others are precharged.
+    """
 
     def __init__(self, hits=(), outstanding=None):
-        self._hits = set(hits)
-        self._outstanding = outstanding or {}
-
-    def is_row_hit(self, request):
-        return request.req_id in self._hits
-
-    def outstanding_for_thread(self, thread_id):
-        return self._outstanding.get(thread_id, 0)
+        self.banks = defaultdict(lambda: SimpleNamespace(open_row=None))
+        for req_id in hits:
+            self.banks[req_id] = SimpleNamespace(open_row=0)
+        self.outstanding = outstanding or {}
 
 
 # Explicit ids mimic MemorySystem.submit's per-simulation numbering
@@ -38,18 +41,23 @@ class FakeContext:
 _req_ids = itertools.count(1)
 
 
+def _own_bank(request):
+    request.bank, request.row = request.req_id, 0
+    return request
+
+
 def read(arrival=0, tid=0, rob=0, iq=0):
-    return MemRequest(
+    return _own_bank(MemRequest(
         0x100, MemAccessType.READ, tid, arrival=arrival,
         rob_occupancy=rob, iq_occupancy=iq, req_id=next(_req_ids),
-    )
+    ))
 
 
 def write(arrival=0, tid=0):
-    return MemRequest(
+    return _own_bank(MemRequest(
         0x200, MemAccessType.WRITE, tid, arrival=arrival,
         req_id=next(_req_ids),
-    )
+    ))
 
 
 class TestFcfs:

@@ -8,6 +8,8 @@ promise.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.experiments.runner import Runner, run_mix
@@ -214,11 +216,9 @@ class TestSchedulerReasons:
         from repro.common.types import MemAccessType, MemRequest
 
         class Ctx:
-            def is_row_hit(self, request):
-                return False
-
-            def outstanding_for_thread(self, thread_id):
-                return 0
+            # Every request's bank is precharged: all misses.
+            banks = {-1: SimpleNamespace(open_row=None)}
+            outstanding = {}
 
         scheduler = make_scheduler("age-based")
         requests = [
@@ -234,11 +234,9 @@ class TestSchedulerReasons:
         from repro.common.types import MemAccessType, MemRequest
 
         class Ctx:
-            def is_row_hit(self, request):
-                return True
-
-            def outstanding_for_thread(self, thread_id):
-                return 3
+            # Unmapped requests sit at bank -1, row -1: hold it open.
+            banks = {-1: SimpleNamespace(open_row=-1)}
+            outstanding = {5: 3}
 
         scheduler = make_scheduler("request-based")
         request = MemRequest(0, MemAccessType.READ, 5, arrival=0)
