@@ -188,6 +188,13 @@ def _make_runner(args: argparse.Namespace) -> Runner:
     )
 
 
+def _close_runner(runner: Runner) -> None:
+    """Close the service connections a ``--remote`` runner holds."""
+    client = getattr(runner, "client", None)  # ServiceRunner only
+    if client is not None:
+        client.close()
+
+
 def _config_from_args(args: argparse.Namespace) -> SystemConfig:
     overrides = {}
     mapping = {
@@ -431,6 +438,8 @@ def _run_figures(names: list[str], args: argparse.Namespace) -> int:
             print()
     except JobFailureError as exc:
         return _batch_failure(runner, exc)
+    finally:
+        _close_runner(runner)
     _print_resilience_summary(runner)
     _print_runner_manifest(runner, args)
     return 0
@@ -593,6 +602,8 @@ def main(argv: list[str] | None = None) -> int:
             )
         except JobFailureError as exc:
             return _batch_failure(runner, exc)
+        finally:
+            _close_runner(runner)
         with open(args.out, "w") as handle:
             handle.write(text)
         print(f"report written to {args.out}")

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import json
 import logging
+import socket
 import threading
 import time
 from collections import OrderedDict
@@ -169,6 +170,7 @@ class ServiceApp:
         self._shed = self.registry.counter("service.http.shed")
         self._read_only = self.registry.counter("service.http.read_only")
         self._latency_us = self.registry.histogram("service.latency_us")
+        self._connections = self.registry.counter("service.connections")
 
     @property
     def read_only(self) -> bool:
@@ -456,8 +458,17 @@ class ServiceApp:
 
 
 class _Handler(BaseHTTPRequestHandler):
+    """One keep-alive connection: requests are served in a loop until
+    the client closes, the idle ``timeout`` passes, or a request's body
+    could not be consumed (its bytes would parse as the next request)."""
+
     server_version = "repro-service"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle on, the second
+    # waits for the client's delayed ACK (~40 ms per response).
+    disable_nagle_algorithm = True
+    #: Seconds an idle connection keeps its handler thread.
+    timeout = 60.0
 
     @property
     def app(self) -> ServiceApp:
@@ -486,6 +497,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         for name, value in extra.items():
             self.send_header(name, value)
         self.end_headers()
@@ -508,6 +521,7 @@ class _Handler(BaseHTTPRequestHandler):
             log.exception("unhandled service error")
             app._errors.add()
             status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
+            self.close_connection = True  # the body may be unread
         app._latency_us.observe(
             max(0, int((time.perf_counter() - start) * 1e6))
         )
@@ -515,12 +529,30 @@ class _Handler(BaseHTTPRequestHandler):
             app._errors.add()
         self._respond(status, payload, headers)
 
+    def _body_length(self) -> int | None:
+        """The announced body length, or None when it cannot be
+        consumed (chunked, unparseable or negative ``Content-Length``)."""
+        if self.headers.get("Transfer-Encoding"):
+            return None
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            return None
+        return length if length >= 0 else None
+
     def do_GET(self) -> None:  # noqa: N802 - http.server API
+        if self._body_length() != 0:
+            self.close_connection = True  # an unread body follows
         self._timed(lambda: self.app.handle_get(self.path.split("?", 1)[0]))
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         def run() -> tuple:
-            length = int(self.headers.get("Content-Length") or 0)
+            length = self._body_length()
+            if length is None:
+                self.close_connection = True
+                return 400, {
+                    "error": "unreadable body (bad Content-Length or chunked)"
+                }
             raw = self.rfile.read(length) if length else b"{}"
             try:
                 body = json.loads(raw.decode() or "{}")
@@ -534,13 +566,42 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class ServiceServer(ThreadingHTTPServer):
-    """A :class:`ThreadingHTTPServer` carrying the :class:`ServiceApp`."""
+    """A :class:`ThreadingHTTPServer` carrying the :class:`ServiceApp`.
+
+    Connections are keep-alive, one handler thread each.  The server
+    tracks them so :meth:`server_close` can end every one: a closed
+    server must stop answering, not leave daemon handlers serving its
+    old clients.
+    """
 
     daemon_threads = True
 
     def __init__(self, address: tuple[str, int], app: ServiceApp) -> None:
         super().__init__(address, _Handler)
         self.app = app
+        self._live_lock = threading.Lock()
+        self._live: set[socket.socket] = set()
+
+    def process_request(self, request, client_address) -> None:
+        self.app._connections.add()
+        with self._live_lock:
+            self._live.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._live_lock:
+            self._live.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._live_lock:
+            live = list(self._live)
+        for request in live:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already gone
 
     @property
     def url(self) -> str:

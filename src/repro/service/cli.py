@@ -241,16 +241,16 @@ def _submit_config(args: argparse.Namespace) -> SystemConfig:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    client = _client(args)
     config = _submit_config(args)
     if args.experiment:
-        status = client.submit_campaign(
-            args.experiment, config=config, mixes=args.mixes
-        )
-        if args.wait and not status.get("complete"):
-            status = client.wait_campaign(
-                status["campaign"], timeout=args.poll_timeout
+        with _client(args) as client:
+            status = client.submit_campaign(
+                args.experiment, config=config, mixes=args.mixes
             )
+            if args.wait and not status.get("complete"):
+                status = client.wait_campaign(
+                    status["campaign"], timeout=args.poll_timeout
+                )
         status = dict(status)
         status.pop("states", None)  # keep the CLI line readable
         print(json.dumps(status, sort_keys=True))
@@ -264,22 +264,23 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         apps = list(MIXES[args.mix].apps)
     else:
         apps = list(args.apps)
-    status = client.submit(config, apps)
-    if args.wait and status.get("state") != "done":
-        status = client.wait_job(status["key"], timeout=args.poll_timeout)
+    with _client(args) as client:
+        status = client.submit(config, apps)
+        if args.wait and status.get("state") != "done":
+            status = client.wait_job(status["key"], timeout=args.poll_timeout)
     print(json.dumps(status, sort_keys=True))
     return 0 if status.get("state") in ("done", "queued", "running") else 1
 
 
 def _cmd_fetch(args: argparse.Namespace) -> int:
-    client = _client(args)
-    if args.out:
-        data = client.fetch_bytes(args.key)
-        with open(args.out, "wb") as handle:
-            handle.write(data)
-        print(f"[{len(data)} bytes written to {args.out}]")
-        return 0
-    result = client.fetch(args.key)
+    with _client(args) as client:
+        if args.out:
+            data = client.fetch_bytes(args.key)
+            with open(args.out, "wb") as handle:
+                handle.write(data)
+            print(f"[{len(data)} bytes written to {args.out}]")
+            return 0
+        result = client.fetch(args.key)
     print(
         json.dumps(
             {
@@ -297,13 +298,13 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    client = _client(args)
-    if args.action == "wait":
-        status = client.wait_campaign(
-            args.campaign_id, timeout=args.poll_timeout
-        )
-    else:
-        status = client.campaign(args.campaign_id)
+    with _client(args) as client:
+        if args.action == "wait":
+            status = client.wait_campaign(
+                args.campaign_id, timeout=args.poll_timeout
+            )
+        else:
+            status = client.campaign(args.campaign_id)
     status = dict(status)
     status.pop("states", None)
     print(json.dumps(status, sort_keys=True))

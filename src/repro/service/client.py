@@ -1,9 +1,12 @@
 """Typed client for the service API, plus a remote-backed Runner.
 
 :class:`ServiceClient` wraps the HTTP surface with plain methods
-(stdlib ``urllib`` only) and verifies every fetched payload against
-its ``X-Payload-SHA256`` header before unpickling, so a corrupted
-transfer can never masquerade as a result.
+(stdlib ``http.client`` only) and verifies every fetched payload
+against its ``X-Payload-SHA256`` header before unpickling, so a
+corrupted transfer can never masquerade as a result.  Each client
+thread keeps one persistent HTTP/1.1 connection, reused across
+requests and reopened when the URL changes; :meth:`ServiceClient.close`
+(or a ``with`` block) releases them.
 
 :class:`ServiceRunner` is the transparency piece: a drop-in
 :class:`~repro.experiments.runner.Runner` whose simulations happen on
@@ -32,12 +35,12 @@ ephemeral port.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import pickle
+import threading
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 from typing import Sequence
 
@@ -46,6 +49,12 @@ from repro.experiments.config import SystemConfig
 from repro.experiments.runner import MixResult, Runner
 from repro.service.jobs import config_to_dict
 from repro.service.store import job_key, payload_digest
+
+#: Connection class per URL scheme.
+_CONNECTION_TYPES = {
+    "http": http.client.HTTPConnection,
+    "https": http.client.HTTPSConnection,
+}
 
 #: Where ``repro serve`` advertises its ephemeral URL, relative to the
 #: store directory (see :func:`discover_url`).
@@ -163,7 +172,9 @@ class ServiceClient:
     """HTTP client for one service endpoint.
 
     Pass ``url`` directly, or ``store_dir`` to discover the URL a
-    ``repro serve`` process advertised there.
+    ``repro serve`` process advertised there.  Each thread using the
+    client holds one keep-alive connection; :meth:`close` (or leaving
+    a ``with`` block) closes them all.
     """
 
     def __init__(
@@ -187,9 +198,78 @@ class ServiceClient:
         self.breaker = (
             breaker if breaker is not None else CircuitBreaker(seed=seed)
         )
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections: set[http.client.HTTPConnection] = set()
 
     # ------------------------------------------------------------------
     # transport
+
+    def close(self) -> None:
+        """Close every connection this client opened.
+
+        The client stays usable: its next request reconnects.
+        """
+        with self._lock:
+            connections = list(self._connections)
+        for conn in connections:
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def _connection(self) -> tuple[http.client.HTTPConnection, str]:
+        """This thread's connection to the current URL, and the path
+        prefix the URL carries; a URL change (rediscovery) replaces it."""
+        local = self._local
+        conn = getattr(local, "conn", None)
+        if conn is not None and local.url == self.url:
+            return conn, local.prefix
+        if conn is not None:
+            conn.close()
+            with self._lock:
+                self._connections.discard(conn)
+        scheme, _, rest = self.url.partition("://")
+        factory = _CONNECTION_TYPES.get(scheme)
+        if factory is None:
+            raise ServiceError(f"unsupported service URL {self.url!r}")
+        netloc, _, prefix = rest.partition("/")
+        conn = factory(netloc, timeout=self.timeout)
+        with self._lock:
+            self._connections.add(conn)
+        local.conn, local.url = conn, self.url
+        local.prefix = f"/{prefix}" if prefix else ""
+        return conn, local.prefix
+
+    @staticmethod
+    def _exchange(
+        conn: http.client.HTTPConnection,
+        method: str,
+        target: str,
+        data: bytes | None,
+        headers: dict[str, str],
+    ) -> http.client.HTTPResponse:
+        """Send one request and read the response's status line.
+
+        A *reused* connection the server has since dropped (idle
+        timeout, restart) fails before any response byte arrives.
+        That is not a service failure, so the request goes out once
+        more on a fresh connection: no breaker failure, no backoff.
+        """
+        reused = conn.sock is not None
+        try:
+            conn.request(method, target, data, headers)
+            return conn.getresponse()
+        except (ConnectionResetError, BrokenPipeError):
+            # http.client.RemoteDisconnected is a ConnectionResetError.
+            if not reused:
+                raise
+        conn.close()
+        conn.request(method, target, data, headers)
+        return conn.getresponse()
 
     def _request_once(
         self,
@@ -201,29 +281,37 @@ class ServiceClient:
         send_headers = dict(headers) if headers else {}
         if data is not None:
             send_headers.setdefault("Content-Type", "application/json")
-        request = urllib.request.Request(
-            f"{self.url}{path}", data=data, headers=send_headers
-        )
+        conn, prefix = self._connection()
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                return resp.read(), dict(resp.headers)
-        except urllib.error.HTTPError as exc:
-            detail = exc.read().decode(errors="replace").strip()
-            message = f"{path} -> HTTP {exc.code}: {detail or exc.reason}"
-            if exc.code in (429, 503):
-                retry_after = None
-                raw = exc.headers.get("Retry-After") if exc.headers else None
-                if raw is not None:
-                    try:
-                        retry_after = float(raw)
-                    except ValueError:
-                        retry_after = None
-                raise ServiceUnavailable(message, retry_after) from exc
-            raise ServiceError(message) from exc
-        except urllib.error.URLError as exc:
-            # Connection refused/reset, DNS, socket timeout: the
-            # service is (momentarily) not there.
-            raise ServiceUnavailable(f"{path} -> {exc.reason}") from exc
+            response = self._exchange(
+                conn, "GET" if data is None else "POST", prefix + path,
+                data, send_headers,
+            )
+            body = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            # Connection refused/reset, socket timeout, torn response:
+            # the service is (momentarily) not there.
+            conn.close()
+            raise ServiceUnavailable(
+                f"{path} -> {exc or type(exc).__name__}"
+            ) from exc
+        except BaseException:
+            conn.close()  # never reuse a half-finished exchange
+            raise
+        if 200 <= response.status < 300:
+            return body, dict(response.headers)
+        detail = body.decode(errors="replace").strip() or response.reason
+        message = f"{path} -> HTTP {response.status}: {detail}"
+        if response.status in (429, 503):
+            retry_after = None
+            raw = response.headers.get("Retry-After")
+            if raw is not None:
+                try:
+                    retry_after = float(raw)
+                except ValueError:
+                    retry_after = None
+            raise ServiceUnavailable(message, retry_after)
+        raise ServiceError(message)
 
     def _backoff_s(self, attempt: int, hint: float | None) -> float:
         """Deterministic delay before retry ``attempt`` (0-based)."""
