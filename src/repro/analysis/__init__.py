@@ -4,14 +4,14 @@ Two complementary layers guard the property every cached result and
 published figure depends on — that a given configuration always
 reproduces the same run, and that the run obeyed the DRAM protocol:
 
-* :mod:`repro.analysis.linter` — an AST-based **determinism linter**
-  (``repro lint``) that flags nondeterminism hazards before they enter
-  the tree: raw :mod:`random` use, wall-clock reads in simulation
-  code, iteration over unordered containers feeding ordering-sensitive
-  logic, module-level mutable state, heap pushes without deterministic
-  tiebreakers, unsorted directory listings, float accumulation over
-  sets, and ``id()``-derived keys.  Findings are suppressed per line
-  with ``# repro: allow(DETxxx)`` pragmas.
+* ``repro lint`` (:func:`repro.analysis.dataflow.analyze_paths`) — one
+  whole-program static pass that flags nondeterminism hazards before
+  they enter the tree: per-line DET rules
+  (:mod:`repro.analysis.rules`), filesystem write-discipline FS rules
+  (:mod:`repro.analysis.fs_rules`) and TNT source→sink taint rules
+  (:mod:`repro.analysis.taint_rules`) whose findings carry the value's
+  path.  Findings are suppressed per line with
+  ``# repro: allow(CODE)`` pragmas.
 
 * :mod:`repro.analysis.sanitizer` — an opt-in runtime **SimSanitizer**
   that wraps the event queue and both DRAM controller models during a
@@ -28,12 +28,9 @@ reference.
 
 from repro.analysis.linter import (
     Finding,
-    LintReport,
     Rule,
     Severity,
     all_rules,
-    lint_file,
-    lint_paths,
     lint_source,
 )
 from repro.analysis.sanitizer import (
@@ -44,12 +41,9 @@ from repro.analysis.sanitizer import (
 
 __all__ = [
     "Finding",
-    "LintReport",
     "Rule",
     "Severity",
     "all_rules",
-    "lint_file",
-    "lint_paths",
     "lint_source",
     "SanitizerError",
     "SimSanitizer",

@@ -1,4 +1,4 @@
-"""Whole-program module/class/call-graph index for the deep analyzer.
+"""Whole-program module/class/call-graph index for ``repro lint``.
 
 The per-statement linter (:mod:`repro.analysis.rules`) sees one AST at
 a time; the dataflow pass (:mod:`repro.analysis.dataflow`) needs to
@@ -17,7 +17,7 @@ module provides the name-resolution substrate for that:
   ``self.method``, ``ClassName``) into candidate function qnames.
 
 Resolution is deliberately *syntactic*: there is no type inference, so
-a call through an arbitrary object (``cache.put(...)``) resolves to
+a call through an arbitrary object (``joblog.append(...)``) resolves to
 nothing and the dataflow pass falls back to its conservative
 assumption (tainted arguments taint the return value) plus the
 name/receiver-based sink table in :mod:`repro.analysis.taint_rules`.
@@ -31,6 +31,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from repro.analysis.linter import dotted_name
 
 
 def module_qname(path: str | Path) -> str:
@@ -100,7 +102,7 @@ class ClassInfo:
 
 @dataclass
 class ModuleInfo:
-    """Name-resolution facts for one module (cache-serializable)."""
+    """Name-resolution facts for one module."""
 
     qname: str
     path: str
@@ -109,40 +111,6 @@ class ModuleInfo:
     functions: frozenset[str] = frozenset()
     #: Class name -> ClassInfo for classes defined in the module.
     classes: dict[str, ClassInfo] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "qname": self.qname,
-            "path": self.path,
-            "imports": dict(self.imports),
-            "functions": sorted(self.functions),
-            "classes": {
-                name: {
-                    "qname": info.qname,
-                    "bases": list(info.bases),
-                    "methods": sorted(info.methods),
-                }
-                for name, info in self.classes.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ModuleInfo":
-        classes = {
-            name: ClassInfo(
-                qname=str(raw["qname"]),
-                bases=tuple(raw["bases"]),
-                methods=frozenset(raw["methods"]),
-            )
-            for name, raw in dict(doc.get("classes", {})).items()
-        }
-        return cls(
-            qname=str(doc["qname"]),
-            path=str(doc["path"]),
-            imports=dict(doc.get("imports", {})),
-            functions=frozenset(doc.get("functions", ())),
-            classes=classes,
-        )
 
 
 def index_module(tree: ast.Module, path: str | Path) -> ModuleInfo:
@@ -162,7 +130,7 @@ def index_module(tree: ast.Module, path: str | Path) -> ModuleInfo:
             )
             bases: list[str] = []
             for base in node.bases:
-                dotted = _dotted(base)
+                dotted = dotted_name(base)
                 if dotted is None:
                     continue
                 head, _, rest = dotted.partition(".")
@@ -185,18 +153,6 @@ def index_module(tree: ast.Module, path: str | Path) -> ModuleInfo:
         functions=frozenset(functions),
         classes=classes,
     )
-
-
-def _dotted(node: ast.AST) -> str | None:
-    parts: list[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if isinstance(current, ast.Name):
-        parts.append(current.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 class ProgramIndex:

@@ -1,45 +1,32 @@
-"""``repro lint`` — the determinism linter's command-line front end.
+"""``repro lint`` — the determinism analysis's command-line front end.
 
 Registered as a subcommand of the main experiment CLI
-(``python -m repro lint src/``).  Two depths share one interface:
+(``python -m repro lint src/repro``).  One pass
+(:func:`repro.analysis.dataflow.analyze_paths`) runs every rule: the
+per-line DET rules, the FS write-discipline rules and the TNT
+source→sink taint rules, whose findings print with their traces.
 
-* the default **shallow** run — per-line DET rules, one file at a
-  time;
-* ``--deep`` — the whole-program taint + filesystem-atomicity
-  analysis (:mod:`repro.analysis.dataflow`): TNT source→sink findings
-  with traces, FS write-discipline findings, and the DET rules, all in
-  one pass.  ``--cache-dir`` keeps per-file summaries between runs so
-  warm invocations skip parsing; ``--baseline`` ratchets accepted
-  findings (see :mod:`repro.analysis.baseline`).
+Exit codes follow the usual linter convention so CI can gate on them:
 
-Exit codes follow the usual linter convention at *both* depths so CI
-can gate on them:
-
-* ``0`` — no unsuppressed, non-baselined findings,
+* ``0`` — no unsuppressed findings,
 * ``1`` — at least one finding,
-* ``2`` — operational failure (missing path, unparseable file, bad
-  baseline, unknown rule).
+* ``2`` — operational failure (no path, missing path, unparseable file).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 from typing import IO, Sequence
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE,
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.dataflow import DeepReport, SummaryCache, analyze_paths
+from repro.analysis.dataflow import analyze_paths
 from repro.analysis.fs_rules import FS_RULES
-from repro.analysis.linter import LintReport, all_rules, lint_paths
-from repro.analysis.sarif import to_sarif
+from repro.analysis.linter import (
+    UNUSED_PRAGMA_CODE,
+    UNUSED_PRAGMA_SUMMARY,
+    Severity,
+    all_rules,
+)
 from repro.analysis.taint_rules import TNT_RULES
 
 
@@ -47,35 +34,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the lint subcommand's arguments to ``parser``."""
     parser.add_argument(
         "paths", nargs="*", metavar="PATH",
-        help="files or directory trees to lint",
-    )
-    parser.add_argument(
-        "--deep", action="store_true",
-        help="run the whole-program taint + filesystem analysis "
-        "(TNT/FS rules) in addition to the per-line DET rules",
-    )
-    parser.add_argument(
-        "--format", choices=("human", "json", "sarif"), default="human",
-        help="output format (json/sarif are machine-readable documents)",
-    )
-    parser.add_argument(
-        "--select", nargs="+", default=None, metavar="CODE",
-        help="only run these rule codes (e.g. DET001 DET004; shallow only)",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="suppress findings recorded in this baseline file "
-        f"(default with --deep: {DEFAULT_BASELINE} if it exists)",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to accept exactly the current "
-        "findings, then exit 0",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="directory for per-file summary caching (--deep only); "
-        "warm runs skip parsing unchanged files",
+        help="files or directory trees to analyze, as one program",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -84,67 +43,14 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _print_rules(out: IO[str]) -> None:
-    for rule in all_rules():
-        out.write(f"{rule.code} [{rule.severity.value}] {rule.summary}\n")
-    for code, (summary, severity) in sorted(TNT_RULES.items()):
-        out.write(f"{code} [{severity.value}] {summary} (--deep)\n")
-    for code, (summary, severity) in sorted(FS_RULES.items()):
-        out.write(f"{code} [{severity.value}] {summary} (--deep)\n")
-
-
-def _render_human(
-    report: LintReport | DeepReport,
-    out: IO[str],
-    suppressed: int = 0,
-    stale: Sequence[str] = (),
-) -> None:
-    for finding in report.findings:
-        out.write(finding.render() + "\n")
-        for line in finding.render_trace():
-            out.write(line + "\n")
-    for error in report.errors:
-        out.write(f"error: {error}\n")
-    noun = "file" if report.files_checked == 1 else "files"
-    tail = ""
-    if suppressed:
-        tail = f", {suppressed} baselined"
-    out.write(
-        f"{len(report.findings)} finding(s), {len(report.errors)} error(s) "
-        f"in {report.files_checked} {noun}{tail}\n"
-    )
-    if stale:
-        out.write(
-            f"note: {len(stale)} stale baseline entr"
-            f"{'y' if len(stale) == 1 else 'ies'} (finding fixed; run "
-            "--update-baseline to drop): "
-            + ", ".join(stale)
-            + "\n"
-        )
-
-
-def _emit(
-    report: LintReport | DeepReport,
-    args: argparse.Namespace,
-    stream: IO[str],
-    suppressed: int = 0,
-    stale: Sequence[str] = (),
-) -> None:
-    if args.format == "json":
-        doc = report.to_dict()
-        if suppressed or stale:
-            doc["baseline"] = {
-                "suppressed": suppressed,
-                "stale": list(stale),
-            }
-        json.dump(doc, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-    elif args.format == "sarif":
-        json.dump(
-            to_sarif(report.findings), stream, indent=2, sort_keys=True
-        )
-        stream.write("\n")
-    else:
-        _render_human(report, stream, suppressed, stale)
+    catalog = [(UNUSED_PRAGMA_CODE, UNUSED_PRAGMA_SUMMARY, Severity.WARNING)]
+    catalog += [(rule.code, rule.summary, rule.severity) for rule in all_rules()]
+    catalog += [
+        (code, summary, severity)
+        for code, (summary, severity) in {**TNT_RULES, **FS_RULES}.items()
+    ]
+    for code, summary, severity in sorted(catalog):
+        out.write(f"{code} [{severity.value}] {summary}\n")
 
 
 def run_lint(
@@ -156,61 +62,21 @@ def run_lint(
         _print_rules(stream)
         return 0
     if not args.paths:
-        stream.write("error: no paths given (try 'repro lint src/')\n")
-        return 2
-    if args.select and args.deep:
-        stream.write("error: --select applies to shallow runs only\n")
+        stream.write("error: no paths given (try 'repro lint src/repro')\n")
         return 2
 
-    if args.deep:
-        cache = (
-            SummaryCache(args.cache_dir) if args.cache_dir is not None else None
-        )
-        report: LintReport | DeepReport = analyze_paths(args.paths, cache=cache)
-    else:
-        rules = all_rules()
-        if args.select:
-            wanted = set(args.select)
-            unknown = wanted - {rule.code for rule in rules}
-            if unknown:
-                stream.write(
-                    "error: unknown rule code(s): "
-                    f"{', '.join(sorted(unknown))}\n"
-                )
-                return 2
-            rules = [rule for rule in rules if rule.code in wanted]
-        report = lint_paths(args.paths, rules)
-
-    # Baseline: explicit path wins; --deep defaults to the committed
-    # ratchet file when present (shallow runs never guess — their
-    # findings are expected to be pragma-clean).
-    baseline_path = args.baseline
-    if baseline_path is None and args.deep:
-        if Path(DEFAULT_BASELINE).is_file():
-            baseline_path = DEFAULT_BASELINE
-
-    if args.update_baseline:
-        target = args.baseline or DEFAULT_BASELINE
-        count = write_baseline(target, report.findings)
-        stream.write(
-            f"baseline: wrote {count} fingerprint(s) to {target}\n"
-        )
-        return 0 if not report.errors else 2
-
-    suppressed = 0
-    stale: list[str] = []
-    if baseline_path is not None:
-        try:
-            baseline = load_baseline(baseline_path)
-        except BaselineError as exc:
-            stream.write(f"error: {exc}\n")
-            return 2
-        new_findings, suppressed, stale = apply_baseline(
-            report.findings, baseline
-        )
-        report.findings = new_findings
-
-    _emit(report, args, stream, suppressed, stale)
+    report = analyze_paths(args.paths)
+    for finding in report.findings:
+        stream.write(finding.render() + "\n")
+        for line in finding.render_trace():
+            stream.write(line + "\n")
+    for error in report.errors:
+        stream.write(f"error: {error}\n")
+    noun = "file" if report.files_checked == 1 else "files"
+    stream.write(
+        f"{len(report.findings)} finding(s), {len(report.errors)} error(s) "
+        f"in {report.files_checked} {noun}\n"
+    )
     if report.errors:
         return 2
     return 1 if report.findings else 0
@@ -219,7 +85,7 @@ def run_lint(
 def main(argv: Sequence[str] | None = None) -> int:
     """Standalone entry point (``python -m repro.analysis.cli``)."""
     parser = argparse.ArgumentParser(
-        prog="repro-lint", description="determinism linter for repro"
+        prog="repro-lint", description="determinism analysis for repro"
     )
     add_lint_arguments(parser)
     return run_lint(parser.parse_args(argv))

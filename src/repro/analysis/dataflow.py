@@ -1,23 +1,21 @@
-"""Interprocedural determinism taint analysis (``repro lint --deep``).
+"""The one analysis behind ``repro lint``: DET, FS and TNT in one pass.
 
 The per-line DET rules catch a ``time.time()`` *call*; they cannot see
 that its value, three assignments and two helper calls later, lands in
-a ``SystemConfig`` seed — poisoning a cache key that a content-
-addressed store then serves forever.  This module follows the value.
+a job-log record that ``--resume`` replays.  This module follows the
+value, and runs every other rule family in the same pass.
 
-Architecture (two phases, the first cacheable per file):
+Architecture (two phases):
 
 1. **Extraction** (:func:`extract_module`) — parse one file and build a
    :class:`ModuleSummary`: the module's name-resolution facts
    (:mod:`repro.analysis.callgraph`), its pre-suppression per-line
-   findings (DET rules via :func:`~repro.analysis.linter.lint_source_raw`
+   findings (DET rules via :func:`~repro.analysis.linter.run_rules`
    and FS rules via :mod:`repro.analysis.fs_rules`), and — the heart —
    one :class:`FnSummary` per function: every call site, plus *taint
    edges* recording how values flow between nondeterminism sources
    (:mod:`repro.analysis.taint_rules`), parameters, call results,
-   ``self`` attributes, sinks, and the return value.  Summaries are
-   plain data, serialized to JSON by :class:`SummaryCache` keyed on the
-   file's content hash, so warm runs skip parsing entirely.
+   ``self`` attributes, sinks, and the return value.
 2. **Solving** (:class:`Program`) — resolve call names program-wide,
    then run a fixpoint over the summaries: which functions return
    tainted values, which parameters reach sinks (transitively), which
@@ -31,12 +29,12 @@ The analysis is deliberately conservative where it cannot resolve a
 callee (no type inference): an unresolved call with a tainted argument
 is assumed to return taint.  It is *not* sound — implicit flows
 through branches, container element tracking, and closure captures are
-out of scope — but it is exactly sharp enough to catch the two bug
-shapes this repo has actually shipped (a process-global counter
-leaking into run behaviour; wall-clock values reaching durable
-records), which is the bar a reviewer-time tool has to clear.
+out of scope — but it is sharp enough to catch the bug shapes this
+repo has actually shipped (a process-global counter leaking into run
+behaviour; wall-clock values reaching durable records; non-atomic
+publishes into a shared store).
 
-Suppression: a deep finding honors ``# repro: allow(TNTxxx)`` pragmas
+Suppression: a taint finding honors ``# repro: allow(TNTxxx)`` pragmas
 on *either* end of the flow — the source line or the sink line — since
 the legitimate party differs case by case.
 """
@@ -44,11 +42,6 @@ the legitimate party differs case by case.
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
-import os
-import threading
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -62,12 +55,13 @@ from repro.analysis.callgraph import (
 from repro.analysis.fs_rules import FS_RULES
 from repro.analysis.linter import (
     Finding,
-    _python_files,
-    apply_pragmas,
     all_rules,
-    lint_source_raw,
+    apply_pragmas,
+    dotted_name,
     pragmas_for_source,
+    run_rules,
 )
+from repro.analysis.rules import is_set_expression
 from repro.analysis.taint_rules import (
     ORDER_KINDS,
     SANITIZERS,
@@ -77,11 +71,7 @@ from repro.analysis.taint_rules import (
     severity_for,
 )
 
-#: Bump to invalidate every cached module summary (rule or format change).
-ANALYZER_VERSION = 1
-
-#: Caps keeping pathological files from blowing up the edge lists.
-_MAX_ATOMS_PER_NAME = 6
+#: Caps keeping pathological files from blowing up traces and routes.
 _MAX_STEPS = 8
 _MAX_SINK_PATHS = 3
 
@@ -94,32 +84,9 @@ Atom = tuple
 Steps = tuple[tuple[int, str], ...]
 
 
-def _dotted(node: ast.AST) -> str | None:
-    parts: list[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if isinstance(current, ast.Name):
-        parts.append(current.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _short(node: ast.AST, limit: int = 60) -> str:
-    try:
-        text = ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse is total on 3.9+
-        text = type(node).__name__
+    text = ast.unparse(node)
     return text if len(text) <= limit else text[: limit - 3] + "..."
-
-
-def _is_set_expression(node: ast.AST) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id in ("set", "frozenset")
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -138,24 +105,10 @@ class CallSiteRec:
     sink: str | None = None  # TNT code when the call is a sink
     sink_detail: str = ""
 
-    def to_list(self) -> list:
-        return [
-            self.index, self.name, self.line, self.col,
-            int(self.is_attr), self.sink, self.sink_detail,
-        ]
-
-    @classmethod
-    def from_list(cls, raw: list) -> "CallSiteRec":
-        return cls(
-            index=int(raw[0]), name=str(raw[1]), line=int(raw[2]),
-            col=int(raw[3]), is_attr=bool(raw[4]),
-            sink=raw[5], sink_detail=str(raw[6]),
-        )
-
 
 @dataclass
 class FnSummary:
-    """Dataflow facts for one function (JSON-serializable)."""
+    """Dataflow facts for one function."""
 
     qname: str
     class_qname: str | None
@@ -164,33 +117,10 @@ class FnSummary:
     line: int
     calls: list[CallSiteRec] = field(default_factory=list)
     #: edge-kind -> list of edges; see module docstring for shapes.
-    edges: dict[str, list] = field(default_factory=dict)
+    edges: dict[str, list[tuple]] = field(default_factory=dict)
 
     def edge(self, kind: str, *payload) -> None:
-        self.edges.setdefault(kind, []).append(list(payload))
-
-    def to_dict(self) -> dict:
-        return {
-            "qname": self.qname,
-            "class_qname": self.class_qname,
-            "class_name": self.class_name,
-            "params": list(self.params),
-            "line": self.line,
-            "calls": [c.to_list() for c in self.calls],
-            "edges": {k: v for k, v in self.edges.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "FnSummary":
-        return cls(
-            qname=str(doc["qname"]),
-            class_qname=doc.get("class_qname"),
-            class_name=doc.get("class_name"),
-            params=list(doc.get("params", ())),
-            line=int(doc.get("line", 1)),
-            calls=[CallSiteRec.from_list(c) for c in doc.get("calls", ())],
-            edges={k: list(v) for k, v in doc.get("edges", {}).items()},
-        )
+        self.edges.setdefault(kind, []).append(payload)
 
 
 @dataclass
@@ -198,43 +128,12 @@ class ModuleSummary:
     """Everything the solver needs to know about one file."""
 
     path: str
-    digest: str
     info: ModuleInfo
     functions: list[FnSummary] = field(default_factory=list)
     #: Pre-suppression per-line findings (DET + FS) for this file.
     local_findings: list[Finding] = field(default_factory=list)
     #: line -> codes allowed by pragmas on that line.
     pragmas: dict[int, frozenset[str]] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "version": ANALYZER_VERSION,
-            "path": self.path,
-            "digest": self.digest,
-            "info": self.info.to_dict(),
-            "functions": [f.to_dict() for f in self.functions],
-            "local_findings": [f.to_dict() for f in self.local_findings],
-            "pragmas": {
-                str(line): sorted(codes)
-                for line, codes in self.pragmas.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ModuleSummary":
-        return cls(
-            path=str(doc["path"]),
-            digest=str(doc["digest"]),
-            info=ModuleInfo.from_dict(doc["info"]),
-            functions=[FnSummary.from_dict(f) for f in doc.get("functions", ())],
-            local_findings=[
-                Finding.from_dict(f) for f in doc.get("local_findings", ())
-            ],
-            pragmas={
-                int(line): frozenset(codes)
-                for line, codes in dict(doc.get("pragmas", {})).items()
-            },
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +165,7 @@ class _FunctionExtractor:
         self, into: dict[Atom, Steps], atoms: dict[Atom, Steps]
     ) -> dict[Atom, Steps]:
         for atom, steps in atoms.items():
-            if atom not in into and len(into) < _MAX_ATOMS_PER_NAME:
-                into[atom] = steps
+            into.setdefault(atom, steps)
         return into
 
     def _step(self, steps: Steps, line: int, text: str) -> Steps:
@@ -289,8 +187,7 @@ class _FunctionExtractor:
             tag, *payload = atom
             # Edge keys: "<atomkind>_<targetkind>", e.g. "src_call".
             self.s.edge(
-                f"{tag}_{target_kind}", list(payload), *target_payload,
-                [list(s) for s in steps],
+                f"{tag}_{target_kind}", tuple(payload), *target_payload, steps,
             )
 
     # -- expressions ---------------------------------------------------
@@ -330,7 +227,7 @@ class _FunctionExtractor:
         return self.eval(node.value)
 
     def _eval_Subscript(self, node: ast.Subscript) -> dict[Atom, Steps]:
-        container = _dotted(node.value)
+        container = dotted_name(node.value)
         if container in ("os.environ", "os.environb"):
             return {
                 ("src", "environment", f"{container}[...]", node.lineno): ()
@@ -342,7 +239,7 @@ class _FunctionExtractor:
         saved = {}
         for gen in node.generators:
             iter_atoms = self.eval(gen.iter)
-            if _is_set_expression(gen.iter):
+            if is_set_expression(gen.iter):
                 iter_atoms = dict(iter_atoms)
                 iter_atoms[
                     ("src", "set-order", _short(gen.iter), gen.iter.lineno)
@@ -368,7 +265,7 @@ class _FunctionExtractor:
     _eval_GeneratorExp = _comprehension
 
     def _eval_Call(self, node: ast.Call) -> dict[Atom, Steps]:
-        dotted = _dotted(node.func)
+        dotted = dotted_name(node.func)
         if dotted is None:
             # Call through a computed expression: evaluate children and
             # conservatively propagate argument taint to the result.
@@ -423,7 +320,7 @@ class _FunctionExtractor:
             # to a source; the factory runs at instantiation, so the
             # call result is deferred-tainted.
             if kw.arg == "default_factory":
-                deferred = _dotted(kw.value)
+                deferred = dotted_name(kw.value)
                 deferred_kind = match_source(deferred)
                 if deferred_kind is not None:
                     atoms = dict(atoms)
@@ -527,7 +424,7 @@ class _FunctionExtractor:
             self.exec_body(stmt.orelse)
         elif isinstance(stmt, ast.For):
             iter_atoms = self.eval(stmt.iter)
-            if _is_set_expression(stmt.iter):
+            if is_set_expression(stmt.iter):
                 iter_atoms = dict(iter_atoms)
                 iter_atoms[
                     ("src", "set-order", _short(stmt.iter), stmt.iter.lineno)
@@ -563,6 +460,20 @@ class _FunctionExtractor:
         # Import/Global/Nonlocal/Pass/Break/Continue: nothing to do.
 
 
+def _nested_defs(
+    body: list[ast.stmt],
+) -> Iterable[ast.FunctionDef | ast.AsyncFunctionDef]:
+    """Functions defined in ``body`` at any block depth (``if``/``with``/
+    ``try``...), without descending into them or into classes."""
+    stack: list[ast.AST] = list(reversed(body))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+        elif not isinstance(node, ast.ClassDef):
+            stack.extend(reversed(list(ast.iter_child_nodes(node))))
+
+
 def _iter_functions(
     tree: ast.Module, qname: str
 ) -> Iterable[
@@ -594,9 +505,8 @@ def _iter_functions(
             fn_qname, class_qname, class_name, list(node.body), params,
             node.lineno, False,
         )
-        for child in node.body:
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from walk_fn(child, fn_qname, class_qname, class_name)
+        for child in _nested_defs(node.body):
+            yield from walk_fn(child, fn_qname, class_qname, class_name)
 
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -612,16 +522,8 @@ def _iter_functions(
                     yield from walk_fn(item, class_qname, class_qname, node.name)
 
 
-def source_digest(source: str, path: str | Path) -> str:
-    """Cache key of one file's analysis: content, path, and version."""
-    hasher = hashlib.sha256()
-    hasher.update(f"{ANALYZER_VERSION}:{path}:".encode())
-    hasher.update(source.encode())
-    return hasher.hexdigest()
-
-
 def extract_module(source: str, path: str | Path) -> ModuleSummary:
-    """Phase 1: parse one file into its cacheable :class:`ModuleSummary`.
+    """Phase 1: parse one file into its :class:`ModuleSummary`.
 
     Raises :class:`SyntaxError` when the source does not parse.
     """
@@ -630,16 +532,15 @@ def extract_module(source: str, path: str | Path) -> ModuleSummary:
     info = index_module(tree, path_str)
     summary = ModuleSummary(
         path=path_str,
-        digest=source_digest(source, path_str),
         info=info,
         pragmas=pragmas_for_source(source),
     )
-    summary.local_findings.extend(lint_source_raw(source, path_str))
+    summary.local_findings.extend(run_rules(tree, path_str))
     for (
         fn_qname, class_qname, class_name, body, params, line, is_class_body
     ) in _iter_functions(tree, info.qname):
         summary.local_findings.extend(
-            fs_rules.check_function(body, path_str, fn_qname)
+            fs_rules.check_function(body, path_str)
         )
         fn = FnSummary(
             qname=fn_qname,
@@ -651,60 +552,6 @@ def extract_module(source: str, path: str | Path) -> ModuleSummary:
         _FunctionExtractor(fn, info.qname, class_body=is_class_body).exec_body(body)
         summary.functions.append(fn)
     return summary
-
-
-# ---------------------------------------------------------------------------
-# summary cache
-
-
-class SummaryCache:
-    """Content-hash-keyed store of serialized module summaries.
-
-    One JSON file per analyzed source file, named by the source digest
-    (which covers analyzer version, file path, and content, so an edit
-    — or a rule change — is automatically a miss).  Writes practice
-    what the FS rules preach: staged to a pid/thread-unique temp file,
-    fsynced, and atomically replaced.
-    """
-
-    def __init__(self, directory: str | os.PathLike) -> None:
-        self.directory = Path(directory).expanduser()
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-
-    def _entry(self, digest: str) -> Path:
-        return self.directory / f"{digest[:32]}.json"
-
-    def get(self, digest: str) -> ModuleSummary | None:
-        entry = self._entry(digest)
-        try:
-            with open(entry) as handle:
-                doc = json.load(handle)
-        except (FileNotFoundError, ValueError, OSError):
-            self.misses += 1
-            return None
-        if doc.get("version") != ANALYZER_VERSION or doc.get("digest") != digest:
-            self.misses += 1
-            return None
-        try:
-            summary = ModuleSummary.from_dict(doc)
-        except (KeyError, TypeError, ValueError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return summary
-
-    def put(self, summary: ModuleSummary) -> None:
-        entry = self._entry(summary.digest)
-        tmp = entry.with_name(
-            f"{entry.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-        )
-        with open(tmp, "w") as handle:
-            json.dump(summary.to_dict(), handle, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -766,13 +613,13 @@ class Program:
 
     # -- step/trace plumbing -------------------------------------------
 
-    def _steps(self, fn: str, raw: list) -> tuple:
+    def _steps(self, fn: str, raw: Steps) -> tuple:
         path = self.fn_path[fn]
-        return tuple((path, int(line), str(text)) for line, text in raw)
+        return tuple((path, line, text) for line, text in raw)
 
-    def _src_root(self, fn: str, payload: list) -> tuple[str, int, str]:
+    def _src_root(self, fn: str, payload: tuple) -> tuple[str, int, str]:
         kind, detail, line = payload
-        return (self.fn_path[fn], int(line), f"{kind} {detail}")
+        return (self.fn_path[fn], line, f"{kind} {detail}")
 
     def _param_index(self, cand: str, cs: CallSiteRec, arg) -> int | None:
         callee = self.functions.get(cand)
@@ -786,7 +633,7 @@ class Program:
         if callee.params and callee.params[0] in ("self", "cls"):
             if cs.is_attr or cand.endswith(".__init__"):
                 offset = 1
-        position = int(arg) + offset
+        position = arg + offset
         return position if position < len(callee.params) else None
 
     # -- fixpoint ------------------------------------------------------
@@ -816,21 +663,21 @@ class Program:
         for payload, cs_i, arg, steps in fn.edges.get("src_call", ()):
             root = self._src_root(fn.qname, payload)
             trace: Trace = (root, self._steps(fn.qname, steps))
-            arriving.setdefault(int(cs_i), []).append(
-                (str(payload[0]), trace, arg)
+            arriving.setdefault(cs_i, []).append(
+                (payload[0], trace, arg)
             )
         for payload, cs_i, arg, steps in fn.edges.get("call_call", ()):
-            from_cs = int(payload[0])
+            from_cs = payload[0]
             for kind, (root, s0) in self.call_kinds.get(
                 (fn.qname, from_cs), {}
             ).items():
                 trace = (root, _cap_steps(s0 + self._steps(fn.qname, steps)))
-                arriving.setdefault(int(cs_i), []).append((kind, trace, arg))
+                arriving.setdefault(cs_i, []).append((kind, trace, arg))
         for payload, cs_i, arg, steps in fn.edges.get("attr_call", ()):
-            attr = str(payload[0])
+            attr = payload[0]
             for kind, (root, s0) in self.attr_kinds.get(attr, {}).items():
                 trace = (root, _cap_steps(s0 + self._steps(fn.qname, steps)))
-                arriving.setdefault(int(cs_i), []).append((kind, trace, arg))
+                arriving.setdefault(cs_i, []).append((kind, trace, arg))
         return arriving
 
     def _update_fn(self, fn_qname: str) -> bool:
@@ -875,10 +722,10 @@ class Program:
             root = self._src_root(fn_qname, payload)
             changed |= self._add_kinds(
                 current_ret,
-                {str(payload[0]): (root, self._steps(fn_qname, steps))},
+                {payload[0]: (root, self._steps(fn_qname, steps))},
             )
         for payload, steps in fn.edges.get("call_ret", ()):
-            cs_i = int(payload[0])
+            cs_i = payload[0]
             for kind, (root, s0) in self.call_kinds.get(
                 (fn_qname, cs_i), {}
             ).items():
@@ -887,7 +734,7 @@ class Program:
                     {kind: (root, _cap_steps(s0 + self._steps(fn_qname, steps)))},
                 )
         for payload, steps in fn.edges.get("attr_ret", ()):
-            for kind, (root, s0) in self.attr_kinds.get(str(payload[0]), {}).items():
+            for kind, (root, s0) in self.attr_kinds.get(payload[0], {}).items():
                 changed |= self._add_kinds(
                     current_ret,
                     {kind: (root, _cap_steps(s0 + self._steps(fn_qname, steps)))},
@@ -896,19 +743,19 @@ class Program:
         # 3. par_ret: which parameters flow to the return value.
         current_par = self.par_ret.setdefault(fn_qname, {})
         for payload, steps in fn.edges.get("par_ret", ()):
-            i = int(payload[0])
+            i = payload[0]
             if i not in current_par:
                 current_par[i] = self._steps(fn_qname, steps)
                 changed = True
         has_call_ret = {
-            int(payload[0]): steps
+            payload[0]: steps
             for payload, steps in fn.edges.get("call_ret", ())
         }
         for payload, cs_i, arg, steps in fn.edges.get("par_call", ()):
-            cs_i = int(cs_i)
+            cs_i = cs_i
             if cs_i not in has_call_ret:
                 continue
-            i = int(payload[0])
+            i = payload[0]
             if i in current_par:
                 continue
             cs = fn.calls[cs_i]
@@ -929,14 +776,14 @@ class Program:
         # 4. attr_kinds.
         for payload, attr, steps in fn.edges.get("src_attr", ()):
             root = self._src_root(fn_qname, payload)
-            current_attr = self.attr_kinds.setdefault(str(attr), {})
+            current_attr = self.attr_kinds.setdefault(attr, {})
             changed |= self._add_kinds(
                 current_attr,
-                {str(payload[0]): (root, self._steps(fn_qname, steps))},
+                {payload[0]: (root, self._steps(fn_qname, steps))},
             )
         for payload, attr, steps in fn.edges.get("call_attr", ()):
-            cs_i = int(payload[0])
-            current_attr = self.attr_kinds.setdefault(str(attr), {})
+            cs_i = payload[0]
+            current_attr = self.attr_kinds.setdefault(attr, {})
             for kind, (root, s0) in self.call_kinds.get(
                 (fn_qname, cs_i), {}
             ).items():
@@ -998,16 +845,16 @@ class Program:
     def _update_sink_routes(self, fn: FnSummary) -> bool:
         changed = False
         for payload, cs_i, arg, steps in fn.edges.get("par_call", ()):
-            i = int(payload[0])
+            i = payload[0]
             store = self.par_sink.setdefault((fn.qname, i), [])
             for route in self._routes_for(
-                fn, int(cs_i), arg, self._steps(fn.qname, steps)
+                fn, cs_i, arg, self._steps(fn.qname, steps)
             ):
                 changed |= self._add_sink_path(store, route)
         for payload, attr, steps in fn.edges.get("par_attr", ()):
-            i = int(payload[0])
+            i = payload[0]
             store = self.par_sink.setdefault((fn.qname, i), [])
-            for route in self.attr_sink.get(str(attr), ()):
+            for route in self.attr_sink.get(attr, ()):
                 changed |= self._add_sink_path(
                     store,
                     _SinkPath(
@@ -1019,10 +866,10 @@ class Program:
                     ),
                 )
         for payload, cs_i, arg, steps in fn.edges.get("attr_call", ()):
-            attr = str(payload[0])
+            attr = payload[0]
             store_attr = self.attr_sink.setdefault(attr, [])
             for route in self._routes_for(
-                fn, int(cs_i), arg, self._steps(fn.qname, steps)
+                fn, cs_i, arg, self._steps(fn.qname, steps)
             ):
                 changed |= self._add_sink_path(store_attr, route)
         return changed
@@ -1061,7 +908,6 @@ class Program:
                     code=route.code,
                     message=message,
                     severity=severity_for(route.code, kind),
-                    anchor=kind,
                     trace=full_trace,
                 )
             )
@@ -1072,26 +918,26 @@ class Program:
                 root = self._src_root(fn_qname, payload)
                 trace: Trace = (root, self._steps(fn_qname, steps))
                 for route in self._routes_for(
-                    fn, int(cs_i), arg, ()
+                    fn, cs_i, arg, ()
                 ):
-                    report(str(payload[0]), trace, route)
+                    report(payload[0], trace, route)
             for payload, cs_i, arg, steps in fn.edges.get("call_call", ()):
-                from_cs = int(payload[0])
+                from_cs = payload[0]
                 kinds = self.call_kinds.get((fn_qname, from_cs), {})
                 local_steps = self._steps(fn_qname, steps)
                 for kind, (root, s0) in kinds.items():
-                    for route in self._routes_for(fn, int(cs_i), arg, ()):
+                    for route in self._routes_for(fn, cs_i, arg, ()):
                         report(
                             kind,
                             (root, _cap_steps(s0 + local_steps)),
                             route,
                         )
             for payload, cs_i, arg, steps in fn.edges.get("attr_call", ()):
-                attr = str(payload[0])
+                attr = payload[0]
                 kinds = self.attr_kinds.get(attr, {})
                 local_steps = self._steps(fn_qname, steps)
                 for kind, (root, s0) in kinds.items():
-                    for route in self._routes_for(fn, int(cs_i), arg, ()):
+                    for route in self._routes_for(fn, cs_i, arg, ()):
                         report(
                             kind,
                             (root, _cap_steps(s0 + local_steps)),
@@ -1100,14 +946,14 @@ class Program:
             for payload, attr, steps in fn.edges.get("src_attr", ()):
                 root = self._src_root(fn_qname, payload)
                 local_steps = self._steps(fn_qname, steps)
-                for route in self.attr_sink.get(str(attr), ()):
-                    report(str(payload[0]), (root, local_steps), route)
+                for route in self.attr_sink.get(attr, ()):
+                    report(payload[0], (root, local_steps), route)
             for payload, attr, steps in fn.edges.get("call_attr", ()):
-                cs_i = int(payload[0])
+                cs_i = payload[0]
                 kinds = self.call_kinds.get((fn_qname, cs_i), {})
                 local_steps = self._steps(fn_qname, steps)
                 for kind, (root, s0) in kinds.items():
-                    for route in self.attr_sink.get(str(attr), ()):
+                    for route in self.attr_sink.get(attr, ()):
                         report(kind, (root, _cap_steps(s0 + local_steps)), route)
         return findings
 
@@ -1117,131 +963,72 @@ class Program:
 
 
 @dataclass
-class DeepReport:
-    """Outcome of one ``repro lint --deep`` analysis."""
+class Report:
+    """Outcome of one ``repro lint`` run."""
 
     findings: list[Finding]
+    #: Paths that could not be analyzed ("path: reason") — missing,
+    #: unreadable or syntactically invalid.  Any entry is a hard failure.
     errors: list[str]
     files_checked: int
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Analysis wall time (extraction + fixpoint), excluding process
-    #: startup — this is what the summary cache accelerates, so the CI
-    #: cold/warm speedup assertion reads it from the JSON report.
-    elapsed_s: float = 0.0
 
     @property
     def ok(self) -> bool:
         return not self.findings and not self.errors
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "files_checked": self.files_checked,
-            "errors": list(self.errors),
-            "findings": [finding.to_dict() for finding in self.findings],
-            "cache": {"hits": self.cache_hits, "misses": self.cache_misses},
-            "elapsed_s": self.elapsed_s,
-        }
 
-
-def deep_rule_codes() -> frozenset[str]:
-    """Every rule code a deep run exercises (for DET000 bookkeeping)."""
+def rule_codes() -> frozenset[str]:
+    """Every rule code the pass runs (DET000 bookkeeping, --list-rules)."""
     return frozenset(
-        [rule.code for rule in all_rules()]
-        + list(TNT_RULES)
-        + list(FS_RULES)
+        [rule.code for rule in all_rules()] + list(TNT_RULES) + list(FS_RULES)
     )
 
 
-def analyze_paths(
-    paths: Iterable[str | Path],
-    cache: SummaryCache | None = None,
-) -> DeepReport:
-    """Run the whole-program analysis over files and directory trees.
+def _python_files(paths: Iterable[str | Path]) -> tuple[list[Path], list[str]]:
+    """Expand files/directories into a sorted list of ``.py`` files."""
+    files: list[Path] = []
+    errors: list[str] = []
+    for raw in paths:
+        path = Path(raw)
+        if path.is_dir():
+            files.extend(sorted(path.rglob("*.py")))
+        elif path.is_file():
+            files.append(path)
+        else:
+            errors.append(f"{path}: no such file or directory")
+    return files, errors
 
-    ``cache`` (optional) is consulted per file by content digest; on a
-    warm cache no file is parsed at all — only the cross-module solve
-    runs, which is where the ≥5x warm-run speedup comes from.
-    """
-    started = time.perf_counter()
+
+def analyze_paths(paths: Iterable[str | Path]) -> Report:
+    """Run every rule over files and directory trees, as one program."""
     files, errors = _python_files(paths)
     summaries: list[ModuleSummary] = []
     for file_path in files:
         try:
             source = file_path.read_text(encoding="utf-8")
-        except OSError as exc:
-            errors.append(f"{file_path}: {exc.strerror or exc}")
-            continue
-        digest = source_digest(source, file_path)
-        summary = cache.get(digest) if cache is not None else None
-        if summary is None:
-            try:
-                summary = extract_module(source, file_path)
-            except SyntaxError as exc:
-                errors.append(f"{file_path}: {exc.msg} (line {exc.lineno})")
-                continue
-            if cache is not None:
-                cache.put(summary)
-        summaries.append(summary)
+            summaries.append(extract_module(source, file_path))
+        except SyntaxError as exc:
+            errors.append(f"{file_path}: {exc.msg} (line {exc.lineno})")
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8
+            errors.append(f"{file_path}: {exc}")
 
-    program = Program(summaries)
-    deep_findings = program.solve()
-
-    # Pragma application: local findings suppress at their own line; a
-    # deep finding may be suppressed at the source line (its location)
-    # or the sink line (the last trace step).
-    pragmas_by_path = {s.path: s.pragmas for s in summaries}
-    used: set[tuple[str, int, str]] = set()
-    kept: list[Finding] = []
+    findings = Program(summaries).solve()
     for summary in summaries:
-        file_kept, _ = apply_pragmas(
-            summary.local_findings,
-            summary.pragmas,
-            summary.path,
-            warn_unused=False,
-            used=used,
-        )
-        kept.extend(file_kept)
-    for finding in deep_findings:
-        source_allowed = pragmas_by_path.get(finding.path, {})
-        if finding.code in source_allowed.get(finding.line, frozenset()):
-            used.add((finding.path, finding.line, finding.code))
-            continue
-        if finding.trace:
-            sink_path, sink_line, _ = finding.trace[-1]
-            sink_allowed = pragmas_by_path.get(sink_path, {})
-            if finding.code in sink_allowed.get(sink_line, frozenset()):
-                used.add((sink_path, sink_line, finding.code))
-                continue
-        kept.append(finding)
-    # DET000: every deep-mode rule ran, so any pragma code that
-    # suppressed nothing is stale.
-    ran = deep_rule_codes()
-    for summary in summaries:
-        _, unused = apply_pragmas(
-            [], summary.pragmas, summary.path, ran_codes=ran, used=used
-        )
-        kept.extend(unused)
-
-    return DeepReport(
-        findings=sorted(kept, key=lambda finding: finding.sort_key),
+        findings.extend(summary.local_findings)
+    pragmas = {summary.path: summary.pragmas for summary in summaries}
+    return Report(
+        findings=apply_pragmas(findings, pragmas, rule_codes()),
         errors=errors,
         files_checked=len(files),
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=cache.misses if cache is not None else 0,
-        elapsed_s=time.perf_counter() - started,
     )
 
 
 __all__ = [
-    "ANALYZER_VERSION",
-    "DeepReport",
     "FnSummary",
     "ModuleSummary",
     "Program",
-    "SummaryCache",
+    "Report",
     "analyze_paths",
-    "deep_rule_codes",
     "extract_module",
-    "source_digest",
+    "rule_codes",
 ]

@@ -7,21 +7,23 @@ mid-write) must stage to a private temp file, fsync it, and atomically
 ``os.replace``/``os.link`` it into place.  Each rule flags one way that
 discipline decays:
 
-* **FS001** — a write opened directly on a final shared path with no
-  ``os.replace``/``os.link``/``publish*`` in the same function: a
-  reader (or a crash) can observe a torn or empty entry.
-* **FS002** — ``os.replace`` of a file this function wrote without an
-  ``os.fsync`` first: a crash can surface the rename but not the data,
-  publishing a zero-length "valid" entry.
-* **FS003** — ``exists()`` followed by ``open()`` of the same shared
-  path with no atomic installer in the function: the classic
-  check-then-act window.  Functions that *do* link/replace are exempt
-  (their ``exists()`` is an advisory fast path; the link is the real
-  arbiter).
-* **FS004** — a temp file in a shared directory whose name carries no
-  uniquifier (pid/thread/uuid/``mkstemp``) and isn't opened with an
-  exclusive ``"x"`` mode: two writers stage to the same file and
-  interleave.
+* **FS001** — torn publish: a write opened directly on a final shared
+  path with no ``os.replace``/``os.link``/``publish*`` in the same
+  function, so a reader (or a crash) can observe a torn or empty
+  entry.  Half of the shipped cache-dir publish race.
+* **FS002** — unsynced rename: ``os.replace`` of a file this function
+  wrote without an ``os.fsync`` first, so a crash can surface the
+  rename but not the data, publishing a zero-length "valid" entry.
+  Shipped twice (the client's server info and the run manifest).
+* **FS003** — check-then-act: ``exists()`` followed by ``open()`` of
+  the same shared path with no atomic installer in the function.
+  Functions that *do* link/replace are exempt (their ``exists()`` is
+  an advisory fast path; the link is the real arbiter).  The other
+  half of the publish race.
+* **FS004** — colliding staging file: a temp file in a shared
+  directory whose name carries no uniquifier (pid/thread/uuid/
+  ``mkstemp``) and isn't opened with an exclusive ``"x"`` mode, so two
+  writers stage to the same file and interleave.
 
 All four are *function-scoped* heuristics over the AST, with one level
 of variable expansion (``path = self.cache_dir / name`` then
@@ -39,7 +41,7 @@ import ast
 import re
 from dataclasses import dataclass
 
-from repro.analysis.linter import Finding, Severity
+from repro.analysis.linter import Finding, Severity, dotted_name
 
 #: FS rule codes -> (summary, severity).
 FS_RULES: dict[str, tuple[str, Severity]] = {
@@ -109,18 +111,6 @@ class _PathUse:
     col: int
 
 
-def _dotted(node: ast.AST) -> str | None:
-    parts: list[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if isinstance(current, ast.Name):
-        parts.append(current.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _local_walk(body: list[ast.stmt]):
     """Walk statements without descending into nested def/class.
 
@@ -173,7 +163,7 @@ class _FunctionScan:
                 self.assigned[target.id] = rhs
 
     def _scan_call(self, node: ast.Call) -> None:
-        name = _dotted(node.func)
+        name = dotted_name(node.func)
         simple = name.rsplit(".", 1)[-1] if name else ""
         if name == "os.fsync":
             self.has_fsync = True
@@ -256,9 +246,7 @@ def _is_tmp(expanded: str) -> bool:
     return any(hint in lowered for hint in TMP_HINTS)
 
 
-def _finding(
-    code: str, path: str, line: int, col: int, anchor: str, detail: str
-) -> Finding:
+def _finding(code: str, path: str, line: int, col: int, detail: str) -> Finding:
     summary, severity = FS_RULES[code]
     return Finding(
         path=path,
@@ -267,13 +255,10 @@ def _finding(
         code=code,
         message=f"{summary} ({detail})",
         severity=severity,
-        anchor=anchor,
     )
 
 
-def check_function(
-    body: list[ast.stmt], path: str, anchor: str
-) -> list[Finding]:
+def check_function(body: list[ast.stmt], path: str) -> list[Finding]:
     """Run FS001–FS004 over one function body (or the module body)."""
     scan = _FunctionScan(body)
     findings: list[Finding] = []
@@ -295,7 +280,7 @@ def check_function(
         ):
             findings.append(
                 _finding(
-                    "FS001", path, write.line, write.col, anchor,
+                    "FS001", path, write.line, write.col,
                     f"write to {write.target!r}",
                 )
             )
@@ -310,7 +295,7 @@ def check_function(
         ):
             findings.append(
                 _finding(
-                    "FS004", path, write.line, write.col, anchor,
+                    "FS004", path, write.line, write.col,
                     f"temp file {write.target!r}",
                 )
             )
@@ -323,7 +308,7 @@ def check_function(
             if scan.wrote(replace.text):
                 findings.append(
                     _finding(
-                        "FS002", path, replace.line, replace.col, anchor,
+                        "FS002", path, replace.line, replace.col,
                         f"os.replace of {replace.text!r}",
                     )
                 )
@@ -340,7 +325,7 @@ def check_function(
                 if use.text == exists.text and use.line >= exists.line:
                     findings.append(
                         _finding(
-                            "FS003", path, use.line, use.col, anchor,
+                            "FS003", path, use.line, use.col,
                             f"exists() at line {exists.line}, then open of "
                             f"{use.text!r}",
                         )

@@ -1,4 +1,4 @@
-"""AST-based determinism linter: framework and driver.
+"""AST-based determinism linter: the per-line rule framework.
 
 The linter exists because the experiment engine caches and memoizes
 simulation results under the assumption that a run is a pure function
@@ -19,21 +19,20 @@ carry a trailing justification, e.g.::
 
     created = time.time()  # repro: allow(DET002) wall-clock provenance
 
-Rules live in :mod:`repro.analysis.rules`; see
-``docs/static-analysis.md`` for the catalog and how to add one.
+Rules live in :mod:`repro.analysis.rules`; ``repro lint`` runs them in
+the one whole-program pass (:func:`repro.analysis.dataflow.analyze_paths`).
+See ``docs/static-analysis.md`` for the catalog and how to add one.
 """
 
 from __future__ import annotations
 
 import ast
 import enum
-import hashlib
 import io
 import re
 import tokenize
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class Severity(enum.Enum):
@@ -53,10 +52,8 @@ class Severity(enum.Enum):
 class Finding:
     """One linter hit, pinned to a file location.
 
-    Deep-analysis findings additionally carry ``anchor`` (the enclosing
-    function's qualified name, used for line-stable baseline
-    fingerprints) and ``trace`` — the source→sink path as
-    ``(path, line, description)`` steps.
+    Taint findings additionally carry ``trace`` — the source→sink path
+    as ``(path, line, description)`` steps.
     """
 
     path: str
@@ -65,24 +62,11 @@ class Finding:
     code: str
     message: str
     severity: Severity
-    anchor: str = ""
     trace: tuple[tuple[str, int, str], ...] = ()
 
     @property
     def sort_key(self) -> tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.code)
-
-    @property
-    def fingerprint(self) -> str:
-        """Line-number-independent identity, for baseline matching.
-
-        Digits are normalized out of the message so a finding keeps its
-        fingerprint when unrelated edits shift line numbers embedded in
-        rendered positions; the anchor pins it to its function.
-        """
-        message = re.sub(r"\d+", "N", self.message)
-        raw = f"{self.code}|{self.path}|{self.anchor}|{message}"
-        return hashlib.sha256(raw.encode()).hexdigest()[:20]
 
     def render(self) -> str:
         """Human-readable one-liner (``path:line:col: CODE message``)."""
@@ -92,43 +76,11 @@ class Finding:
         )
 
     def render_trace(self) -> list[str]:
-        """Indented source→sink steps (empty for shallow findings)."""
+        """Indented source→sink steps (empty for per-line findings)."""
         return [
             f"    {'->' if i else '  '} {path}:{line}: {text}"
             for i, (path, line, text) in enumerate(self.trace)
         ]
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-friendly representation (``repro lint --format json``)."""
-        doc: dict[str, object] = {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "code": self.code,
-            "message": self.message,
-            "severity": self.severity.value,
-        }
-        if self.anchor:
-            doc["anchor"] = self.anchor
-        if self.trace:
-            doc["trace"] = [list(step) for step in self.trace]
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Finding":
-        """Inverse of :meth:`to_dict` (summary-cache round trips)."""
-        return cls(
-            path=str(doc["path"]),
-            line=int(doc["line"]),  # type: ignore[call-overload]
-            col=int(doc["col"]),  # type: ignore[call-overload]
-            code=str(doc["code"]),
-            message=str(doc["message"]),
-            severity=Severity(doc["severity"]),
-            anchor=str(doc.get("anchor", "")),
-            trace=tuple(
-                (str(p), int(n), str(t)) for p, n, t in doc.get("trace", ())
-            ),
-        )
 
 
 #: ``# repro: allow(DET001)`` or ``# repro: allow(DET001, FS003) why...``
@@ -175,9 +127,11 @@ def pragmas_for_source(source: str) -> dict[int, frozenset[str]]:
     return allowed
 
 
-#: Meta-rule: a pragma that suppresses nothing.  Not in the registry
-#: (it has no AST check); emitted by :func:`apply_pragmas` when every
-#: rule a pragma names has run and none of its codes matched a finding.
+#: Meta-rule: a pragma that suppresses nothing (bug class: an
+#: acceptance that outlives its hazard and would hide the next one on
+#: that line).  Not in the registry (it has no AST check); emitted by
+#: :func:`apply_pragmas` when a code a pragma names has run and matched
+#: no finding on that line.
 UNUSED_PRAGMA_CODE = "DET000"
 UNUSED_PRAGMA_SUMMARY = (
     "unused suppression: pragma names code(s) that suppress nothing here"
@@ -186,37 +140,35 @@ UNUSED_PRAGMA_SUMMARY = (
 
 def apply_pragmas(
     findings: Iterable[Finding],
-    allowed: dict[int, frozenset[str]],
-    path: str,
-    ran_codes: frozenset[str] | None = None,
-    warn_unused: bool = True,
-    used: set[tuple[str, int, str]] | None = None,
-) -> tuple[list[Finding], list[Finding]]:
-    """Split findings into (kept, DET000-unused-pragma findings).
+    pragmas: dict[str, dict[int, frozenset[str]]],
+    ran_codes: frozenset[str],
+) -> list[Finding]:
+    """Drop suppressed findings and add DET000 for stale pragmas; sorted.
 
-    ``ran_codes`` is the set of rule codes that actually executed this
-    invocation; pragma codes outside it (e.g. a TNT code during a
-    shallow run) are never reported unused, so suppressions for deeper
-    analyses survive shallow runs.  ``used`` (optional, shared across
-    files for cross-file deep findings) accumulates
-    ``(path, line, code)`` triples that suppressed something.
+    ``pragmas`` maps path -> line -> allowed codes.  A finding is
+    suppressed by a pragma naming its code on its own line or, for a
+    taint finding, on its sink line (the last trace step): the
+    legitimate party differs case by case.  Pragma codes outside
+    ``ran_codes`` are never reported unused, so a TNT suppression
+    survives a DET-only :func:`lint_source`.
     """
-    if used is None:
-        used = set()
+    used: set[tuple[str, int, str]] = set()
     kept: list[Finding] = []
     for finding in findings:
-        if finding.code in allowed.get(finding.line, frozenset()):
-            used.add((path, finding.line, finding.code))
+        sites = [(finding.path, finding.line)]
+        if finding.trace:
+            sites.append((finding.trace[-1][0], finding.trace[-1][1]))
+        for path, line in sites:
+            if finding.code in pragmas.get(path, {}).get(line, frozenset()):
+                used.add((path, line, finding.code))
+                break
         else:
             kept.append(finding)
-    unused: list[Finding] = []
-    if warn_unused:
+    for path, allowed in pragmas.items():
         for line in sorted(allowed):
             for code in sorted(allowed[line]):
-                if ran_codes is not None and code not in ran_codes:
-                    continue
-                if (path, line, code) not in used:
-                    unused.append(
+                if code in ran_codes and (path, line, code) not in used:
+                    kept.append(
                         Finding(
                             path=path,
                             line=line,
@@ -229,20 +181,31 @@ def apply_pragmas(
                             severity=Severity.WARNING,
                         )
                     )
-    return kept, unused
+    return sorted(kept, key=lambda finding: finding.sort_key)
+
+
+def dotted_name(node: ast.AST) -> str | None:
+    """Resolve a Name/Attribute chain to ``"a.b.c"`` (else None)."""
+    parts: list[str] = []
+    current: ast.AST = node
+    while isinstance(current, ast.Attribute):
+        parts.append(current.attr)
+        current = current.value
+    if isinstance(current, ast.Name):
+        parts.append(current.id)
+        return ".".join(reversed(parts))
+    return None
 
 
 class FileContext:
     """Per-file state shared by every rule during one walk.
 
-    Provides the parse tree, parent links (``parent``), and the
+    Provides parent links (``parent``, ``ancestors``) and the
     ``report`` sink rules append findings to.
     """
 
-    def __init__(self, path: str, tree: ast.Module, source: str) -> None:
+    def __init__(self, path: str, tree: ast.Module) -> None:
         self.path = path
-        self.tree = tree
-        self.source = source
         self.findings: list[Finding] = []
         # Parent links are attached to the nodes themselves; an AST is
         # private to this walk, so decorating it is safe and avoids
@@ -262,18 +225,6 @@ class FileContext:
         while current is not None:
             yield current
             current = self.parent(current)
-
-    def dotted_name(self, node: ast.AST) -> str | None:
-        """Resolve a Name/Attribute chain to ``"a.b.c"`` (else None)."""
-        parts: list[str] = []
-        current: ast.AST = node
-        while isinstance(current, ast.Attribute):
-            parts.append(current.attr)
-            current = current.value
-        if isinstance(current, ast.Name):
-            parts.append(current.id)
-            return ".".join(reversed(parts))
-        return None
 
     def report(self, rule: "Rule", node: ast.AST, message: str | None = None) -> None:
         """Record a finding for ``rule`` at ``node``'s location."""
@@ -334,122 +285,31 @@ def all_rules() -> list[type[Rule]]:
     return sorted(_REGISTRY, key=lambda rule: rule.code)
 
 
-def lint_source_raw(
-    source: str,
-    path: str = "<string>",
-    rules: Sequence[type[Rule]] | None = None,
-) -> list[Finding]:
-    """Run the rules over one source string with *no* pragma filtering.
-
-    The deep analyzer uses this to cache pre-suppression findings per
-    file and apply pragmas once, globally (a deep finding may be
-    suppressed at its source line or its sink line, in different
-    files).  Raises :class:`SyntaxError` if the source does not parse.
-    """
-    tree = ast.parse(source, filename=path)
-    rule_classes = list(rules) if rules is not None else all_rules()
-    instances = [rule_cls() for rule_cls in rule_classes]
+def run_rules(tree: ast.Module, path: str) -> list[Finding]:
+    """Every DET rule over one parsed file, before pragma filtering."""
     dispatch: dict[type, list[Rule]] = {}
-    for instance in instances:
+    for rule_cls in all_rules():
+        instance = rule_cls()
         for node_type in instance.node_types:
             dispatch.setdefault(node_type, []).append(instance)
-    ctx = FileContext(path, tree, source)
+    ctx = FileContext(path, tree)
     for node in ast.walk(tree):
         for instance in dispatch.get(type(node), ()):
             instance.check(node, ctx)
     return ctx.findings
 
 
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    rules: Sequence[type[Rule]] | None = None,
-    warn_unused_pragmas: bool = True,
-) -> list[Finding]:
-    """Lint one source string; returns unsuppressed findings, sorted.
+def lint_source(source: str, path: str = "<string>") -> list[Finding]:
+    """The DET rules over one source string; unsuppressed findings, sorted.
 
-    A pragma whose codes all ran but suppressed nothing earns a
-    :data:`DET000 <UNUSED_PRAGMA_CODE>` finding (disable with
-    ``warn_unused_pragmas=False``); pragma codes for rules *not* in
-    this run (e.g. TNT/FS codes during a shallow lint) are left alone.
-    Raises :class:`SyntaxError` if the source does not parse — the
-    caller (see :func:`lint_paths`) decides how to surface that.
+    A pragma naming a DET code that suppressed nothing earns a
+    :data:`DET000 <UNUSED_PRAGMA_CODE>` finding; TNT/FS codes are left
+    alone (those rules need the whole program, see
+    :func:`repro.analysis.dataflow.analyze_paths`).  Raises
+    :class:`SyntaxError` if the source does not parse.
     """
-    rule_classes = list(rules) if rules is not None else all_rules()
-    findings = lint_source_raw(source, path, rule_classes)
-    ran_codes = frozenset(rule.code for rule in rule_classes)
-    kept, unused = apply_pragmas(
-        findings,
-        pragmas_for_source(source),
-        path,
-        ran_codes=ran_codes,
-        warn_unused=warn_unused_pragmas,
-    )
-    return sorted(kept + unused, key=lambda finding: finding.sort_key)
-
-
-def lint_file(
-    path: str | Path, rules: Sequence[type[Rule]] | None = None
-) -> list[Finding]:
-    """Lint one file on disk (see :func:`lint_source`)."""
-    file_path = Path(path)
-    source = file_path.read_text(encoding="utf-8")
-    return lint_source(source, str(file_path), rules)
-
-
-@dataclass
-class LintReport:
-    """Outcome of linting a set of paths."""
-
-    findings: list[Finding]
-    #: Files that could not be linted ("path: reason") — unreadable or
-    #: syntactically invalid.  Any entry makes the run a hard failure.
-    errors: list[str]
-    files_checked: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings and not self.errors
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "files_checked": self.files_checked,
-            "errors": list(self.errors),
-            "findings": [finding.to_dict() for finding in self.findings],
-        }
-
-
-def _python_files(paths: Iterable[str | Path]) -> tuple[list[Path], list[str]]:
-    """Expand files/directories into a sorted list of ``.py`` files."""
-    files: list[Path] = []
-    errors: list[str] = []
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            files.extend(sorted(path.rglob("*.py")))
-        elif path.is_file():
-            files.append(path)
-        else:
-            errors.append(f"{path}: no such file or directory")
-    return files, errors
-
-
-def lint_paths(
-    paths: Iterable[str | Path],
-    rules: Sequence[type[Rule]] | None = None,
-) -> LintReport:
-    """Lint files and/or directory trees; the CLI's workhorse."""
-    files, errors = _python_files(paths)
-    findings: list[Finding] = []
-    for file_path in files:
-        try:
-            findings.extend(lint_file(file_path, rules))
-        except SyntaxError as exc:
-            errors.append(f"{file_path}: {exc.msg} (line {exc.lineno})")
-        except OSError as exc:
-            errors.append(f"{file_path}: {exc.strerror or exc}")
-    return LintReport(
-        findings=sorted(findings, key=lambda finding: finding.sort_key),
-        errors=errors,
-        files_checked=len(files),
+    findings = run_rules(ast.parse(source, filename=path), path)
+    ran_codes = frozenset(rule.code for rule in all_rules())
+    return apply_pragmas(
+        findings, {path: pragmas_for_source(source)}, ran_codes
     )

@@ -1,22 +1,31 @@
-"""The determinism rule catalog (DET001–DET008).
+"""The per-line determinism rules (DET001–DET004, DET006–DET008).
 
 Each rule targets a concrete way reproducibility has been lost in
 cycle simulators (see the Ramulator 2.0 re-evaluation literature and
 this repo's own history): results must be a pure function of the
 configuration, so anything that lets process history, wall-clock time,
 hash randomization, or memory layout leak into simulation behaviour is
-flagged.
+flagged.  A rule stays only while it has evidence: a shipped bug, or a
+one-line mutation of the tree that it flags and the goldens and chaos
+suite miss (``docs/static-analysis.md`` lists each one;
+``tests/analysis/test_self_clean.py`` replays them).
 
-Rules are heuristic where the AST cannot prove intent (DET003, DET005,
-DET006, DET007 carry ``WARNING`` severity); suppress deliberate uses
-with ``# repro: allow(DETxxx) <justification>`` on the flagged line.
+Rules are heuristic where the AST cannot prove intent (DET003, DET006,
+DET007 carry ``WARNING`` severity); suppress deliberate uses with
+``# repro: allow(DETxxx) <justification>`` on the flagged line.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.analysis.linter import FileContext, Rule, Severity, register
+from repro.analysis.linter import (
+    FileContext,
+    Rule,
+    Severity,
+    dotted_name,
+    register,
+)
 
 #: Files allowed to touch :mod:`random` directly: the sanctioned
 #: seed-derivation plumbing everything else is supposed to go through.
@@ -31,7 +40,7 @@ def _is_rng_module(ctx: FileContext) -> bool:
 class RawRandomRule(Rule):
     """DET001: raw ``random`` use outside ``repro.common.rng``.
 
-    Module-level :mod:`random` functions share one hidden global
+    Bug class: an unseeded or shared random stream.  Module-level :mod:`random` functions share one hidden global
     generator: any new caller (or import-order change) perturbs every
     stream drawn after it, and ``random.Random()`` with no seed is
     nondeterministic outright.  Derive streams with
@@ -56,7 +65,7 @@ class RawRandomRule(Rule):
             if node.module == "random":
                 ctx.report(self, node)
         elif isinstance(node, ast.Call):
-            name = ctx.dotted_name(node.func)
+            name = dotted_name(node.func)
             if name is not None and name.startswith("random."):
                 ctx.report(self, node)
 
@@ -65,6 +74,7 @@ class RawRandomRule(Rule):
 class WallClockRule(Rule):
     """DET002: wall-clock reads (``time.time``, ``datetime.now``).
 
+    Bug class: host time steering a decision that must replay.
     Timestamps differ between runs by construction.  Simulation logic
     must use the simulated clock (``EventQueue.now`` / core cycles);
     wall-clock reads are only legitimate in provenance/reporting code,
@@ -93,12 +103,12 @@ class WallClockRule(Rule):
 
     def check(self, node: ast.AST, ctx: FileContext) -> None:
         assert isinstance(node, ast.Call)
-        name = ctx.dotted_name(node.func)
+        name = dotted_name(node.func)
         if name in self._CLOCK_CALLS:
             ctx.report(self, node, f"wall-clock read '{name}()'")
 
 
-def _is_set_expression(node: ast.AST) -> bool:
+def is_set_expression(node: ast.AST) -> bool:
     """Literal sets, set comprehensions, and ``set()``/``frozenset()``."""
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
@@ -111,7 +121,8 @@ def _is_set_expression(node: ast.AST) -> bool:
 class UnorderedIterationRule(Rule):
     """DET003: iteration over a set expression.
 
-    Set iteration order depends on insertion history and element
+    Bug class: hash-seed-dependent order reaching ordered output.  Set
+    iteration order depends on insertion history and element
     hashes (strings hash differently per process unless
     ``PYTHONHASHSEED`` is pinned), so any downstream consumer that is
     ordering-sensitive — heap pushes, scheduler candidate lists,
@@ -126,7 +137,7 @@ class UnorderedIterationRule(Rule):
 
     def check(self, node: ast.AST, ctx: FileContext) -> None:
         assert isinstance(node, (ast.For, ast.comprehension))
-        if _is_set_expression(node.iter):
+        if is_set_expression(node.iter):
             ctx.report(self, node.iter)
 
 
@@ -134,7 +145,7 @@ class UnorderedIterationRule(Rule):
 class ModuleStateRule(Rule):
     """DET004: module-level mutable state.
 
-    Counters or containers living at module scope accumulate across
+    Bug class: process history leaking into a run.  Counters or containers living at module scope accumulate across
     simulations in one process, so a run's behaviour (request IDs,
     cache keys, trace contents) depends on what ran before it — the
     exact failure the per-system request-ID counter fix addressed.
@@ -205,45 +216,10 @@ class ModuleStateRule(Rule):
 
 
 @register
-class HeapTiebreakRule(Rule):
-    """DET005: ``heappush`` of a tuple without a deterministic tiebreaker.
-
-    When two heap entries compare equal on their leading keys, Python
-    compares the next element — which raises on uncomparable payloads
-    (functions, objects) or, worse, silently orders by something
-    arbitrary.  Include a monotonic sequence number (the
-    ``EventQueue._seq`` pattern) before any payload element.
-    """
-
-    code = "DET005"
-    summary = (
-        "heappush tuple without a deterministic tiebreaker "
-        "(add a sequence counter before the payload)"
-    )
-    severity = Severity.WARNING
-    node_types = (ast.Call,)
-
-    _HINTS = ("seq", "tie", "count", "idx", "index", "_id", "order")
-
-    def check(self, node: ast.AST, ctx: FileContext) -> None:
-        assert isinstance(node, ast.Call)
-        name = ctx.dotted_name(node.func)
-        if name is None or name.split(".")[-1] != "heappush":
-            return
-        if len(node.args) != 2 or not isinstance(node.args[1], ast.Tuple):
-            return
-        elements = node.args[1].elts
-        for element in elements[1:]:
-            text = ast.unparse(element).lower()
-            if any(hint in text for hint in self._HINTS):
-                return
-        ctx.report(self, node)
-
-
-@register
 class UnsortedListingRule(Rule):
     """DET006: directory listing without ``sorted()``.
 
+    Bug class: filesystem-dependent order reaching ordered output.
     ``os.listdir``/``glob`` order is filesystem-dependent (and differs
     between machines and runs); any consumer that iterates, merges, or
     serializes the entries inherits that order.
@@ -258,7 +234,7 @@ class UnsortedListingRule(Rule):
     _METHODS = frozenset({"glob", "iglob", "rglob", "iterdir"})
 
     def _is_listing(self, node: ast.Call, ctx: FileContext) -> bool:
-        name = ctx.dotted_name(node.func)
+        name = dotted_name(node.func)
         if name in self._FUNCTIONS:
             return True
         return (
@@ -284,12 +260,13 @@ class UnsortedListingRule(Rule):
 
 @register
 class FloatSetReductionRule(Rule):
-    """DET007: float accumulation over an unordered container.
+    """DET007: ``sum()`` over a set expression.
 
-    Float addition is not associative: summing the same values in a
-    different order yields different low bits, and set order varies
-    between runs.  Sort first, or use ``math.fsum`` (exact, therefore
-    order-independent).
+    Bug class: a reduction over the wrong container.  A set silently
+    drops equal values (two threads with the same IPC count once in a
+    throughput), and for string-hashed elements its order — hence the
+    low bits of a float total — varies between processes.  Sum the
+    sequence itself, or sort first / use ``math.fsum``.
     """
 
     code = "DET007"
@@ -303,7 +280,7 @@ class FloatSetReductionRule(Rule):
         assert isinstance(node, ast.Call)
         if not (isinstance(node.func, ast.Name) and node.func.id == "sum"):
             return
-        if node.args and _is_set_expression(node.args[0]):
+        if node.args and is_set_expression(node.args[0]):
             ctx.report(self, node)
 
 
@@ -311,7 +288,7 @@ class FloatSetReductionRule(Rule):
 class IdOrderingRule(Rule):
     """DET008: ``id()``-derived keys or ordering.
 
-    ``id()`` is a memory address: it differs between runs, so anything
+    Bug class: memory layout leaking into output.  ``id()`` is a memory address: it differs between runs, so anything
     keyed, sorted, or serialized by it is irreproducible.  Give objects
     an explicit sequence number instead.
     """

@@ -1,16 +1,19 @@
-"""Determinism taint model: sources, sanitizers, and TNT sinks.
+"""Determinism taint model: sources, sanitizers, and the TNT sink.
 
 The dataflow pass (:mod:`repro.analysis.dataflow`) tracks values from
 *nondeterminism sources* to *determinism sinks* — places whose inputs
-must be a pure function of the simulation configuration because they
-feed cache keys, content-addressed store entries, the job log, manifests,
-or HTTP response bodies.  This module is the catalog both ends consult:
+must be a pure function of the simulation configuration.  The one sink
+family kept is the job log (TNT003): ``--resume`` and the service
+replay its records, so a clock reading in one is a recovery that
+depends on when it ran.  (Result bytes, the other such contract, are
+pinned end to end by the pickled-digest goldens instead.)  This module
+is the catalog both ends consult:
 
-* :data:`SOURCES` / :func:`match_source` — calls that mint a
-  nondeterministic value (wall clock, raw RNG, pids, ``id()``,
-  environment reads, unsorted filesystem listings).  Iteration over a
-  set expression is handled structurally by the extractor and tagged
-  with the ``set-order`` kind.
+* ``_SOURCE_CALLS`` / :func:`match_source` — calls that mint a
+  nondeterministic value (wall clock, raw RNG, pids, uuids, ``id()``,
+  environment and host-name reads, unsorted filesystem listings).
+  Iteration over a set expression is handled structurally by the
+  extractor and tagged with the ``set-order`` kind.
 * :data:`ORDER_KINDS` / :data:`SANITIZERS` — *order*-nondeterminism
   (listing order, set order) is laundered by ``sorted()`` and by
   order-insensitive reductions (``len``/``min``/``max``); value
@@ -18,14 +21,12 @@ or HTTP response bodies.  This module is the catalog both ends consult:
   sanitizers only clear the order kinds.
 * :data:`SINKS` / :func:`match_sink` — calls whose arguments become
   part of a deterministic contract.  Sinks are matched by callable
-  name plus a receiver/class hint (there is no type inference), e.g.
-  ``put`` only counts when called on something whose spelling — or
-  whose enclosing class — mentions a cache or store.
+  name plus a receiver/class hint (there is no type inference):
+  ``append`` only counts when called on something whose spelling — or
+  whose enclosing class — mentions a job log or journal.
 
 Unlike the per-line DET rules, a TNT finding carries the whole
-source→sink path, so codes are per *sink family*: the same wall-clock
-read is TNT001 when it reaches a cache key and TNT003 when it reaches
-a job-log record.
+source→sink path; codes are per *sink family*.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ _SOURCE_CALLS: dict[str, str] = {
     "os.getenv": "environment",
     "os.environ.get": "environment",
     "os.environb.get": "environment",
+    "socket.gethostname": "environment",
+    "platform.node": "environment",
     "os.listdir": "fs-order",
     "os.scandir": "fs-order",
     "glob.glob": "fs-order",
@@ -111,9 +114,7 @@ class Sink:
 
     ``name`` is the call's last dotted component; ``hints`` are
     lowercase substrings, at least one of which must appear in the
-    receiver expression *or* the enclosing class name (empty hints
-    match any receiver — used for globally unambiguous names like
-    ``SystemConfig``).
+    receiver expression *or* the enclosing class name.
     """
 
     code: str
@@ -124,62 +125,20 @@ class Sink:
 
 #: TNT rule codes -> (summary, severity of value-kind findings).
 TNT_RULES: dict[str, tuple[str, Severity]] = {
-    "TNT001": (
-        "nondeterministic value flows into a cache key / run identity",
-        Severity.ERROR,
-    ),
-    "TNT002": (
-        "nondeterministic value flows into a cache/store payload",
-        Severity.ERROR,
-    ),
     "TNT003": (
         "nondeterministic value flows into a job-log record",
         Severity.ERROR,
     ),
-    "TNT004": (
-        "nondeterministic value flows into a run manifest record",
-        Severity.WARNING,
-    ),
-    "TNT005": (
-        "nondeterministic value flows into an HTTP response body",
-        Severity.WARNING,
-    ),
 }
 
 SINKS: tuple[Sink, ...] = (
-    # TNT001 — run identity: SystemConfig fields feed cache_key(),
-    # which feeds ResultStore paths and addresses, run_ids,
-    # and manifest filenames.
-    Sink("TNT001", "SystemConfig", (), "SystemConfig construction"),
-    Sink("TNT001", "table1", ("config", "systemconfig"), "SystemConfig.table1"),
-    Sink("TNT001", "with_", ("config", "cfg", "systemconfig"), "SystemConfig.with_"),
-    Sink("TNT001", "cache_key", (), "cache-key computation"),
-    Sink("TNT001", "config_hash", (), "config hash"),
-    Sink("TNT001", "run_id", (), "run identity"),
-    Sink("TNT001", "path_for", ("cache", "store"), "cache entry path"),
-    Sink("TNT001", "key_for", ("cache", "store"), "store key"),
-    Sink("TNT001", "path_for_key", ("cache", "store"), "store entry path"),
-    # TNT002 — durable payloads in the result cache / content store.
-    Sink("TNT002", "put", ("cache", "store"), "cache/store payload"),
-    Sink("TNT002", "publish", ("cache", "store"), "store publish"),
-    Sink("TNT002", "publish_path", (), "atomic publish payload"),
     # TNT003 — job-log records (replayed on --resume): every record,
     # from the executor, the scheduler or the lease table, is written
-    # by JobLog.append.
+    # by JobLog.append.  Bug class: a clock reading, pid or listing
+    # order persisted into a record that recovery replays (the lease
+    # table's grant record must carry durations, never deadlines).
     Sink("TNT003", "append", ("joblog", "journal"), "job-log record"),
-    # TNT004 — provenance records served by the result API.
-    Sink("TNT004", "RunRecord", (), "run record"),
-    Sink("TNT004", "RunManifest", (), "run manifest"),
-    Sink("TNT004", "from_run", ("runrecord", "record"), "run record"),
-    # TNT005 — bytes written to an HTTP client.
-    Sink("TNT005", "write", ("wfile",), "HTTP response body"),
-    Sink("TNT005", "_respond", ("self", "handler"), "HTTP response body"),
 )
-
-#: name -> sinks sharing it (built once; lookups are hot).
-_SINKS_BY_NAME: dict[str, tuple[Sink, ...]] = {}
-for _sink in SINKS:
-    _SINKS_BY_NAME[_sink.name] = _SINKS_BY_NAME.get(_sink.name, ()) + (_sink,)
 
 
 def match_sink(
@@ -193,13 +152,10 @@ def match_sink(
     ``JobLog`` match the ``joblog`` hint.
     """
     simple = dotted.rsplit(".", 1)[-1]
-    candidates = _SINKS_BY_NAME.get(simple)
-    if not candidates:
-        return None
-    context = f"{receiver} {class_name or ''}".lower()
-    for sink in candidates:
-        if not sink.hints:
-            return sink
+    for sink in SINKS:
+        if sink.name != simple:
+            continue
+        context = f"{receiver} {class_name or ''}".lower()
         if any(hint in context for hint in sink.hints):
             return sink
     return None

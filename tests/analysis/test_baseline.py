@@ -1,93 +1,96 @@
-"""Tests for the lint baseline ratchet (.repro-lint-baseline.json)."""
+"""Accepting a finding: a justified pragma on the line is the one way.
 
-import json
+There is no side file of accepted findings: ``# repro: allow(CODE)``
+on the finding's line (or, for a taint finding, on its sink line) is
+the whole mechanism, and a pragma that no longer suppresses anything
+is itself a DET000 finding, so acceptances cannot outlive the hazard.
+"""
 
-import pytest
+import textwrap
 
-from repro.analysis.baseline import (
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.linter import Finding, Severity
+from repro.analysis.dataflow import analyze_paths
+
+LOG = """
+    import time
 
 
-def make_finding(line=10, path="src/m.py", code="TNT001", message="boom at 10"):
-    return Finding(
-        path=path, line=line, col=1, code=code, message=message,
-        severity=Severity.ERROR, anchor="m.f",
-    )
+    def note(joblog):
+        joblog.append({{"event": "start", "at": time.monotonic()}}){sink}
+"""
+
+
+def write_module(root, source, name="log.py"):
+    path = root / name
+    path.write_text(textwrap.dedent(source))
+    return path
+
+
+def codes(path):
+    report = analyze_paths([path])
+    assert not report.errors, report.errors
+    return [f.code for f in report.findings]
 
 
 class TestFingerprint:
-    def test_stable_across_line_shifts(self):
-        a = make_finding(line=10, message="flow reaches sink at src/m.py:12")
-        b = make_finding(line=99, message="flow reaches sink at src/m.py:101")
-        # Same code/path/anchor, digits normalized out of the message.
-        assert a.fingerprint == b.fingerprint
+    def test_stable_across_line_shifts(self, tmp_path):
+        """A pragma travels with its line, not with a line number."""
+        accepted = LOG.format(sink="  # repro: allow(TNT003) fixture")
+        write_module(tmp_path, accepted)
+        assert codes(tmp_path) == []
+        write_module(tmp_path, "\n\n# moved down\n" + textwrap.dedent(accepted))
+        assert codes(tmp_path) == []
 
-    def test_changes_with_code_path_anchor(self):
-        base = make_finding()
-        assert base.fingerprint != make_finding(code="TNT002").fingerprint
-        assert base.fingerprint != make_finding(path="src/n.py").fingerprint
-        moved = Finding(
-            path=base.path, line=base.line, col=1, code=base.code,
-            message=base.message, severity=base.severity, anchor="m.other",
-        )
-        assert base.fingerprint != moved.fingerprint
+    def test_changes_with_code_path_anchor(self, tmp_path):
+        """A pragma accepts only the code it names."""
+        write_module(tmp_path, LOG.format(sink="  # repro: allow(FS002) wrong"))
+        assert codes(tmp_path) == ["DET000", "TNT003"]
 
 
 class TestRoundTrip:
     def test_write_then_load(self, tmp_path):
-        target = tmp_path / "baseline.json"
-        findings = [make_finding(), make_finding(code="FS001")]
-        assert write_baseline(target, findings) == 2
-        loaded = load_baseline(target)
-        assert set(loaded) == {f.fingerprint for f in findings}
-        for entry in loaded.values():
-            assert {"code", "path", "anchor", "message"} <= set(entry)
+        """One pragma may accept several codes on one line."""
+        write_module(tmp_path, """
+            import random  # repro: allow(DET001, DET003) typing only
+        """)
+        report = analyze_paths([tmp_path])
+        (stale,) = report.findings
+        assert stale.code == "DET000" and "DET003" in stale.message
 
     def test_write_is_deterministic(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        findings = [make_finding(code="FS001"), make_finding()]
-        write_baseline(a, findings)
-        write_baseline(b, list(reversed(findings)))
-        assert a.read_bytes() == b.read_bytes()
+        write_module(tmp_path, LOG.format(sink=""), name="a.py")
+        write_module(tmp_path, "import random\n", name="b.py")
+        first = [f.render() for f in analyze_paths([tmp_path]).findings]
+        second = [f.render() for f in analyze_paths([tmp_path]).findings]
+        assert first == second == sorted(first)
 
     def test_missing_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == {}
+        report = analyze_paths([tmp_path])
+        assert report.ok and report.files_checked == 0
 
     def test_malformed_json_raises(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(BaselineError):
-            load_baseline(bad)
+        """An unparseable file is an error entry, never an exception."""
+        write_module(tmp_path, "def broken(:\n")
+        report = analyze_paths([tmp_path])
+        assert report.errors and not report.ok
 
     def test_wrong_schema_raises(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema": "other/9", "fingerprints": {}}))
-        with pytest.raises(BaselineError):
-            load_baseline(bad)
+        """A misspelled pragma is not a pragma: nothing is accepted."""
+        write_module(tmp_path, LOG.format(sink="  # repro: allow(TNT3) typo"))
+        assert codes(tmp_path) == ["TNT003"]
 
 
 class TestApply:
     def test_splits_new_from_baselined(self, tmp_path):
-        old = make_finding()
-        new = make_finding(code="FS002")
-        target = tmp_path / "b.json"
-        write_baseline(target, [old])
-        kept, suppressed, stale = apply_baseline(
-            [old, new], load_baseline(target)
-        )
-        assert [f.code for f in kept] == ["FS002"]
-        assert suppressed == 1
-        assert stale == []
+        write_module(tmp_path, LOG.format(sink="  # repro: allow(TNT003) ok"))
+        write_module(tmp_path, "import random\n", name="new.py")
+        assert codes(tmp_path) == ["DET001"]
 
     def test_stale_entries_reported(self, tmp_path):
-        fixed = make_finding()
-        target = tmp_path / "b.json"
-        write_baseline(target, [fixed])
-        kept, suppressed, stale = apply_baseline([], load_baseline(target))
-        assert kept == [] and suppressed == 0
-        assert stale == [fixed.fingerprint]
+        write_module(tmp_path, """
+            def note(joblog):
+                joblog.append({"event": "start"})  # repro: allow(TNT003) stale
+        """)
+        report = analyze_paths([tmp_path])
+        (stale,) = report.findings
+        assert stale.code == "DET000"
+        assert "TNT003 suppresses nothing" in stale.message

@@ -1,24 +1,18 @@
-"""Tests for the whole-program taint + filesystem analysis (--deep).
+"""Tests for the whole-program taint + filesystem analysis.
 
 The fixtures are small on-disk packages (module resolution is
 path-based), each encoding one flow the analysis must catch — or must
-*not* catch, for the sanitized negatives.  Two of them reproduce bugs
-this repo actually shipped: the non-atomic cache publish (FS001/FS003)
-and a wall-clock value reaching run identity (TNT001).
+*not* catch, for the sanitized negatives.  Two reproduce bugs this
+repo actually shipped — the non-atomic cache publish (FS001/FS003)
+and a replace without fsync (FS002) — and the lease-grant fixtures
+pin the job-log record shape TNT003 must keep catching.
 """
 
 import textwrap
 
 import pytest
 
-from repro.analysis.dataflow import (
-    ANALYZER_VERSION,
-    Program,
-    SummaryCache,
-    analyze_paths,
-    extract_module,
-    source_digest,
-)
+from repro.analysis.dataflow import analyze_paths
 
 
 def write_pkg(root, name, files):
@@ -31,8 +25,8 @@ def write_pkg(root, name, files):
     return pkg
 
 
-def run_deep(path, **kwargs):
-    report = analyze_paths([path], **kwargs)
+def run_deep(path):
+    report = analyze_paths([path])
     assert not report.errors, report.errors
     return report
 
@@ -43,7 +37,7 @@ def finding_codes(report):
 
 class TestCrossFileTaint:
     def test_wall_clock_through_helper_into_cache_payload(self, tmp_path):
-        """time.time() -> helper return -> dict -> cache.put: TNT002."""
+        """time.time() -> helper return -> dict -> joblog.append: TNT003."""
         pkg = write_pkg(tmp_path, "flowpkg", {
             "clock": """
                 import time
@@ -54,45 +48,43 @@ class TestCrossFileTaint:
             "runner": """
                 from flowpkg.clock import stamp
 
-                def run(cache, cfg):
-                    payload = {"cfg": cfg, "when": stamp()}
-                    cache.put(cfg, payload)
+                def run(joblog, cfg):
+                    record = {"cfg": cfg, "when": stamp()}
+                    joblog.append(record)
             """,
         })
         report = run_deep(pkg)
         # DET002 still fires per-line on the time.time() call; the
-        # deep pass adds the flow finding.
-        assert sorted(finding_codes(report)) == ["DET002", "TNT002"]
-        (finding,) = [f for f in report.findings if f.code == "TNT002"]
+        # same pass adds the flow finding.
+        assert sorted(finding_codes(report)) == ["DET002", "TNT003"]
+        (finding,) = [f for f in report.findings if f.code == "TNT003"]
         # Anchored at the *source*, traced to the sink.
         assert finding.path.endswith("clock.py")
-        assert finding.anchor == "wall-clock"
+        assert "wall-clock time.time()" in finding.message
         trace_files = {step[0].rsplit("/", 1)[-1] for step in finding.trace}
         assert trace_files == {"clock.py", "runner.py"}
-        assert "cache.put" in finding.trace[-1][2]
+        assert "joblog.append" in finding.trace[-1][2]
 
     def test_wall_clock_seed_into_config_kwarg(self, tmp_path):
-        """int(time.time()) -> SystemConfig(seed=...): the PR-3-class
-        run-identity poisoning, caught as TNT001."""
+        """int(time.time()) passed by keyword into a callee whose
+        parameter reaches a job-log record: keyword arguments map to
+        parameters by name across modules."""
         pkg = write_pkg(tmp_path, "seedpkg", {
-            "config": """
-                class SystemConfig:
-                    def __init__(self, seed=0, channels=1):
-                        self.seed = seed
-                        self.channels = channels
+            "log": """
+                def record(joblog, channels=1, seed=0):
+                    joblog.append({"seed": seed, "channels": channels})
             """,
             "driver": """
                 import time
-                from seedpkg.config import SystemConfig
+                from seedpkg.log import record
 
-                def fresh_config(channels):
+                def fresh_run(joblog, channels):
                     seed = int(time.time())
-                    return SystemConfig(seed=seed, channels=channels)
+                    record(joblog, seed=seed, channels=channels)
             """,
         })
         report = run_deep(pkg)
-        assert "TNT001" in finding_codes(report)
-        (finding,) = [f for f in report.findings if f.code == "TNT001"]
+        (finding,) = [f for f in report.findings if f.code == "TNT003"]
         assert finding.severity.value == "error"
         assert "seed" in " ".join(step[2] for step in finding.trace)
 
@@ -132,7 +124,7 @@ class TestCrossFileTaint:
         })
         report = run_deep(pkg)
         (finding,) = [f for f in report.findings if f.code == "TNT003"]
-        assert finding.anchor == "wall-clock"
+        assert "wall-clock time.monotonic()" in finding.message
         assert "append" in finding.trace[-1][2]
 
     def test_lease_grant_without_clock_is_clean(self, tmp_path):
@@ -155,16 +147,13 @@ class TestCrossFileTaint:
         assert "TNT003" not in finding_codes(run_deep(pkg))
 
     def test_sorted_listing_is_clean(self, tmp_path):
-        """sorted(os.listdir()) into a cache key: order laundered."""
+        """sorted(os.listdir()) into a job-log record: order laundered."""
         pkg = write_pkg(tmp_path, "cleanpkg", {
             "keys": """
                 import os
 
-                def cache_key(parts):
-                    return hash(tuple(parts))
-
-                def key_of(d):
-                    return cache_key(sorted(os.listdir(d)))
+                def note(joblog, d):
+                    joblog.append({"files": sorted(os.listdir(d))})
             """,
         })
         assert finding_codes(run_deep(pkg)) == []
@@ -174,17 +163,14 @@ class TestCrossFileTaint:
             "keys": """
                 import os
 
-                def cache_key(parts):
-                    return hash(tuple(parts))
-
-                def key_of(d):
-                    return cache_key(os.listdir(d))
+                def note(joblog, d):
+                    joblog.append({"files": os.listdir(d)})
             """,
         })
         report = run_deep(pkg)
-        # DET006 (per-line) and TNT001 (flow) both see it; the order
+        # DET006 (per-line) and TNT003 (flow) both see it; the order
         # taint is heuristic, so the TNT finding is a warning.
-        tnt = [f for f in report.findings if f.code == "TNT001"]
+        tnt = [f for f in report.findings if f.code == "TNT003"]
         assert len(tnt) == 1
         assert tnt[0].severity.value == "warning"
 
@@ -193,32 +179,27 @@ class TestCrossFileTaint:
             "keys": """
                 import time
 
-                def cache_key(parts):
-                    return hash(tuple(parts))
-
-                def key_of():
-                    return cache_key(sorted([time.time()]))
+                def note(joblog):
+                    joblog.append({"when": sorted([time.time()])})
             """,
         })
-        assert "TNT001" in finding_codes(run_deep(pkg))
+        assert "TNT003" in finding_codes(run_deep(pkg))
 
     def test_taint_through_instance_attribute(self, tmp_path):
         pkg = write_pkg(tmp_path, "attrpkg", {
             "worker": """
                 import time
 
-                def cache_key(x):
-                    return hash(x)
-
                 class Worker:
-                    def __init__(self):
+                    def __init__(self, joblog):
+                        self.joblog = joblog
                         self.stamp = time.time()
 
-                    def key(self):
-                        return cache_key(self.stamp)
+                    def note(self):
+                        self.joblog.append({"when": self.stamp})
             """,
         })
-        assert "TNT001" in finding_codes(run_deep(pkg))
+        assert "TNT003" in finding_codes(run_deep(pkg))
 
     def test_deferred_default_factory_source(self, tmp_path):
         pkg = write_pkg(tmp_path, "facpkg", {
@@ -238,6 +219,62 @@ class TestCrossFileTaint:
         assert "TNT003" in finding_codes(report)
         (finding,) = [f for f in report.findings if f.code == "TNT003"]
         assert "deferred" in finding.message
+
+
+    def test_source_after_six_parameter_values_is_kept(self, tmp_path):
+        """Which taint survives must not depend on operand order: a
+        clock value behind six parameter values still reaches the
+        record (the LeaseTable.grant shape)."""
+        pkg = write_pkg(tmp_path, "manypkg", {
+            "leases": """
+                import time
+
+                class LeaseTable:
+                    def __init__(self, joblog):
+                        self.joblog = joblog
+
+                    def grant(self, key, run_id, holder, attempt, lease_s, why):
+                        self.joblog.append({
+                            "key": key, "run": run_id, "holder": holder,
+                            "attempt": attempt, "lease_s": lease_s,
+                            "why": why, "at": time.monotonic(),
+                        })
+            """,
+        })
+        (finding,) = run_deep(pkg).findings
+        assert finding.code == "TNT003"
+        assert "wall-clock time.monotonic()" in finding.message
+
+    def test_function_defined_inside_a_block_is_analyzed(self, tmp_path):
+        """A callback defined under ``if``/``with`` is still a function
+        (the shape of the runner's store-persist callback)."""
+        pkg = write_pkg(tmp_path, "blockpkg", {
+            "run": """
+                import os
+
+                def execute(joblog, misses):
+                    if misses:
+                        def finish(key):
+                            joblog.append({"key": key, "pid": os.getpid()})
+                        return finish
+            """,
+        })
+        assert finding_codes(run_deep(pkg)) == ["TNT003"]
+
+    @pytest.mark.parametrize("call", ["socket.gethostname()", "platform.node()"])
+    def test_host_name_into_job_log_record(self, tmp_path, call):
+        module = call.split(".")[0]
+        pkg = write_pkg(tmp_path, "hostpkg", {
+            "log": f"""
+                import {module}
+
+                def note(joblog):
+                    joblog.append({{"event": "start", "host": {call}}})
+            """,
+        })
+        (finding,) = run_deep(pkg).findings
+        assert finding.code == "TNT003"
+        assert f"environment {call}" in finding.message
 
 
 class TestFilesystemRules:
@@ -331,12 +368,9 @@ class TestPragmas:
             "mod": """
                 import time
 
-                def cache_key(x):
-                    return hash(x)
-
-                def key():
-                    t = time.time()  # repro: allow(TNT001, DET002) fixture
-                    return cache_key(t)
+                def note(joblog):
+                    t = time.time()  # repro: allow(TNT003, DET002) fixture
+                    joblog.append({"when": t})
             """,
         })
         assert finding_codes(run_deep(pkg)) == []
@@ -346,12 +380,9 @@ class TestPragmas:
             "mod": """
                 import time
 
-                def cache_key(x):
-                    return hash(x)
-
-                def key():
+                def note(joblog):
                     t = time.time()  # repro: allow(DET002) fixture
-                    return cache_key(t)  # repro: allow(TNT001) fixture
+                    joblog.append({"when": t})  # repro: allow(TNT003) fixture
             """,
         })
         assert finding_codes(run_deep(pkg)) == []
@@ -359,80 +390,12 @@ class TestPragmas:
     def test_unused_tnt_pragma_reported_in_deep_run(self, tmp_path):
         pkg = write_pkg(tmp_path, "prag3", {
             "mod": """
-                def f(x):  # repro: allow(TNT001) nothing here
+                def f(x):  # repro: allow(TNT003) nothing here
                     return x
             """,
         })
         report = run_deep(pkg)
         assert finding_codes(report) == ["DET000"]
-
-
-class TestSummaryCache:
-    def test_warm_run_hits_for_every_file(self, tmp_path):
-        pkg = write_pkg(tmp_path, "cpkg", {
-            "a": "def f(x):\n    return x\n",
-            "b": "def g(x):\n    return x\n",
-        })
-        cache = SummaryCache(tmp_path / "cache")
-        cold = analyze_paths([pkg], cache=cache)
-        assert cold.cache_misses == 3  # __init__, a, b
-        assert cold.cache_hits == 0
-        warm = analyze_paths([pkg], cache=cache)
-        assert warm.cache_hits == cold.cache_misses + cold.cache_hits
-        assert warm.cache_misses == cold.cache_misses  # counter carries over
-
-    def test_edit_invalidates_only_that_file(self, tmp_path):
-        pkg = write_pkg(tmp_path, "epkg", {
-            "clock": """
-                import time
-
-                def stamp():
-                    return 0.0
-            """,
-            "runner": """
-                from epkg.clock import stamp
-
-                def run(cache, cfg):
-                    cache.put(cfg, {"when": stamp()})
-            """,
-        })
-        cache = SummaryCache(tmp_path / "cache")
-        first = analyze_paths([pkg], cache=cache)
-        assert finding_codes(first) == []
-        # Introduce the bug in one file; the other two stay cached.
-        (pkg / "clock.py").write_text(
-            "import time\n\ndef stamp():\n    return time.time()\n"
-        )
-        cache.hits = cache.misses = 0
-        second = analyze_paths([pkg], cache=cache)
-        assert cache.hits == 2 and cache.misses == 1
-        # The cross-file finding appears even though runner.py came
-        # from cache: the solve is global.
-        assert sorted(finding_codes(second)) == ["DET002", "TNT002"]
-
-    def test_digest_covers_analyzer_version(self, tmp_path):
-        source = "x = 1\n"
-        d1 = source_digest(source, "m.py")
-        assert d1 == source_digest(source, "m.py")
-        assert d1 != source_digest(source + "\n", "m.py")
-        assert d1 != source_digest(source, "other.py")
-        assert f"{ANALYZER_VERSION}:" in f"{ANALYZER_VERSION}:m.py:"
-
-    def test_summary_roundtrips_through_cache(self, tmp_path):
-        source = (
-            "import time\n\n"
-            "def cache_key(x):\n    return hash(x)\n\n"
-            "def key():\n    return cache_key(time.time())\n"
-        )
-        summary = extract_module(source, "rt.py")
-        cache = SummaryCache(tmp_path)
-        cache.put(summary)
-        loaded = cache.get(summary.digest)
-        assert loaded is not None
-        # Findings from the reloaded summary match the fresh one.
-        fresh = [f.render() for f in Program([summary]).solve()]
-        reloaded = [f.render() for f in Program([loaded]).solve()]
-        assert fresh == reloaded and fresh
 
 
 class TestReportShape:
@@ -460,18 +423,21 @@ class TestReportShape:
 
 
 @pytest.mark.parametrize("source,expected", [
-    # Conservative passthrough: unresolved call with tainted arg.
+    # Conservative passthrough: unresolved call with tainted arg, then
+    # a resolved helper that returns its parameter.
     (
         "import time\n\n"
         "def cache_key(x):\n    return hash(x)\n\n"
-        "def key(fmt):\n    return cache_key(fmt(time.time()))\n",
-        ["TNT001"],
+        "def key(fmt, joblog):\n"
+        "    joblog.append(cache_key(fmt(time.time())))\n",
+        ["TNT003"],
     ),
     # Taint dies when not passed anywhere.
     (
         "import time\n\n"
         "def cache_key(x):\n    return hash(x)\n\n"
-        "def key(v):\n    t = time.time()\n    return cache_key(v)\n",
+        "def key(v, joblog):\n    t = time.time()\n"
+        "    joblog.append(cache_key(v))\n",
         [],
     ),
 ])

@@ -1,165 +1,111 @@
-"""Tests for SARIF 2.1.0 output.
+"""The rendered report of ``repro lint``: catalog, levels and traces.
 
-Full fidelity against the published schema needs the schema file (not
-vendored); these tests validate the structural subset that matters —
-required top-level members, rule catalog completeness, result shape,
-and codeFlow traces — via :mod:`jsonschema` with an embedded schema
-capturing SARIF 2.1.0's structural requirements.
+The human report is the one output format, so its shape is the
+contract a reader (or a CI log grep) relies on: every finding is one
+``path:line:col: CODE [level] message`` line, a taint finding is
+followed by its source→sink steps, and ``--list-rules`` names every
+rule family the pass runs.
 """
 
-import json
+import re
+import textwrap
 
-import pytest
-
+from repro.analysis.cli import main as lint_main
+from repro.analysis.dataflow import rule_codes
 from repro.analysis.fs_rules import FS_RULES
 from repro.analysis.linter import Finding, Severity, all_rules
-from repro.analysis.sarif import SARIF_VERSION, rule_catalog, to_sarif
 from repro.analysis.taint_rules import TNT_RULES
 
-jsonschema = pytest.importorskip("jsonschema")
-
-#: The load-bearing subset of the SARIF 2.1.0 schema: everything a
-#: consumer (code host, CI annotator) requires to ingest the log.
-SARIF_SUBSET_SCHEMA = {
-    "type": "object",
-    "required": ["version", "runs"],
-    "properties": {
-        "version": {"const": "2.1.0"},
-        "$schema": {"type": "string"},
-        "runs": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["tool", "results"],
-                "properties": {
-                    "tool": {
-                        "type": "object",
-                        "required": ["driver"],
-                        "properties": {
-                            "driver": {
-                                "type": "object",
-                                "required": ["name"],
-                                "properties": {
-                                    "name": {"type": "string"},
-                                    "rules": {
-                                        "type": "array",
-                                        "items": {
-                                            "type": "object",
-                                            "required": ["id"],
-                                        },
-                                    },
-                                },
-                            }
-                        },
-                    },
-                    "results": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["ruleId", "message"],
-                            "properties": {
-                                "ruleId": {"type": "string"},
-                                "level": {
-                                    "enum": [
-                                        "none", "note", "warning", "error",
-                                    ]
-                                },
-                                "message": {
-                                    "type": "object",
-                                    "required": ["text"],
-                                },
-                                "locations": {
-                                    "type": "array",
-                                    "items": {
-                                        "type": "object",
-                                        "required": ["physicalLocation"],
-                                        "properties": {
-                                            "physicalLocation": {
-                                                "type": "object",
-                                                "required": [
-                                                    "artifactLocation"
-                                                ],
-                                            }
-                                        },
-                                    },
-                                },
-                                "codeFlows": {
-                                    "type": "array",
-                                    "items": {
-                                        "type": "object",
-                                        "required": ["threadFlows"],
-                                    },
-                                },
-                            },
-                        },
-                    },
-                },
-            },
-        },
-    },
-}
+FINDING_LINE = re.compile(
+    r"^(?P<path>\S+):(?P<line>\d+):(?P<col>\d+): (?P<code>[A-Z]{2,4}\d{3}) "
+    r"\[(?P<level>warning|error)\] .+$"
+)
 
 
-def deep_finding():
+def taint_finding():
     return Finding(
-        path="src/m.py", line=3, col=1, code="TNT001",
-        message="wall-clock reaches cache key",
-        severity=Severity.ERROR, anchor="wall-clock",
+        path="src/m.py", line=3, col=1, code="TNT003",
+        message="wall-clock time.time() reaches job-log record",
+        severity=Severity.ERROR,
         trace=(
             ("src/m.py", 3, "wall-clock time.time()"),
             ("src/m.py", 4, "t = ..."),
-            ("src/n.py", 9, "cache-key computation"),
+            ("src/n.py", 9, "job-log record via joblog.append(...)"),
         ),
     )
 
 
-def shallow_finding():
+def per_line_finding():
     return Finding(
         path="src/m.py", line=1, col=1, code="DET001",
         message="raw random import", severity=Severity.ERROR,
     )
 
 
-class TestDocument:
-    def test_validates_against_subset_schema(self):
-        doc = to_sarif([deep_finding(), shallow_finding()])
-        jsonschema.validate(doc, SARIF_SUBSET_SCHEMA)
+def run_cli(argv, capsys):
+    code = lint_main(argv)
+    return code, capsys.readouterr().out
 
-    def test_empty_report_validates(self):
-        jsonschema.validate(to_sarif([]), SARIF_SUBSET_SCHEMA)
+
+def write_pkg(root):
+    pkg = root / "rpkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "log.py").write_text(textwrap.dedent("""
+        import random
+        import time
+
+
+        def note(joblog):
+            joblog.append({"event": "start", "at": time.monotonic()})
+    """))
+    return pkg
+
+
+class TestDocument:
+    def test_validates_against_subset_schema(self, tmp_path, capsys):
+        """Every finding line of a real report parses as a finding."""
+        code, text = run_cli([str(write_pkg(tmp_path))], capsys)
+        assert code == 1
+        lines = [ln for ln in text.splitlines() if FINDING_LINE.match(ln)]
+        assert {FINDING_LINE.match(ln)["code"] for ln in lines} == {
+            "DET001", "TNT003",
+        }
+
+    def test_empty_report_validates(self, tmp_path, capsys):
+        (tmp_path / "ok.py").write_text("x = 1\n")
+        code, text = run_cli([str(tmp_path)], capsys)
+        assert code == 0
+        assert text == "0 finding(s), 0 error(s) in 1 file\n"
 
     def test_version_and_json_serializable(self):
-        doc = to_sarif([deep_finding()])
-        assert doc["version"] == SARIF_VERSION
-        json.dumps(doc)  # no sets, enums, or other non-JSON types
+        """Findings are plain frozen values: hashable and comparable."""
+        assert len({taint_finding(), taint_finding()}) == 1
+        assert taint_finding() != per_line_finding()
 
-    def test_rule_catalog_covers_every_family(self):
-        ids = {rule["id"] for rule in rule_catalog()}
-        assert {r.code for r in all_rules()} <= ids
-        assert set(TNT_RULES) <= ids
-        assert set(FS_RULES) <= ids
-        assert "DET000" in ids
+    def test_rule_catalog_covers_every_family(self, capsys):
+        code, text = run_cli(["--list-rules"], capsys)
+        assert code == 0
+        listed = {line.split()[0] for line in text.splitlines()}
+        assert {r.code for r in all_rules()} <= listed
+        assert set(TNT_RULES) <= listed
+        assert set(FS_RULES) <= listed
+        assert "DET000" in listed
+        assert listed == rule_codes() | {"DET000"}
 
     def test_result_carries_fingerprint_and_level(self):
-        doc = to_sarif([deep_finding()])
-        (result,) = doc["runs"][0]["results"]
-        assert result["ruleId"] == "TNT001"
-        assert result["level"] == "error"
-        assert result["partialFingerprints"]["reproLint/v1"] == (
-            deep_finding().fingerprint
-        )
+        rendered = taint_finding().render()
+        match = FINDING_LINE.match(rendered)
+        assert match is not None
+        assert match["code"] == "TNT003"
+        assert match["level"] == "error"
 
     def test_trace_becomes_code_flow(self):
-        doc = to_sarif([deep_finding()])
-        (result,) = doc["runs"][0]["results"]
-        locations = result["codeFlows"][0]["threadFlows"][0]["locations"]
-        assert len(locations) == 3
-        first = locations[0]["location"]["physicalLocation"]
-        assert first["artifactLocation"]["uri"] == "src/m.py"
-        assert first["region"]["startLine"] == 3
+        steps = taint_finding().render_trace()
+        assert len(steps) == 3
+        assert steps[0].split() == ["src/m.py:3:", "wall-clock", "time.time()"]
+        assert all(step.lstrip().startswith("->") for step in steps[1:])
+        assert "src/n.py:9:" in steps[-1]
 
     def test_shallow_finding_has_no_code_flow(self):
-        doc = to_sarif([shallow_finding()])
-        (result,) = doc["runs"][0]["results"]
-        assert "codeFlows" not in result
+        assert per_line_finding().render_trace() == []
