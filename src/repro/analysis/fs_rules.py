@@ -73,7 +73,6 @@ SHARED_HINTS = (
     "store",
     "journal",
     "quarantine",
-    "index_path",
     "campaigns",
     "manifest_dir",
     "server.json",
@@ -169,7 +168,7 @@ class _FunctionScan:
             self.has_fsync = True
         elif name == "os.link":
             self.has_link = True
-        elif simple in ("publish", "publish_path"):
+        elif simple == "publish":
             self.has_publish = True
         elif name == "os.replace" and node.args:
             self.has_replace = True

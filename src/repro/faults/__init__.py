@@ -315,8 +315,9 @@ def corrupt_cache_entry(cache, config, apps, mode: str = "garbage") -> Path:
     Modes: ``garbage`` (overwrite with non-pickle bytes), ``truncate``
     (cut the pickle short, as a host crash without fsync would),
     ``empty`` (zero-length file), ``wrong-type`` (a valid pickle of the
-    wrong payload type — exercises the schema check, not the pickle
-    parser).  The entry must exist.
+    wrong payload type, republished through the store so its digest
+    checks out — exercises the schema check, not the digest or the
+    pickle parser).  The entry must exist.
     """
     path = cache.path_for(config, apps)
     data = path.read_bytes()
@@ -327,8 +328,10 @@ def corrupt_cache_entry(cache, config, apps, mode: str = "garbage") -> Path:
     elif mode == "empty":
         path.write_bytes(b"")
     elif mode == "wrong-type":
-        path.write_bytes(
-            pickle.dumps({"schema": "not-a-MixResult"}, protocol=pickle.HIGHEST_PROTOCOL)
+        path.unlink()
+        cache.publish(
+            path.stem,
+            pickle.dumps({"schema": "not-a-MixResult"}, protocol=pickle.HIGHEST_PROTOCOL),
         )
     else:
         raise ValueError(f"unknown corruption mode {mode!r}")

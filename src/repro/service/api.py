@@ -249,16 +249,14 @@ class ServiceApp:
 
     def result_envelope(self, key: str) -> tuple[int, dict]:
         status = self.scheduler.job_status(key)
-        record = self.store.index_record(key)
-        if status is None and record is None:
+        if status is None:
             return 404, {"error": f"unknown result key {key}"}
-        doc = dict(status) if status is not None else {"key": key, "state": "done"}
+        doc = dict(status)
         if doc["state"] == "done":
-            if record is None:
-                record = self.store.index_record(key)
-            if record is not None:
-                doc["sha256"] = record["sha256"]
-                doc["size"] = record["size"]
+            data = self.payload(key)
+            if data is not None:
+                doc["sha256"] = payload_digest(data)
+                doc["size"] = len(data)
             doc["payload"] = f"/results/{key}/payload"
         return 200, doc
 

@@ -9,33 +9,29 @@ workers share.
   ``(schema version, config.cache_key(), apps)``, so independently
   constructed runners, repeat CLI invocations and the service all find
   each other's results.
-* **Integrity index** — ``index.json`` records each entry's payload
-  SHA-256 and size.  Every read, by key or by ``(config, apps)``,
-  verifies the bytes against the index before serving; a mismatch
-  quarantines the entry and reads as a miss, so a flipped bit on disk
-  can never reach a figure or an HTTP client.
-* **Heal on read** — an entry with no index row (a crash between the
-  publish and the index write, or a directory from before the index)
-  is validated by unpickling on its first read and indexed then.
-* **Atomic compare-and-publish writes** — all writes go through
-  :meth:`ResultStore.publish_path` (fsynced temp file, first-writer-
-  wins hard link), so concurrent schedulers/threads/processes cannot
-  tear an entry, and the index update is folded in under a
-  process-local lock.
+* **Self-verifying entries** — each entry file is the 32-byte raw
+  SHA-256 of its payload followed by the payload.  Every read, by key
+  or by ``(config, apps)``, re-hashes the payload against that prefix
+  before serving; a short file or a mismatch quarantines the entry and
+  reads as a miss, so a flipped bit on disk can never reach a figure
+  or an HTTP client.  No side file is involved, so any number of
+  processes can share one directory.
+* **Atomic compare-and-publish writes** — :meth:`ResultStore.publish`
+  stages the framed entry in an fsynced temp file and hard-links it
+  into place (first writer wins), so concurrent
+  schedulers/threads/processes cannot tear an entry.
 * **Quarantine** — an entry that cannot be read back (torn pickle,
   garbage bytes, a payload that is not a :class:`MixResult`, a digest
   mismatch) is moved to ``quarantine/``, counted in ``corrupt`` apart
   from ``misses``, and logged; readers only ever see a miss.
-* **Operator tooling** — :meth:`verify` re-hashes every entry against
-  the index, :meth:`gc` drains the quarantine and stale temp files and
-  prunes orphaned index rows, :meth:`reindex` rebuilds the index from
-  the payloads.  The ``repro cache`` CLI drives all three.
+* **Operator tooling** — :meth:`verify` re-hashes every entry and
+  :meth:`gc` drains the quarantine and stale temp files.  The
+  ``repro cache`` CLI drives both.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import pickle
@@ -50,9 +46,6 @@ from repro.experiments.runner import MixResult
 
 log = logging.getLogger("repro.service.store")
 
-#: Index document schema version.
-INDEX_SCHEMA = 1
-
 #: Bump whenever the meaning of stored results changes (simulator
 #: semantics, MixResult schema, profile calibration, ...).  A bump
 #: silently invalidates every previously written entry.
@@ -65,10 +58,21 @@ CACHE_SCHEMA_VERSION = 3
 #: writer mid-publish and are left alone.
 STALE_TMP_SECONDS = 3600.0
 
+#: Length of the raw SHA-256 that prefixes every entry file.
+DIGEST_BYTES = 32
+
 
 def payload_digest(data: bytes) -> str:
     """Integrity digest of one stored payload."""
     return hashlib.sha256(data).hexdigest()
+
+
+def _unframe(data: bytes) -> bytes | None:
+    """The payload of one entry file, or None if its digest prefix fails."""
+    payload = data[DIGEST_BYTES:]
+    if hashlib.sha256(payload).digest() != data[:DIGEST_BYTES]:
+        return None
+    return payload
 
 
 def job_key(
@@ -93,7 +97,6 @@ class StoreStats:
 
     entries: int = 0
     bytes: int = 0
-    indexed: int = 0
     quarantined: int = 0
     quarantined_bytes: int = 0
     stale_tmp: int = 0
@@ -102,7 +105,6 @@ class StoreStats:
         return {
             "entries": self.entries,
             "bytes": self.bytes,
-            "indexed": self.indexed,
             "quarantined": self.quarantined,
             "quarantined_bytes": self.quarantined_bytes,
             "stale_tmp": self.stale_tmp,
@@ -114,21 +116,14 @@ class VerifyReport:
     """Outcome of a full-store integrity pass."""
 
     ok: int = 0
-    healed: int = 0  # unindexed entries validated and indexed
     corrupt: list[str] = field(default_factory=list)
-    missing: list[str] = field(default_factory=list)  # indexed, no file
 
     @property
     def clean(self) -> bool:
-        return not self.corrupt and not self.missing
+        return not self.corrupt
 
     def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "healed": self.healed,
-            "corrupt": sorted(self.corrupt),
-            "missing": sorted(self.missing),
-        }
+        return {"ok": self.ok, "corrupt": sorted(self.corrupt)}
 
 
 @dataclass
@@ -137,13 +132,11 @@ class GCReport:
 
     quarantined_removed: int = 0
     tmp_removed: int = 0
-    index_pruned: int = 0
 
     def as_dict(self) -> dict:
         return {
             "quarantined_removed": self.quarantined_removed,
             "tmp_removed": self.tmp_removed,
-            "index_pruned": self.index_pruned,
         }
 
 
@@ -158,8 +151,6 @@ class ResultStore:
     miss.
     """
 
-    INDEX_NAME = "index.json"
-
     def __init__(
         self, cache_dir: str | os.PathLike, version: int = CACHE_SCHEMA_VERSION
     ) -> None:
@@ -170,10 +161,7 @@ class ResultStore:
         self.misses = 0
         #: Entries quarantined because they could not be read back.
         self.corrupt = 0
-        self._lock = threading.RLock()
-        self._entries: dict[str, dict] = {}
         self._sweep_stale_tmp()
-        self._load_index()
 
     def _sweep_stale_tmp(self) -> int:
         """Remove ``*.tmp`` orphans left by crashed writers; return count.
@@ -227,62 +215,12 @@ class ResultStore:
         return sum(1 for _ in self.cache_dir.glob("*.pkl"))  # repro: allow(DET006) count only
 
     def clear(self) -> None:
-        """Delete every entry and its index row."""
-        with self._lock:
-            for entry in sorted(self.cache_dir.glob("*.pkl")):
-                try:
-                    entry.unlink()
-                except OSError:
-                    pass
-            self._entries = {}
-            self._save_index()
-
-    # ------------------------------------------------------------------
-    # index persistence
-
-    @property
-    def index_path(self) -> Path:
-        return self.cache_dir / self.INDEX_NAME
-
-    def _load_index(self) -> None:
-        try:
-            with open(self.index_path) as handle:
-                doc = json.load(handle)
-        except (FileNotFoundError, ValueError):
-            self._entries = {}
-            return
-        if doc.get("schema") != INDEX_SCHEMA:
-            self._entries = {}
-            return
-        entries = doc.get("entries", {})
-        self._entries = entries if isinstance(entries, dict) else {}
-
-    def _save_index(self) -> None:
-        doc = {
-            "schema": INDEX_SCHEMA,
-            "entries": {k: self._entries[k] for k in sorted(self._entries)},
-        }
-        tmp = self.index_path.with_name(
-            f"{self.index_path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-        )
-        with open(tmp, "w") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.index_path)
-
-    def _index_entry(self, key: str, data: bytes) -> None:
-        self._entries[key] = {
-            "sha256": payload_digest(data),
-            "size": len(data),
-        }
-        self._save_index()
-
-    def index_record(self, key: str) -> dict | None:
-        """The index row (sha256, size) for ``key``, if indexed."""
-        record = self._entries.get(key)
-        return dict(record) if record is not None else None
+        """Delete every entry."""
+        for entry in sorted(self.cache_dir.glob("*.pkl")):
+            try:
+                entry.unlink()
+            except OSError:
+                pass
 
     # ------------------------------------------------------------------
     # reads
@@ -294,8 +232,8 @@ class ResultStore:
             self.quarantine_dir.mkdir(exist_ok=True)
             os.replace(path, target)
         except OSError:
-            # Lost a race (another reader quarantined it, or a writer
-            # healed it); the warning below still records the sighting.
+            # Lost a race (another reader quarantined it first); the
+            # warning below still records the sighting.
             target = path
         log.warning(
             "quarantined corrupt store entry %s -> %s (%s); will re-simulate",
@@ -324,11 +262,9 @@ class ResultStore:
     def get_bytes(self, key: str) -> bytes | None:
         """Raw payload bytes for ``key``, integrity-checked.
 
-        An indexed entry must hash to its recorded digest; an unindexed
-        one must unpickle to a valid :class:`MixResult`, after which it
-        is indexed so later reads pay only the hash.  Any failure
-        quarantines the entry and reads as a miss — corruption never
-        propagates to a caller.
+        The payload must hash to the digest that prefixes the entry
+        file.  A short file or a mismatch quarantines the entry and
+        reads as a miss — corruption never propagates to a caller.
         """
         path = self.path_for_key(key)
         try:
@@ -339,21 +275,12 @@ class ResultStore:
         except OSError as exc:  # pragma: no cover - unreadable file
             self._quarantine(path, f"{type(exc).__name__}: {exc}")
             return None
-        with self._lock:
-            record = self._entries.get(key)
-            if record is not None:
-                if payload_digest(data) != record.get("sha256"):
-                    del self._entries[key]
-                    self._save_index()
-                    self._quarantine(path, "payload digest mismatch")
-                    return None
-            else:
-                if not self._decodes(data):
-                    self._quarantine(path, "unindexed entry failed to decode")
-                    return None
-                self._index_entry(key, data)
+        payload = _unframe(data)
+        if payload is None:
+            self._quarantine(path, "payload digest mismatch")
+            return None
         self.hits += 1
-        return data
+        return payload
 
     def get_by_key(self, key: str) -> MixResult | None:
         """Decode the stored :class:`MixResult` under ``key``."""
@@ -373,66 +300,31 @@ class ResultStore:
             return None
         return result
 
-    @classmethod
-    def _decodes(cls, data: bytes) -> bool:
-        try:
-            return cls._valid_payload(pickle.loads(data))
-        except Exception:
-            return False
-
     # ------------------------------------------------------------------
     # writes
 
     def publish(self, key: str, data: bytes) -> bool:
-        """Compare-and-publish ``data`` under ``key``; True if installed.
+        """Atomically publish ``data`` under ``key``; first writer wins.
 
-        Losing the publish race is not an error — the winner's bytes
-        are the same deterministic pickle — but either way the index
-        ends up describing what is on disk.
+        The entry file is the payload's raw SHA-256 followed by the
+        payload.  It is staged in a temp file named by pid *and* thread
+        id: two threads of one process (two runners sharing a
+        directory, a scheduler next to an API worker) stage to
+        different files instead of interleaving writes into one.  The
+        staged file is then hard-linked into place — link(2) fails if
+        the name already exists, so of any number of racing writers
+        *exactly one* observes success, with no check-then-act window.
+        An existing entry is left untouched — every writer of a key
+        produces the same deterministic bytes, so the loser just drops
+        its copy; readers only ever observe a complete entry either
+        way.  Returns True when this call installed the entry.
         """
         path = self.path_for_key(key)
-        with self._lock:
-            published = self.publish_path(path, data)
-            if published:
-                self._index_entry(key, data)
-            elif key not in self._entries:
-                try:
-                    self._index_entry(key, path.read_bytes())
-                except OSError:  # pragma: no cover - entry vanished
-                    pass
-        return published
-
-    def put(
-        self, config: SystemConfig, apps: Sequence[str], result: MixResult
-    ) -> bool:
-        """Persist ``result``; returns whether this call published it."""
-        return self.publish(
-            self.key_for(config, apps),
-            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
-        )
-
-    def publish_path(self, path: Path, data: bytes) -> bool:
-        """Atomically publish ``data`` at ``path``; first writer wins.
-
-        The temp file is named by pid *and* thread id: two threads of
-        one process (two runners sharing a directory, a scheduler next
-        to an API worker) stage to different files instead of
-        interleaving writes into one.  The staged file is then
-        hard-linked into place — link(2) fails if the name already
-        exists, so of any number of racing writers *exactly one*
-        observes success, with no check-then-act window.  An existing
-        entry is left untouched — every writer of a key produces the
-        same deterministic bytes, so the loser just drops its copy;
-        readers only ever observe a complete entry either way.  The
-        index is not touched here; :meth:`publish` adds the row.
-        Returns True when this call installed the entry.
-        """
         if path.exists():
             return False
-        tmp = path.with_name(
-            f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-        )
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         with open(tmp, "wb") as handle:
+            handle.write(hashlib.sha256(data).digest())
             handle.write(data)
             # Without the fsync a host crash can surface the link but
             # not the data, leaving a zero-length entry that passes the
@@ -457,6 +349,15 @@ class ResultStore:
             pass
         return published
 
+    def put(
+        self, config: SystemConfig, apps: Sequence[str], result: MixResult
+    ) -> bool:
+        """Persist ``result``; returns whether this call published it."""
+        return self.publish(
+            self.key_for(config, apps),
+            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
+        )
+
     # ------------------------------------------------------------------
     # maintenance
 
@@ -468,8 +369,6 @@ class ResultStore:
                 stats.bytes += path.stat().st_size
             except OSError:  # pragma: no cover - racing unlink
                 pass
-        with self._lock:
-            stats.indexed = len(self._entries)
         if self.quarantine_dir.is_dir():
             for path in sorted(self.quarantine_dir.iterdir()):
                 stats.quarantined += 1
@@ -484,13 +383,11 @@ class ResultStore:
         """Cheap integrity summary for health/readiness reporting.
 
         Counts only — no hashing, no decoding — so ``/healthz`` can
-        include it on every poll: entries on disk vs. indexed, the
-        quarantine population, and the corrupt-read counter this
-        process has accumulated.  A full :meth:`verify` remains the
-        authoritative (and expensive) check.
+        include it on every poll: entries on disk, the quarantine
+        population, and the corrupt-read counter this process has
+        accumulated.  A full :meth:`verify` remains the authoritative
+        (and expensive) check.
         """
-        with self._lock:
-            indexed = len(self._entries)
         entries = len(sorted(self.cache_dir.glob("*.pkl")))
         quarantined = (
             len(sorted(self.quarantine_dir.iterdir()))
@@ -499,68 +396,29 @@ class ResultStore:
         )
         return {
             "entries": entries,
-            "indexed": indexed,
             "quarantined": quarantined,
             "corrupt_reads": self.corrupt,
         }
 
     def verify(self) -> VerifyReport:
-        """Re-hash every entry against the index; quarantine mismatches."""
+        """Re-hash every entry against its digest; quarantine mismatches."""
         report = VerifyReport()
-        with self._lock:
-            on_disk = {p.stem: p for p in sorted(self.cache_dir.glob("*.pkl"))}
-            for key in sorted(set(self._entries) | set(on_disk)):
-                path = on_disk.get(key)
-                if path is None:
-                    report.missing.append(key)
-                    del self._entries[key]
-                    continue
-                try:
-                    data = path.read_bytes()
-                except OSError:  # pragma: no cover - unreadable file
-                    report.corrupt.append(key)
-                    self._quarantine(path, "unreadable during verify")
-                    continue
-                record = self._entries.get(key)
-                if record is None:
-                    if self._decodes(data):
-                        self._entries[key] = {
-                            "sha256": payload_digest(data),
-                            "size": len(data),
-                        }
-                        report.healed += 1
-                    else:
-                        report.corrupt.append(key)
-                        self._quarantine(path, "undecodable during verify")
-                    continue
-                if payload_digest(data) != record.get("sha256"):
-                    report.corrupt.append(key)
-                    del self._entries[key]
-                    self._quarantine(path, "digest mismatch during verify")
-                else:
-                    report.ok += 1
-            self._save_index()
+        for path in sorted(self.cache_dir.glob("*.pkl")):
+            try:
+                data = path.read_bytes()
+            except OSError:  # pragma: no cover - unreadable file
+                report.corrupt.append(path.stem)
+                self._quarantine(path, "unreadable during verify")
+                continue
+            if _unframe(data) is None:
+                report.corrupt.append(path.stem)
+                self._quarantine(path, "digest mismatch during verify")
+            else:
+                report.ok += 1
         return report
 
-    def reindex(self) -> int:
-        """Rebuild the index from the payloads; returns entry count."""
-        with self._lock:
-            self._entries = {}
-            for path in sorted(self.cache_dir.glob("*.pkl")):
-                try:
-                    data = path.read_bytes()
-                except OSError:  # pragma: no cover - racing unlink
-                    continue
-                if self._decodes(data):
-                    self._entries[path.stem] = {
-                        "sha256": payload_digest(data),
-                        "size": len(data),
-                    }
-            self._save_index()
-            return len(self._entries)
-
     def gc(self) -> GCReport:
-        """Drain the quarantine, remove temp orphans, prune the index.
+        """Drain the quarantine and remove temp orphans.
 
         Quarantined entries exist only so repeated reads don't re-pay
         the decode failure; once an operator has inspected (or stopped
@@ -576,21 +434,12 @@ class ResultStore:
                 except OSError:  # pragma: no cover - racing unlink
                     pass
         report.tmp_removed = self._sweep_stale_tmp()
-        with self._lock:
-            live = {p.stem for p in sorted(self.cache_dir.glob("*.pkl"))}
-            orphans = [k for k in self._entries if k not in live]
-            for key in orphans:
-                del self._entries[key]
-            if orphans:
-                self._save_index()
-            report.index_pruned = len(orphans)
         return report
 
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "GCReport",
-    "INDEX_SCHEMA",
     "ResultStore",
     "StoreStats",
     "VerifyReport",

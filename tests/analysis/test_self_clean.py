@@ -81,16 +81,16 @@ MUTATIONS = [
      "    os.replace(tmp, path)\n    return path\n",
      "    return path\n",
      "FS001"),
-    # FS002: the shipped replace-without-fsync, on the store index.
-    ("service/store.py",
+    # FS002: the shipped replace-without-fsync, on a run manifest.
+    ("telemetry/manifest.py",
      "            os.fsync(handle.fileno())\n"
-     "        os.replace(tmp, self.index_path)",
-     "        os.replace(tmp, self.index_path)",
+     "        os.replace(tmp, path)",
+     "        os.replace(tmp, path)",
      "FS002"),
-    # FS004: index staging file shared by every writer.
+    # FS004: entry staging file shared by every writer of a key.
     ("service/store.py",
-     'f"{self.index_path.name}.{os.getpid()}.{threading.get_ident()}.tmp"',
-     'f"{self.index_path.name}.tmp"',
+     'path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")',
+     'self.cache_dir / f"{key}.pkl.tmp"',
      "FS004"),
 ]
 

@@ -107,22 +107,28 @@ class TestResultCache:
             assert cache.get(tiny_config, ("gzip",)) is None
         assert any("quarantined" in r.message for r in caplog.records)
 
-    def test_wrong_type_payload_rejected(self, tiny_config, tmp_path):
+    def test_wrong_type_payload_rejected(
+        self, tiny_config, tmp_path, caplog
+    ):
         """Satellite: a valid pickle of the wrong type must not escape.
 
         A wrong-type payload used to propagate straight into figure
         drivers; now the schema check quarantines it like any other
-        corruption.
+        corruption.  The imposter is published through the store, so
+        its digest checks out and the schema check is what rejects it.
         """
         import pickle as _pickle
 
         cache = ResultStore(tmp_path)
         cache.put(tiny_config, ("gzip",), run_mix(tiny_config, ("gzip",)))
         path = cache.path_for(tiny_config, ("gzip",))
-        path.write_bytes(_pickle.dumps({"imposter": True}))
-        assert cache.get(tiny_config, ("gzip",)) is None
+        path.unlink()
+        cache.publish(path.stem, _pickle.dumps({"imposter": True}))
+        with caplog.at_level("WARNING", logger="repro.service.store"):
+            assert cache.get(tiny_config, ("gzip",)) is None
         assert cache.corrupt == 1
         assert (cache.quarantine_dir / path.name).exists()
+        assert any("not a MixResult" in r.getMessage() for r in caplog.records)
 
     def test_stale_tmp_orphans_swept_on_init(self, tiny_config, tmp_path):
         """Satellite: crashed writers' temp files are cleaned up, but a

@@ -1,5 +1,6 @@
 """Tests for the content-addressed ResultStore."""
 
+import hashlib
 import os
 import pickle
 import struct
@@ -11,7 +12,6 @@ from repro.service.store import (
     STALE_TMP_SECONDS,
     ResultStore,
     job_key,
-    payload_digest,
 )
 
 
@@ -19,6 +19,19 @@ def _payload(config, apps=("gzip",)):
     return pickle.dumps(
         run_mix(config, apps), protocol=pickle.HIGHEST_PROTOCOL
     )
+
+
+def _flip_float_bit(path, value):
+    """Flip the lowest mantissa bit of the one pickled float ``value``
+    in the entry at ``path``; returns the new file bytes."""
+    data = bytearray(path.read_bytes())
+    # BINFLOAT opcode, then the big-endian double.
+    needle = b"G" + struct.pack(">d", value)
+    at = data.find(needle)
+    assert at >= 0 and data.count(needle) == 1
+    data[at + 8] ^= 1
+    path.write_bytes(bytes(data))
+    return bytes(data)
 
 
 class TestKeys:
@@ -114,8 +127,9 @@ class TestIntegrity:
         key = store.key_for(tiny_config, ("gzip",))
         data = _payload(tiny_config)
         store.publish(key, data)
-        record = store.index_record(key)
-        assert record == {"sha256": payload_digest(data), "size": len(data)}
+        entry = store.path_for_key(key).read_bytes()
+        assert entry[:32] == hashlib.sha256(data).digest()
+        assert entry[32:] == data
         report = store.verify()
         assert report.clean and report.ok == 1
 
@@ -126,24 +140,7 @@ class TestIntegrity:
         store.path_for_key(key).write_bytes(b"flipped bits")
         assert store.get_bytes(key) is None  # digest mismatch -> miss
         assert store.corrupt == 1
-        assert store.index_record(key) is None  # de-indexed
         assert (store.quarantine_dir / f"{key}.pkl").exists()
-
-    def test_unindexed_cache_entry_healed(self, tiny_config, tmp_path):
-        """An entry published without its index row (a crash between
-        the two writes) is validated and indexed on its first read."""
-        store = ResultStore(tmp_path)
-        result = run_mix(tiny_config, ("gzip",))
-        store.publish_path(
-            store.path_for(tiny_config, ("gzip",)),
-            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
-        )
-        key = store.key_for(tiny_config, ("gzip",))
-        assert store.index_record(key) is None
-        loaded = store.get(tiny_config, ("gzip",))
-        assert loaded is not None and loaded.ipcs == result.ipcs
-        assert store.index_record(key) is not None
-        assert ResultStore(tmp_path).index_record(key) is not None
 
     def test_get_verifies_digest(self, tiny_config, tmp_path):
         """A bit flipped inside a pickled float still unpickles, to a
@@ -153,14 +150,8 @@ class TestIntegrity:
         result = run_mix(tiny_config, ("gzip",))
         store.put(tiny_config, ("gzip",), result)
         path = store.path_for(tiny_config, ("gzip",))
-        data = bytearray(path.read_bytes())
-        # BINFLOAT opcode, then the big-endian double.
-        needle = b"G" + struct.pack(">d", result.core.int_issue_coverage)
-        at = data.find(needle)
-        assert at >= 0 and data.count(needle) == 1
-        data[at + 8] ^= 1  # lowest mantissa bit
-        path.write_bytes(bytes(data))
-        assert pickle.loads(bytes(data)) != result  # decodes, but wrong
+        data = _flip_float_bit(path, result.core.int_issue_coverage)
+        assert pickle.loads(data[32:]) != result  # decodes, but wrong
         assert store.get(tiny_config, ("gzip",)) is None
         assert store.corrupt == 1
         assert (store.quarantine_dir / path.name).exists()
@@ -172,33 +163,24 @@ class TestIntegrity:
         assert store.get_bytes(key) is None
         assert store.corrupt == 1
 
-    def test_verify_heals_and_reports_missing(self, tiny_config, tmp_path):
-        store = ResultStore(tmp_path)
-        key = store.key_for(tiny_config, ("gzip",))
-        data = _payload(tiny_config)
-        store.publish(key, data)
-        # An entry on disk without its index row.
+    def test_last_writer_cannot_unprotect_another_stores_entry(
+        self, tiny_config, tmp_path
+    ):
+        """Two stores over one directory each publish a result; a bit
+        then flips in the first entry.  Its digest lives in the entry
+        itself, so no other process's write can leave it unchecked."""
+        first, second = ResultStore(tmp_path), ResultStore(tmp_path)
         other = tiny_config.with_(scheduler="fcfs")
-        store.publish_path(
-            store.path_for(other, ("gzip",)), _payload(other)
+        result = run_mix(tiny_config, ("gzip",))
+        first.put(tiny_config, ("gzip",), result)
+        second.put(other, ("gzip",), run_mix(other, ("gzip",)))
+        _flip_float_bit(
+            first.path_for(tiny_config, ("gzip",)),
+            result.core.int_issue_coverage,
         )
-        # Indexed entry whose file vanished.
-        ghost = "cd" * 32
-        store._entries[ghost] = {"sha256": "0" * 64, "size": 1}
-        report = store.verify()
-        assert report.ok == 1 and report.healed == 1
-        assert report.missing == [ghost]
-        assert not report.clean
-        assert store.verify().clean  # second pass: everything indexed
-
-    def test_reindex_rebuilds_from_payloads(self, tiny_config, tmp_path):
-        store = ResultStore(tmp_path)
-        store.put(tiny_config, ("gzip",), run_mix(tiny_config, ("gzip",)))
-        store.index_path.unlink()
         fresh = ResultStore(tmp_path)
-        assert fresh.index_record(store.key_for(tiny_config, ("gzip",))) is None
-        assert fresh.reindex() == 1
-        assert fresh.verify().clean
+        assert fresh.get(tiny_config, ("gzip",)) is None
+        assert fresh.corrupt == 1
 
 
 class TestMaintenance:
@@ -207,8 +189,8 @@ class TestMaintenance:
         data = _payload(tiny_config)
         store.publish(store.key_for(tiny_config, ("gzip",)), data)
         stats = store.stats()
-        assert stats.entries == 1 and stats.indexed == 1
-        assert stats.bytes == len(data)
+        assert stats.entries == 1
+        assert stats.bytes == 32 + len(data)  # digest prefix + payload
         assert stats.quarantined == 0 and stats.stale_tmp == 0
 
     def test_gc_drains_quarantine_and_prunes(self, tiny_config, tmp_path):
@@ -230,16 +212,7 @@ class TestMaintenance:
         assert report.tmp_removed == 1
         assert fresh.exists()  # in-flight writer's tmp survives
         fresh.unlink()
-        assert report.index_pruned == 0  # de-indexed at quarantine time
         assert store.stats().quarantined == 0
-
-    def test_gc_prunes_orphan_index_rows(self, tiny_config, tmp_path):
-        store = ResultStore(tmp_path)
-        key = store.key_for(tiny_config, ("gzip",))
-        store.publish(key, _payload(tiny_config))
-        store.path_for_key(key).unlink()  # vanished outside the store
-        assert store.gc().index_pruned == 1
-        assert store.index_record(key) is None
 
 
 class TestModuleLevelKey:
@@ -258,7 +231,7 @@ class TestModuleLevelKey:
         key = store.key_for(tiny_config, ("gzip",))
         store.publish(key, _payload(tiny_config))
         assert store.integrity() == {
-            "entries": 1, "indexed": 1, "quarantined": 0, "corrupt_reads": 0,
+            "entries": 1, "quarantined": 0, "corrupt_reads": 0,
         }
         store.path_for_key(key).write_bytes(b"junk")
         assert store.get_bytes(key) is None
