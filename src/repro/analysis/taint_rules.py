@@ -133,10 +133,10 @@ TNT_RULES: dict[str, tuple[str, Severity]] = {
 
 SINKS: tuple[Sink, ...] = (
     # TNT003 — job-log records (replayed on --resume): every record,
-    # from the executor, the scheduler or the lease table, is written
-    # by JobLog.append.  Bug class: a clock reading, pid or listing
-    # order persisted into a record that recovery replays (the lease
-    # table's grant record must carry durations, never deadlines).
+    # from the executor or the scheduler, is written by JobLog.append.
+    # Bug class: a clock reading, pid or listing order persisted into a
+    # record that recovery replays (a requeue record carries a count,
+    # never a timestamp).
     Sink("TNT003", "append", ("joblog", "journal"), "job-log record"),
 )
 

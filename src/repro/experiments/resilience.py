@@ -30,8 +30,7 @@ campaign actually meets:
   a local ``--resume`` batch and the campaign service.  A completion is
   written only *after* the result is durably in the ResultStore, and
   every view a restart needs (pending queue, requeue counts, campaigns,
-  orphaned leases, terminal failures, completions) is one
-  :func:`replay` of it.
+  terminal failures, completions) is one :func:`replay` of it.
 
 Determinism: recovery never changes results.  A retried or resumed job
 re-runs the same deterministic simulation and the caller collects
@@ -139,8 +138,7 @@ class ResilienceStats:
 
 #: Every view :func:`replay` derives from a job log.
 VIEWS = (
-    "submitted", "pending", "requeues", "campaigns", "open_grants",
-    "terminal", "done",
+    "submitted", "pending", "requeues", "campaigns", "terminal", "done",
 )
 
 
@@ -150,11 +148,13 @@ def replay(records, view: dict | None = None) -> dict[str, dict]:
     Each view is a dict keyed by job key: ``submitted`` (the job spec
     of its first ``enqueue``, in submission order), ``pending`` (the
     submitted jobs neither done nor terminally failed, in order),
-    ``requeues`` (requeues since the last ``enqueue``), ``open_grants``
-    (each ``grant`` no release or reclaim has closed), ``terminal``
+    ``requeues`` (requeues since the last ``enqueue``), ``terminal``
     (the detail of a terminal failure not since resubmitted) and
     ``done`` (the number of completion records); ``campaigns`` is keyed
     by campaign id.  Passing ``view`` folds the records into it.
+    Events no view needs are skipped, which is how logs written with
+    ``grant``/``reclaim`` records and ``requeued``/``shutdown``
+    releases still replay.
     """
     if view is None:
         view = {name: {} for name in VIEWS}
@@ -173,12 +173,9 @@ def replay(records, view: dict | None = None) -> dict[str, dict]:
             view["terminal"].pop(key, None)
             if key not in view["done"]:
                 view["pending"].setdefault(key)
-        elif event == "grant":
-            view["open_grants"][key] = record
         elif event == "requeue":
             view["requeues"][key] = int(record["requeues"])
-        elif event in ("release", "reclaim"):
-            view["open_grants"].pop(key, None)
+        elif event == "release":
             outcome = record.get("outcome")
             if outcome == "done":
                 view["done"][key] = view["done"].get(key, 0) + 1
@@ -243,8 +240,8 @@ class JobLog:
     def append(self, *records: dict) -> None:
         """Durably append ``records``: one write, one fsync.
 
-        A second completion for a key is dropped: executor, supervisor
-        and resume may each see a result land, the first one writes.
+        A second completion for a key is dropped: executor and resume
+        may each see a result land, the first one writes.
         """
         with self._lock:
             kept = []

@@ -11,7 +11,7 @@ lock makes the enqueue exactly-once.
 Endpoints (JSON unless noted):
 
 ====================================  =====================================
-``GET /healthz``                      liveness + queue/lease/store summary
+``GET /healthz``                      liveness + queue/store summary
 ``GET /readyz``                       readiness (503 while degraded/full)
 ``GET /metrics``                      Prometheus text format
 ``GET /results/<key>``                result envelope (state, size, sha256)
@@ -207,7 +207,6 @@ class ServiceApp:
             "queue_depth": sched.queue_depth,
             "lru_entries": len(self.lru),
             "jobs": sched.state_counts(),
-            "leases": sched.leases.states(),
             "store": self.store.integrity(),
             "supervision": sched.sup_stats.as_dict(),
         }
@@ -228,7 +227,6 @@ class ServiceApp:
             "ready": not reasons,
             "reasons": reasons,
             "queue_depth": self.scheduler.queue_depth,
-            "leases": self.scheduler.leases.states(),
         }
         if reasons:
             return 503, doc, self.admission.retry_after()

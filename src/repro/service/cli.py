@@ -32,7 +32,6 @@ from repro.service.api import AdmissionPolicy, DEFAULT_LRU_ENTRIES, make_server
 from repro.service.client import ServiceClient, ServiceError, write_server_info
 from repro.service.scheduler import CampaignScheduler
 from repro.service.store import ResultStore
-from repro.service.supervision import DEFAULT_LEASE_S
 
 #: Subcommand names this module owns (dispatched from the main CLI).
 SERVICE_COMMANDS = ("serve", "submit", "fetch", "campaign", "cache")
@@ -90,8 +89,10 @@ def add_service_parsers(sub: argparse._SubParsersAction) -> None:
         help="per-job retry budget for the workers (default 1)",
     )
     p.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-job wall-clock budget for the workers",
+        "--timeout", type=float, default=30.0, metavar="SECONDS",
+        help="per-job wall-clock budget for pooled workers; a job "
+        "running longer is killed and retried (default 30; must exceed "
+        "the slowest legitimate job)",
     )
     p.add_argument(
         "--lru", type=int, default=DEFAULT_LRU_ENTRIES, metavar="N",
@@ -103,18 +104,9 @@ def add_service_parsers(sub: argparse._SubParsersAction) -> None:
         "with 429 + Retry-After (default 64)",
     )
     p.add_argument(
-        "--lease", type=float, default=DEFAULT_LEASE_S, metavar="SECONDS",
-        help="per-job lease heartbeat budget; a batch landing no "
-        "result for this long is declared wedged and reclaimed",
-    )
-    p.add_argument(
         "--max-requeues", type=int, default=1, metavar="N",
-        help="times a reclaimed job may requeue before failing "
+        help="times an aborted batch's job may requeue before failing "
         "(default 1)",
-    )
-    p.add_argument(
-        "--no-supervise", action="store_true",
-        help="disable the lease supervisor thread (debugging only)",
     )
 
     p = sub.add_parser(
@@ -193,8 +185,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         policy=policy,
         resume=args.resume,
-        lease_s=args.lease,
-        supervise=not args.no_supervise,
         max_requeues=args.max_requeues,
         fault_plan=fault_plan,
     )

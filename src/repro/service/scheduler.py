@@ -15,32 +15,28 @@ Design:
   cache misses for the same key therefore enqueue one job, and the log
   carries exactly one completion for it.
 * **One persisted job log.**  Every enqueue (with the full job spec,
-  so the log is self-contained), campaign, lease grant, requeue,
-  completion and shutdown is a record in the fsynced, append-only
+  so the log is self-contained), campaign, requeue, completion and
+  shutdown is a record in the fsynced, append-only
   ``service/jobs.jsonl`` (a
   :class:`~repro.experiments.resilience.JobLog`); the worker drains in
   submission order.  On ``resume=True`` the log is replayed: jobs
-  whose key is already in the store are registered as done, terminal
-  failures stay failed, and the rest re-queue in their original order
-  — the scheduler process can be killed at any instant and restarted
-  without losing or duplicating work.
-* **The worker contract is the resilience layer.**  Batches execute
-  through :func:`~repro.experiments.runner.load_or_simulate`, the
-  function a local :class:`~repro.experiments.runner.Runner` hands its
-  misses to, with the store, a
-  :class:`~repro.experiments.resilience.RetryPolicy` and the job log —
-  timeouts, bounded retries, pool rebuilds, and log-backed resume all
-  come for free, and results are bit-identical to a local run of the
-  same job list because they *are* the same code path.
-* **Leases supervise the workers** (see
-  :mod:`repro.service.supervision`).  Every job entering a batch is
-  granted a persisted lease; landing in the store is the heartbeat; a
-  :class:`~repro.service.supervision.Supervisor` thread reclaims
-  expired leases, kills the wedged pool workers (hang → broken pool →
-  the same rebuild/retry path a crash takes), and the scheduler
-  requeues reclaimed jobs with their attempt history, bounded by
-  ``max_requeues``.  A worker-thread crash flips :attr:`crashed` so
-  the API degrades to read-only instead of serving stale promises.
+  whose key is already in the store are registered as done (with the
+  completion record a kill between publish and record swallowed),
+  terminal failures stay failed, and the rest re-queue in their
+  original order — the scheduler process can be killed at any instant
+  and restarted without losing or duplicating work.
+* **One failure path.**  Batches execute through
+  :func:`~repro.experiments.runner.load_or_simulate`, the function a
+  local :class:`~repro.experiments.runner.Runner` hands its misses to,
+  with the store, a :class:`~repro.experiments.resilience.RetryPolicy`
+  and the job log: inside a batch, the executor's per-job watchdog,
+  bounded retries and pool rebuilds recover hangs and crashes, and
+  results are bit-identical to a local run of the same job list
+  because they *are* the same code path.  A batch the executor gives
+  up on requeues its unfinished jobs, bounded by ``max_requeues``; a
+  ``kill -9`` is recovered by ``--resume``'s replay.  A worker-thread
+  crash flips :attr:`crashed` so the API degrades to read-only, and
+  fails its in-flight jobs non-terminally so ``--resume`` re-runs them.
 """
 
 from __future__ import annotations
@@ -49,6 +45,7 @@ import logging
 import threading
 import time
 from collections import deque
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from repro.common.errors import JobFailureError
@@ -62,20 +59,35 @@ from repro.experiments.runner import load_or_simulate
 from repro.faults import FaultPlan
 from repro.service.jobs import JobSpec, campaign_id, campaign_jobs
 from repro.service.store import ResultStore
-from repro.service.supervision import (
-    DEFAULT_LEASE_S,
-    Lease,
-    LeaseLog,
-    Supervisor,
-    SupervisionStats,
-    kill_worker_processes,
-)
 from repro.telemetry.manifest import RunManifest, RunRecord
 
 log = logging.getLogger("repro.service.scheduler")
 
 #: Job lifecycle states reported by the scheduler and the API.
 JOB_STATES = ("queued", "running", "done", "failed")
+
+
+@dataclass
+class SupervisionStats:
+    """Counters for what the scheduler and its API survived.
+
+    Mirrored into the scheduler's manifest (``extra["supervision"]``)
+    and the ``/healthz`` document, so an operator — or the chaos
+    harness — can see what a deployment went through.
+    """
+
+    requeues: int = 0
+    scheduler_crashes: int = 0
+    shed: int = 0
+    read_only_rejections: int = 0
+    deadline_rejections: int = 0
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+    @property
+    def eventful(self) -> bool:
+        return any(self.as_dict().values())
 
 
 class _Job:
@@ -93,7 +105,7 @@ class _Job:
         self.detail = ""
         self.source = ""
         self.wall_s = 0.0
-        #: Times this job was reclaimed and put back on the queue.
+        #: Times an aborted batch put this job back on the queue.
         self.requeues = 0
         #: A terminal failure (budget exhausted) is a log record and
         #: survives --resume, however the process ended; a
@@ -135,18 +147,9 @@ class CampaignScheduler:
         Fault-tolerance policy for the workers (default: fail fast).
     resume:
         Replay ``service/jobs.jsonl`` and continue an interrupted
-        deployment instead of starting fresh (orphaned leases are
-        reclaimed).
-    lease_s:
-        Heartbeat budget per lease: a batch must land *some* result
-        this often or the supervisor declares it wedged.  Must exceed
-        the slowest legitimate single job.
-    supervise:
-        Run the :class:`~repro.service.supervision.Supervisor` thread
-        alongside the worker.  ``False`` leaves the lease log active
-        but lets tests drive :meth:`Supervisor.tick` manually.
+        deployment instead of starting fresh.
     max_requeues:
-        How many times a reclaimed/aborted job may re-queue before it
+        How many times an aborted batch's job may re-queue before it
         is marked failed.
     fault_plan:
         Deterministic fault injection for the batches (chaos testing
@@ -160,9 +163,6 @@ class CampaignScheduler:
         workers: int = 1,
         policy: RetryPolicy | None = None,
         resume: bool = False,
-        lease_s: float = DEFAULT_LEASE_S,
-        supervise: bool = True,
-        supervisor_poll_s: float = 0.25,
         max_requeues: int = 1,
         fault_plan: FaultPlan | None = None,
     ) -> None:
@@ -171,7 +171,6 @@ class CampaignScheduler:
         self.store = store
         self.workers = workers
         self.policy = policy if policy is not None else RetryPolicy()
-        self.lease_s = lease_s
         self.max_requeues = max_requeues
         self.fault_plan = fault_plan
         self.joblog = JobLog(
@@ -179,9 +178,6 @@ class CampaignScheduler:
         )
         self.stats = ResilienceStats()
         self.sup_stats = SupervisionStats()
-        self.leases = LeaseLog(
-            self.joblog, stats=self.sup_stats, has_result=self.store.has
-        )
         self._cond = threading.Condition(threading.RLock())
         self._jobs: dict[str, _Job] = {}
         self._queue: deque[str] = deque()
@@ -189,42 +185,42 @@ class CampaignScheduler:
         self._thread: threading.Thread | None = None
         self._stop = False
         self._crashed = False
-        self.supervisor = Supervisor(
-            leases=self.leases,
-            cond=self._cond,
-            has_result=self.store.has,
-            on_expired=self._on_leases_expired,
-            is_crashed=lambda: self._crashed,
-            on_landed=self._on_lease_landed,
-            poll_s=supervisor_poll_s,
-        )
-        self._supervise = supervise
         #: Completed-batch counter (diagnostics / tests).
         self.batches = 0
         if resume:
             self._resume()
 
     def _resume(self) -> None:
-        """Rebuild the jobs and the queue from the replayed log."""
+        """Rebuild the jobs and the queue from the replayed log.
+
+        A kill can land between a result's publish and its completion
+        record (separate fsyncs).  The store entry is proof the job
+        ran, so each such job gets the record the kill swallowed --
+        one group commit -- and the exactly-once proof
+        (:meth:`JobLog.completions`) counts it.
+        """
         view = self.joblog.view
-        for key, doc in view["submitted"].items():
-            try:
-                spec = JobSpec.from_dict(doc)
-            except (KeyError, TypeError, ValueError):
-                continue
-            job = _Job(spec, key)
-            job.requeues = view["requeues"].get(key, 0)
-            self._jobs[key] = job
-            if self.store.has(key):
-                self._finish(job, "store")
-            elif key in view["terminal"]:
-                # The previous deployment already burned this job's
-                # requeue budget; don't silently re-run it.
-                job.state = "failed"
-                job.detail = view["terminal"][key]
-                job.terminal = True
-            else:
-                self._queue.append(key)
+        with self.joblog.group():
+            for key, doc in view["submitted"].items():
+                try:
+                    spec = JobSpec.from_dict(doc)
+                except (KeyError, TypeError, ValueError):
+                    continue
+                job = _Job(spec, key)
+                job.requeues = view["requeues"].get(key, 0)
+                self._jobs[key] = job
+                if self.store.has(key):
+                    self._finish(job, "store")
+                    # Dropped by the log if the completion is there.
+                    self.joblog.append(job.record("release", outcome="done"))
+                elif key in view["terminal"]:
+                    # The previous deployment already burned this job's
+                    # requeue budget; don't silently re-run it.
+                    job.state = "failed"
+                    job.detail = view["terminal"][key]
+                    job.terminal = True
+                else:
+                    self._queue.append(key)
         if self._queue:
             log.info(
                 "resumed queue: %d job(s) pending, %d already complete",
@@ -239,8 +235,6 @@ class CampaignScheduler:
         job.state = "done"
         job.source = source
         job.wall_s = wall_s
-        # No-op if the supervisor already released it on landing.
-        self.leases.release(job.key, "done")
         rid = job.spec.run_id
         if rid not in self._records:
             self._records[rid] = RunRecord.from_run(
@@ -375,11 +369,10 @@ class CampaignScheduler:
     # the worker loop
 
     def _requeue(self, job: _Job, why: str) -> None:
-        """Put a reclaimed/aborted job back on the queue (caller holds lock)."""
+        """Put an aborted batch's job back on the queue (caller holds lock)."""
         job.requeues += 1
         job.state = "queued"
         job.detail = why
-        self.leases.release(job.key, "requeued")
         self.sup_stats.requeues += 1
         self.joblog.append(job.record("requeue", requeues=job.requeues))
         self._queue.append(job.key)
@@ -390,11 +383,9 @@ class CampaignScheduler:
         job.state = "failed"
         job.detail = detail
         job.terminal = True
-        if not self.leases.release(job.key, "failed", detail=detail):
-            # The supervisor already reclaimed the lease.
-            self.joblog.append(
-                job.record("release", outcome="failed", detail=detail)
-            )
+        self.joblog.append(
+            job.record("release", outcome="failed", detail=detail)
+        )
 
     def _run_batch(self, keys: list[str]) -> None:
         jobs = [
@@ -418,8 +409,7 @@ class CampaignScheduler:
                 for key in keys:
                     job = self._jobs[key]
                     if self.store.has(key):
-                        if job.state != "done":
-                            self._finish(job, "service")
+                        self._finish(job, "service")
                     elif job.requeues < self.max_requeues:
                         self._requeue(job, detail)
                         requeued += 1
@@ -432,24 +422,30 @@ class CampaignScheduler:
                 len(keys), requeued, detail,
             )
             return
-        with self._cond, self.joblog.group():
+        with self._cond:
             for key, (_, _, wall_s) in zip(keys, served):
-                job = self._jobs[key]
-                if job.state != "done":
-                    self._finish(job, "service", wall_s)
+                self._finish(self._jobs[key], "service", wall_s)
 
     def _loop(self) -> None:
         try:
             self._loop_inner()
         except Exception:
             # Anything escaping the batch handler is a scheduler crash:
-            # flag it so the API degrades to read-only and the
-            # supervisor reclaims every outstanding lease (nothing will
-            # ever land again from this thread).
+            # flag it so the API degrades to read-only, and settle the
+            # in-flight jobs now (nothing will land from this thread
+            # again).  The failure is not terminal: --resume re-runs it.
             log.exception("scheduler worker thread crashed")
             with self._cond:
                 self._crashed = True
                 self.sup_stats.scheduler_crashes += 1
+                for job in self._jobs.values():
+                    if job.state != "running":
+                        continue
+                    if self.store.has(job.key):
+                        self._finish(job, "service")
+                    else:
+                        job.state = "failed"
+                        job.detail = "scheduler crashed with the job in flight"
                 self._cond.notify_all()
 
     def _loop_inner(self) -> None:
@@ -459,63 +455,14 @@ class CampaignScheduler:
                     self._cond.wait(0.5)
                 if self._stop and not self._queue:
                     return
-                # A job whose lease expired and whose batch then aborted
-                # is requeued twice; it must still run once.
-                keys = list(dict.fromkeys(self._queue))
+                keys = list(self._queue)
                 self._queue.clear()
-                holder = f"batch-{self.batches + 1}"
-                with self.joblog.group():
-                    for key in keys:
-                        job = self._jobs[key]
-                        job.state = "running"
-                        self.leases.grant(
-                            key,
-                            job.spec.run_id,
-                            holder,
-                            attempt=job.requeues,
-                            lease_s=self.lease_s,
-                        )
+                for key in keys:
+                    self._jobs[key].state = "running"
             self._run_batch(keys)
             with self._cond:
                 self.batches += 1
                 self._cond.notify_all()
-
-    # ------------------------------------------------------------------
-    # supervision callbacks (see repro.service.supervision)
-
-    def _on_lease_landed(self, key: str) -> None:
-        """Supervisor saw this job's result land (called under the lock)."""
-        job = self._jobs.get(key)
-        if job is not None and job.state == "running":
-            self._finish(job, "service")
-
-    def _on_leases_expired(self, leases: list[Lease]) -> None:
-        """Expired-lease reclamation: kill wedged workers, requeue jobs."""
-        if self.workers > 1 and not self._crashed:
-            killed = kill_worker_processes()
-            if killed:
-                self.sup_stats.worker_kills += killed
-                log.warning(
-                    "killed %d wedged worker process(es) after lease expiry",
-                    killed,
-                )
-        with self._cond, self.joblog.group():
-            for lease in leases:
-                job = self._jobs.get(lease.key)
-                if job is None or job.state != "running":
-                    continue
-                if self.store.has(lease.key):
-                    self._finish(job, "service")
-                elif self._crashed:
-                    job.state = "failed"
-                    job.detail = "scheduler crashed with the job in flight"
-                elif job.requeues >= self.max_requeues:
-                    self._fail(
-                        job, f"lease expired after {job.requeues} requeue(s)"
-                    )
-                else:
-                    self._requeue(job, "lease expired; requeued")
-            self._cond.notify_all()
 
     @property
     def crashed(self) -> bool:
@@ -541,8 +488,6 @@ class CampaignScheduler:
                 target=self._loop, name="repro-scheduler", daemon=True
             )
             self._thread.start()
-            if self._supervise:
-                self.supervisor.start()
         return self
 
     def stop(self, timeout: float | None = 10.0) -> None:
@@ -555,28 +500,24 @@ class CampaignScheduler:
             clean = not self._thread.is_alive()
             if clean:
                 self._thread = None
-        self.supervisor.stop()
         with self._cond:
             # The shutdown record names the work that finished (or
-            # terminally failed); its releases and it are one commit.
+            # terminally failed).
             jobs = sorted(self._jobs.values(), key=lambda j: j.key)
             done = [j.key for j in jobs if j.state == "done"]
             failed = {
                 j.key: j.detail for j in jobs
                 if j.state == "failed" and j.terminal
             }
-            with self.joblog.group():
-                for key in sorted(self.leases.active()):
-                    self.leases.release(key, "shutdown")
-                if clean or done or failed:
-                    self.joblog.append(
-                        {
-                            "event": "shutdown",
-                            "clean": clean,
-                            "done": done,
-                            "failed": failed,
-                        }
-                    )
+            if clean or done or failed:
+                self.joblog.append(
+                    {
+                        "event": "shutdown",
+                        "clean": clean,
+                        "done": done,
+                        "failed": failed,
+                    }
+                )
         if clean:
             # A wedged worker thread may still be writing; leave the
             # log open rather than hand it a closed file.
@@ -614,4 +555,4 @@ class CampaignScheduler:
         self.stop()
 
 
-__all__ = ["JOB_STATES", "CampaignScheduler"]
+__all__ = ["JOB_STATES", "CampaignScheduler", "SupervisionStats"]

@@ -38,10 +38,10 @@ MUTATIONS = [
      'jitter = (derive_seed(0, f"{job_id}:backoff:{attempt}") % 1024) / 1024.0',
      "jitter = time.time() % 1.0",
      "DET002"),
-    # DET003: landed leases released (and logged) in set order.
-    ("service/supervision.py",
-     "key for key in sorted(active) if self.has_result(key)",
-     "key for key in set(active) if self.has_result(key)",
+    # DET003: the shutdown record lists finished jobs in set order.
+    ("service/scheduler.py",
+     'done = [j.key for j in jobs if j.state == "done"]',
+     'done = [j.key for j in set(jobs) if j.state == "done"]',
      "DET003"),
     # DET004: the shipped process-global request counter.
     ("dram/system.py",
@@ -66,10 +66,10 @@ MUTATIONS = [
      '"req": request.req_id,',
      '"req": id(request),',
      "DET008"),
-    # TNT003: a clock reading in the grant record the job log replays.
-    ("service/supervision.py",
-     '"lease_s": lease_s})',
-     '"lease_s": lease_s, "at": now})',
+    # TNT003: a clock reading in the requeue record the job log replays.
+    ("service/scheduler.py",
+     'job.record("requeue", requeues=job.requeues)',
+     'job.record("requeue", requeues=job.requeues, at=time.monotonic())',
      "TNT003"),
     # FS001: server info written straight onto its shared final path.
     ("service/client.py",

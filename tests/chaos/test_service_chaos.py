@@ -9,7 +9,8 @@ such that
 
 * the recovered store is **byte-identical** to an uninterrupted run,
 * the job log proves every job executed **exactly once** (one
-  ``release/done`` per key, however many grants/reclaims it took), and
+  ``release/done`` per key, however many retries, requeues and
+  restarts it took), and
 * the API **served read-only traffic** throughout the scheduler
   outage (warm reads and warm submits answered, cold submits shed
   with ``503 + Retry-After``).
@@ -85,7 +86,7 @@ def _start_serve(
     cmd = [
         sys.executable, "-m", "repro", "serve",
         "--store", str(store), "--workers", "2",
-        "--lease", "30", "--max-requeues", "2",
+        "--timeout", "30", "--max-requeues", "2",
     ]
     if resume:
         cmd.append("--resume")
@@ -250,11 +251,9 @@ def chaos_run(tmp_path_factory, config, reference):
                     if key == done_keys[0]
                 )
             )
-        # The *ticket* lags the store by one supervisor tick, so a
-        # "not done" ticket may still answer warm.  The last job in the
-        # campaign is genuinely cold: dispatch is windowed in queue
-        # order and the scheduler died at SCHEDULER_KILL_INDEX, so it
-        # was never dispatched at all.
+        # The last job in the campaign is genuinely cold: dispatch is
+        # windowed in queue order and the scheduler died at
+        # SCHEDULER_KILL_INDEX, so it was never dispatched at all.
         cold = jobs[-1]
         assert keys[-1] not in set(done_keys)
         noretry = ServiceClient(url, retries=0)
@@ -320,23 +319,6 @@ class TestExactlyOnce:
                 completions[event["key"]] = completions.get(event["key"], 0) + 1
         assert completions == {key: 1 for key in chaos_run["keys"]}
 
-    def test_crash_reclaims_are_durable(self, chaos_run):
-        """The scheduler crash left reclaim records, not silent loss."""
-        reasons = {
-            event.get("reason")
-            for event in chaos_run["lease_events"]
-            if event.get("event") == "reclaim"
-        }
-        assert reasons & {"scheduler-crashed", "orphaned"}
-
-    def test_interrupted_jobs_were_regranted(self, chaos_run):
-        """Work in flight at the crash shows grant → reclaim → grant → done."""
-        grants: dict[str, int] = {}
-        for event in chaos_run["lease_events"]:
-            if event.get("event") == "grant":
-                grants[event["key"]] = grants.get(event["key"], 0) + 1
-        assert any(count >= 2 for count in grants.values())
-
 
 class TestReadOnlyOutage:
     def test_health_reported_read_only(self, chaos_run):
@@ -380,5 +362,7 @@ class TestRecoveryBookkeeping:
         ]
         assert lines, "serve did not print its supervision summary"
         stats = json.loads(lines[-1].removeprefix("[supervision] "))
-        assert stats["granted"] >= 1
-        assert stats["released"] >= 1
+        assert set(stats) == {
+            "requeues", "scheduler_crashes", "shed",
+            "read_only_rejections", "deadline_rejections",
+        }

@@ -25,7 +25,6 @@ from repro.service.store import ResultStore, job_key
 
 
 def _app(tmp_path, admission=None, **sched_kw):
-    sched_kw.setdefault("supervise", False)
     scheduler = CampaignScheduler(ResultStore(tmp_path), **sched_kw)
     return ServiceApp(scheduler, admission=admission), scheduler
 
@@ -157,7 +156,7 @@ class TestGracefulDegradation:
         app, scheduler = _app(tmp_path)
         status, doc = app.healthz()
         assert status == 200 and doc["status"] == "ok"
-        assert set(doc) >= {"leases", "store", "jobs", "supervision"}
+        assert set(doc) >= {"store", "jobs", "supervision"}
         scheduler._crashed = True
         status, doc = app.healthz()
         assert status == 200  # liveness: still serving
@@ -233,7 +232,7 @@ class TestClientResilience:
         the fresh advertisement and completes its request."""
         store = ResultStore(tmp_path / "store")
         store.put(tiny_config, ("gzip",), run_mix(tiny_config, ("gzip",)))
-        scheduler = CampaignScheduler(store, supervise=False)
+        scheduler = CampaignScheduler(store)
         server = make_server(scheduler)
         write_server_info(tmp_path / "store", server.url)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -267,7 +266,7 @@ class TestClientResilience:
     def test_submit_post_retry_is_idempotent(self, tiny_config, tmp_path):
         """Retrying a submit (idempotency key attached) never enqueues
         a duplicate -- the second POST lands on the same ticket."""
-        scheduler = CampaignScheduler(ResultStore(tmp_path), supervise=False)
+        scheduler = CampaignScheduler(ResultStore(tmp_path))
         server = make_server(scheduler)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -287,7 +286,7 @@ class TestClientResilience:
         self, tiny_config, tmp_path
     ):
         store = ResultStore(tmp_path / "store")
-        scheduler = CampaignScheduler(store, supervise=False)
+        scheduler = CampaignScheduler(store)
         key = store.key_for(tiny_config, ("gzip",))
         client = ServiceClient(
             url="http://127.0.0.1:1",
@@ -314,7 +313,7 @@ class TestClientResilience:
             scheduler.stop()
 
     def test_hard_errors_are_not_retried(self, tmp_path):
-        scheduler = CampaignScheduler(ResultStore(tmp_path), supervise=False)
+        scheduler = CampaignScheduler(ResultStore(tmp_path))
         server = make_server(scheduler)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()

@@ -1,8 +1,9 @@
 """Crash at any byte: a truncated job log replays to what it proves.
 
-One real scheduler session (a campaign, its grants, a lease expiry
-that requeues, a terminal failure, completions and a clean shutdown)
-writes ``service/jobs.jsonl``.  A kill -9 can stop that file at any
+One real scheduler session (a campaign, its completions, a job whose
+failing simulation aborts one batch -- a requeue -- and then another
+-- a terminal failure -- and a clean shutdown) writes
+``service/jobs.jsonl``.  A kill -9 can stop that file at any
 byte, so every prefix must replay without raising, report done
 exactly the jobs whose completion record (newline included) is wholly
 inside it, and leave pending the submitted jobs that are neither done
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.experiments.config import SystemConfig
 from repro.experiments.resilience import JobLog, parse_records, replay
+from repro.faults import FaultPlan, FaultSpec
 from repro.service.scheduler import CampaignScheduler
 from repro.service.store import ResultStore
 
@@ -26,28 +28,21 @@ CONFIG = SystemConfig(
 )
 
 
-def _expire(scheduler: CampaignScheduler, key: str) -> None:
-    """Hand ``key`` a lease that has already run out, then tick."""
-    with scheduler._cond:
-        job = scheduler._jobs[key]
-        job.state = "running"
-        scheduler._queue.remove(key)
-        scheduler.leases.grant(
-            key, job.spec.run_id, "batch-0", attempt=job.requeues, lease_s=0.0
-        )
-    scheduler.supervisor.tick()
-
-
 @functools.cache
 def _session_log() -> bytes:
+    # The only gzip job fails on every attempt.  Submitted after the
+    # campaign, it aborts the first batch once the campaign has landed
+    # (requeued once), then its own batch (out of budget).
+    plan = FaultPlan(
+        specs=(FaultSpec(kind="exception", apps=("gzip",), attempt=None),)
+    )
     with tempfile.TemporaryDirectory() as tmp:
         store = ResultStore(tmp)
-        scheduler = CampaignScheduler(store, supervise=False, max_requeues=1)
-        status = scheduler.submit_campaign("fig10", CONFIG, mixes=["2-MEM"])
-        doomed = scheduler.submit_job(CONFIG.with_(channels=4), ("gzip",))
-        _expire(scheduler, sorted(status["states"])[0])  # requeued once
-        _expire(scheduler, doomed["key"])  # requeued once ...
-        _expire(scheduler, doomed["key"])  # ... then out of budget
+        scheduler = CampaignScheduler(
+            store, max_requeues=1, fault_plan=plan
+        )
+        scheduler.submit_campaign("fig10", CONFIG, mixes=["2-MEM"])
+        scheduler.submit_job(CONFIG.with_(channels=4), ("gzip",))
         scheduler.start()
         assert scheduler.drain(timeout=300)
         scheduler.stop()
@@ -67,9 +62,10 @@ def _whole_records(data: bytes, prefix: int) -> list[dict]:
 def test_session_exercises_every_record_kind():
     events = {r["event"] for r in parse_records(_session_log())}
     assert events >= {
-        "log-start", "campaign", "enqueue", "grant", "reclaim", "requeue",
+        "log-start", "campaign", "enqueue", "failure", "abort", "requeue",
         "release", "shutdown",
     }
+    assert not events & {"grant", "reclaim"}
     view = replay(parse_records(_session_log()))
     assert len(view["terminal"]) == 1 and not view["pending"]
     assert set(view["done"].values()) == {1}

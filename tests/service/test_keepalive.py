@@ -24,7 +24,7 @@ from repro.service.store import ResultStore
 @pytest.fixture
 def server(tmp_path):
     """A live server (scheduler not started: GETs only)."""
-    scheduler = CampaignScheduler(ResultStore(tmp_path), supervise=False)
+    scheduler = CampaignScheduler(ResultStore(tmp_path))
     server = make_server(scheduler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -113,7 +113,7 @@ class TestClientLifecycle:
 
 class TestClosedServer:
     def test_closed_server_stops_answering(self, tmp_path):
-        scheduler = CampaignScheduler(ResultStore(tmp_path), supervise=False)
+        scheduler = CampaignScheduler(ResultStore(tmp_path))
         server = make_server(scheduler)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()

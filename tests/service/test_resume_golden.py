@@ -1,9 +1,8 @@
-"""Golden resume behaviour of the campaign scheduler, four scenarios.
+"""Golden resume behaviour of the campaign scheduler, three scenarios.
 
-Each scenario drives a real :class:`CampaignScheduler` (one worker, no
-supervisor thread, ticks by hand) through an interruption and a
-``resume=True`` restart, and records at every step what an operator
-can observe:
+Each scenario drives a real :class:`CampaignScheduler` (one worker)
+through an interruption and a ``resume=True`` restart, and records at
+every step what an operator can observe:
 
 * per job: ``(state, requeues, source)`` from ``job_status``;
 * the ``campaign_status`` document of the scenario's campaign;
@@ -12,8 +11,8 @@ can observe:
 
 The scenarios are a fresh campaign then resume, a mid-batch abandon
 (the worker wedges inside a simulation and the process is walked away
-from) then resume, a manually ticked lease expiry that requeues a job
-then resume, and a clean stop that leaves a terminal failure then
+from) then resume, and a clean stop that leaves a terminal failure (a
+batch aborted by a failing simulation, no requeue budget) then
 resume.  ``resume_golden.json`` was generated from the tree in which
 the job lifecycle was still persisted in four files, before it became
 one job log; any change to what a resumed scheduler does shows up as
@@ -53,7 +52,7 @@ ABANDON_AFTER = 5
 
 
 class _Simulations:
-    """Counts (and optionally wedges) every fresh simulation."""
+    """Counts (and optionally wedges or fails) every fresh simulation."""
 
     def __init__(self, wedge_at: int | None = None) -> None:
         self.real = runner_mod._simulate
@@ -61,8 +60,12 @@ class _Simulations:
         self.wedge_at = wedge_at
         self.wedged = threading.Event()
         self.release = threading.Event()
+        #: Run ids whose simulation raises (a non-transient error).
+        self.failing: set[str] = set()
 
     def __call__(self, config, apps, **kwargs):
+        if run_id(config, apps) in self.failing:
+            raise RuntimeError("simulation failed")
         if self.wedge_at is not None and len(self.ids) == self.wedge_at:
             self.wedge_at = None
             self.wedged.set()
@@ -96,21 +99,8 @@ def _observe(scheduler: CampaignScheduler, keys: list[str], cid=None) -> dict:
     return doc
 
 
-def _wedge(scheduler: CampaignScheduler, key: str) -> None:
-    """Fake a worker holding ``key`` with a lease that already expired."""
-    with scheduler._cond:
-        job = scheduler._jobs[key]
-        job.state = "running"
-        scheduler._queue.remove(key)
-        scheduler.leases.grant(
-            key, job.spec.run_id, "batch-1", attempt=job.requeues, lease_s=0.0
-        )
-
-
 def _resume(store_dir: Path, sims: _Simulations, keys, cid=None) -> dict:
-    resumed = CampaignScheduler(
-        ResultStore(store_dir), resume=True, supervise=False
-    )
+    resumed = CampaignScheduler(ResultStore(store_dir), resume=True)
     steps = {"resumed": _observe(resumed, keys, cid)}
     resumed.start()
     assert resumed.drain(timeout=300)
@@ -126,7 +116,7 @@ def _two_jobs() -> list[tuple]:
 
 def fresh_campaign_then_resume(tmp: Path, sims: _Simulations) -> dict:
     store = ResultStore(tmp)
-    scheduler = CampaignScheduler(store, supervise=False).start()
+    scheduler = CampaignScheduler(store).start()
     status = scheduler.submit_campaign(CAMPAIGN[0], CONFIG, mixes=CAMPAIGN[1])
     cid, keys = status["campaign"], sorted(status["states"])
     assert scheduler.drain(timeout=300)
@@ -139,7 +129,7 @@ def fresh_campaign_then_resume(tmp: Path, sims: _Simulations) -> dict:
 def abandoned_batch_then_resume(tmp: Path, sims: _Simulations) -> dict:
     sims.wedge_at = ABANDON_AFTER
     store = ResultStore(tmp)
-    scheduler = CampaignScheduler(store, supervise=False).start()
+    scheduler = CampaignScheduler(store).start()
     try:
         status = scheduler.submit_campaign(
             CAMPAIGN[0], CONFIG, mixes=CAMPAIGN[1]
@@ -158,33 +148,20 @@ def abandoned_batch_then_resume(tmp: Path, sims: _Simulations) -> dict:
     return steps
 
 
-def expired_lease_then_resume(tmp: Path, sims: _Simulations) -> dict:
-    store = ResultStore(tmp)
-    jobs = _two_jobs()
-    keys = [store.key_for(config, apps) for config, apps in jobs]
-    scheduler = CampaignScheduler(store, supervise=False, lease_s=900.0)
-    for config, apps in jobs:
-        scheduler.submit_job(config, apps)
-    _wedge(scheduler, keys[0])
-    scheduler.supervisor.tick()
-    # Abandoned: no stop(), so no shutdown record.
-    steps = {"requeued": _observe(scheduler, keys)}
-    steps.update(_resume(tmp, sims, keys))
-    return steps
-
-
 def terminal_failure_then_resume(tmp: Path, sims: _Simulations) -> dict:
     store = ResultStore(tmp)
     jobs = _two_jobs()
     keys = [store.key_for(config, apps) for config, apps in jobs]
-    scheduler = CampaignScheduler(store, supervise=False, max_requeues=0)
-    for config, apps in jobs:
+    # The failing job is submitted second: the first one completes
+    # before the failure aborts the batch.
+    sims.failing.add(run_id(*jobs[0]))
+    scheduler = CampaignScheduler(store, max_requeues=0)
+    for config, apps in reversed(jobs):
         scheduler.submit_job(config, apps)
-    _wedge(scheduler, keys[0])
-    scheduler.supervisor.tick()
     scheduler.start()
     assert scheduler.drain(timeout=300)
     scheduler.stop()
+    sims.failing.clear()
     steps = {"stopped": _observe(scheduler, keys), "stopped_simulated": sims.take()}
     steps.update(_resume(tmp, sims, keys))
     return steps
@@ -193,7 +170,6 @@ def terminal_failure_then_resume(tmp: Path, sims: _Simulations) -> dict:
 SCENARIOS = (
     fresh_campaign_then_resume,
     abandoned_batch_then_resume,
-    expired_lease_then_resume,
     terminal_failure_then_resume,
 )
 
