@@ -22,6 +22,17 @@ from repro.dram.bank import PageMode
 from repro.engine import ENGINE_NAMES
 
 
+def field_dict(obj) -> dict:
+    """A dataclass's fields as a name -> value dict, in field order.
+
+    Unlike :func:`dataclasses.asdict` this neither recurses nor
+    deep-copies, which makes it several times cheaper; a served job
+    derives its identity five to eight times.  Callers that need a
+    nested dataclass or a mutable value converted do it themselves.
+    """
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 def _default_engine() -> str:
     """The default execution engine, overridable via ``REPRO_ENGINE``.
 
@@ -172,7 +183,7 @@ class SystemConfig:
         engine-diff oracle lane), so a result computed under either is
         valid for both and caches stay shared across that choice.
         """
-        core = dataclasses.asdict(self.core)
+        core = field_dict(self.core)
         core["latencies"] = tuple(sorted(core["latencies"].items()))
         return (
             self.dram_type,

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from repro.common.types import OpClass
 from repro.cpu.core import CoreParams
-from repro.experiments.config import SystemConfig
+from repro.experiments.config import SystemConfig, field_dict
 from repro.experiments.figures import REGISTRY, plan
 from repro.experiments.runner import Runner
 from repro.telemetry.manifest import run_id
@@ -33,8 +33,9 @@ from repro.telemetry.manifest import run_id
 
 def config_to_dict(config: SystemConfig) -> dict:
     """Serialize a :class:`SystemConfig` to JSON-safe builtins."""
-    doc = dataclasses.asdict(config)
-    doc["core"]["latencies"] = {
+    doc = field_dict(config)
+    doc["core"] = core = field_dict(config.core)
+    core["latencies"] = {
         op.name: latency for op, latency in config.core.latencies.items()
     }
     return doc

@@ -98,6 +98,13 @@ class Uop:
     stochastic branch model; ``pc``/``taken`` carry the static branch
     site and its actual direction for the optional hybrid predictor
     (:mod:`repro.cpu.branch`).
+
+    A Uop is immutable once built, and that is load-bearing: the
+    generator hands out one shared object for every equal compute µop
+    (see ``_COMPUTE_UOPS``), across threads, streams and runs, and the
+    fast engine's stream memo replays the same objects in every repeat
+    run.  Writing a field of a generated Uop would change other
+    threads' and later runs' instructions.
     """
 
     __slots__ = ("opc", "addr", "dep1", "dep2", "mispredict", "pc", "taken")
@@ -123,6 +130,19 @@ class Uop:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         extra = f" addr={self.addr:#x}" if self.opc.is_memory else ""
         return f"Uop({self.opc.name}{extra} dep1={self.dep1} dep2={self.dep2})"
+
+
+#: Distinct values of one dependence distance (0 = no dependence).
+_DEP_VALUES = MAX_DEP_DISTANCE + 1
+
+#: One shared Uop per distinct compute µop, keyed by
+#: ``(op class * 65 + dep1) * 65 + dep2`` (at most 4 x 65 x 65 entries),
+#: filled lazily by :meth:`SyntheticStream.next_uop` for every stream in
+#: the process.  A compute µop carries nothing but those three fields,
+#: so equal ones need not be separate objects; loads, stores and
+#: branches carry addresses and branch sites that rarely repeat, and
+#: are built fresh.
+_COMPUTE_UOPS: dict[int, Uop] = {}
 
 
 class _RegionState:
@@ -315,13 +335,19 @@ class SyntheticStream:
                 pc=site.pc,
                 taken=site.next_outcome(rng),
             )
+        # Compute op classes are OpClass values 0-3; the int (not the
+        # enum, whose hashing runs Python code) keys the shared table.
         if rng.random() < p.fp_frac:
-            opc = OpClass.FP_MULT if rng.random() < p.mult_frac else OpClass.FP_ALU
+            opc = 3 if rng.random() < p.mult_frac else 2  # FP_MULT / FP_ALU
         else:
-            opc = OpClass.INT_MULT if rng.random() < p.mult_frac else OpClass.INT_ALU
+            opc = 1 if rng.random() < p.mult_frac else 0  # INT_MULT / INT_ALU
         dep1 = self._dep_distance(rng) if rng.random() < p.dep_prob else 0
         dep2 = self._dep_distance(rng) if rng.random() < p.dep2_prob else 0
-        return Uop(opc, dep1=dep1, dep2=dep2)
+        key = (opc * _DEP_VALUES + dep1) * _DEP_VALUES + dep2
+        uop = _COMPUTE_UOPS.get(key)
+        if uop is None:
+            uop = _COMPUTE_UOPS[key] = Uop(OpClass(opc), dep1=dep1, dep2=dep2)
+        return uop
 
     def __iter__(self) -> Iterator[Uop]:
         while True:

@@ -1,10 +1,16 @@
 """Tests for the job/campaign wire format and driver-based expansion."""
 
+import dataclasses
+import json
 import pickle
 
 import pytest
 
+from repro.common.types import OpClass
+from repro.cpu.core import CoreParams
+from repro.experiments import config as config_module
 from repro.experiments.config import SystemConfig
+from repro.service import jobs as jobs_module
 from repro.service.jobs import (
     JobSpec,
     campaign_id,
@@ -69,6 +75,44 @@ class TestConfigCodec:
         doc["core"]["latencies"]["WARP_SHUFFLE"] = 3
         with pytest.raises(ValueError, match="unknown latency op"):
             config_from_dict(doc)
+
+
+_SLOW_MULT = CoreParams(
+    latencies={
+        OpClass.INT_ALU: 1,
+        OpClass.INT_MULT: 12,
+        OpClass.FP_ALU: 6,
+        OpClass.FP_MULT: 9,
+        OpClass.BRANCH: 2,
+    }
+)
+
+
+class TestIdentityWithoutDeepCopy:
+    """The served job's identity is walked field by field, not deep-copied
+    with ``dataclasses.asdict``; run ids hash the key's ``repr`` and the
+    wire format is the dict's JSON, so both must come out unchanged."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [SystemConfig(), SystemConfig(core=_SLOW_MULT, scheduler="fcfs")],
+        ids=["default", "core-latencies"],
+    )
+    def test_matches_asdict(self, monkeypatch, config):
+        key = config.cache_key()
+        doc = json.dumps(config_to_dict(config))
+        monkeypatch.setattr(config_module, "field_dict", dataclasses.asdict)
+        monkeypatch.setattr(jobs_module, "field_dict", dataclasses.asdict)
+        assert repr(key) == repr(config.cache_key())
+        assert doc == json.dumps(config_to_dict(config))
+
+    def test_doc_does_not_alias_the_config(self):
+        config = SystemConfig(core=_SLOW_MULT)
+        doc = config_to_dict(config)
+        doc["core"]["latencies"]["INT_ALU"] = 99
+        doc["core"]["rob_size"] = 1
+        assert config.core.latencies[OpClass.INT_ALU] == 1
+        assert config == SystemConfig(core=_SLOW_MULT)
 
 
 class TestJobSpec:
