@@ -29,43 +29,51 @@ schedulers), :mod:`repro.workloads` (synthetic SPEC2000 profiles),
 :mod:`repro.metrics`, :mod:`repro.experiments`.
 """
 
-from repro.experiments.config import SystemConfig
-from repro.experiments.figures import EXPERIMENTS, run_experiment
-from repro.experiments.resilience import JobLog, RetryPolicy
-from repro.experiments.runner import MixResult, Runner, run_mix
-from repro.faults import FaultPlan, FaultSpec
-from repro.metrics.speedup import harmonic_mean_speedup, weighted_speedup
-from repro.telemetry import (
-    EventTracer,
-    MetricRegistry,
-    RunManifest,
-    Telemetry,
-)
-from repro.workloads.mixes import all_mix_names, get_mix
-from repro.workloads.spec2000 import get_profile, profile_names
+from importlib import import_module
+from typing import Any
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "EXPERIMENTS",
-    "EventTracer",
-    "FaultPlan",
-    "FaultSpec",
-    "JobLog",
-    "MetricRegistry",
-    "MixResult",
-    "RetryPolicy",
-    "RunManifest",
-    "Runner",
-    "SystemConfig",
-    "Telemetry",
-    "all_mix_names",
-    "get_mix",
-    "get_profile",
-    "harmonic_mean_speedup",
-    "profile_names",
-    "run_experiment",
-    "run_mix",
-    "weighted_speedup",
-    "__version__",
-]
+#: Each documented name and the module that defines it.  A name is
+#: imported on first access (PEP 562), so ``import repro.dram`` loads
+#: only what the DRAM model imports, not the experiment harness.
+_EXPORTS = {
+    "EXPERIMENTS": "repro.experiments.figures",
+    "EventTracer": "repro.telemetry.tracer",
+    "FaultPlan": "repro.faults",
+    "FaultSpec": "repro.faults",
+    "JobLog": "repro.experiments.resilience",
+    "MetricRegistry": "repro.telemetry.registry",
+    "MixResult": "repro.experiments.runner",
+    "RetryPolicy": "repro.experiments.resilience",
+    "RunManifest": "repro.telemetry.manifest",
+    "Runner": "repro.experiments.runner",
+    "SystemConfig": "repro.experiments.config",
+    "Telemetry": "repro.telemetry",
+    "all_mix_names": "repro.workloads.mixes",
+    "get_mix": "repro.workloads.mixes",
+    "get_profile": "repro.workloads.spec2000",
+    "harmonic_mean_speedup": "repro.metrics.speedup",
+    "profile_names": "repro.workloads.spec2000",
+    "run_experiment": "repro.experiments.figures",
+    "run_mix": "repro.experiments.runner",
+    "weighted_speedup": "repro.metrics.speedup",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

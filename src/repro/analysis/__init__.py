@@ -23,29 +23,7 @@ reproduces the same run, and that the run obeyed the DRAM protocol:
   sanitized run is bit-identical to a plain one.
 
 See ``docs/static-analysis.md`` for the rule catalog and invariant
-reference.
+reference.  The package root re-exports nothing: a run that builds a
+sanitizer never loads the lint engine, and ``repro lint`` never loads
+the sanitizer.
 """
-
-from repro.analysis.linter import (
-    Finding,
-    Rule,
-    Severity,
-    all_rules,
-    lint_source,
-)
-from repro.analysis.sanitizer import (
-    SanitizerError,
-    SimSanitizer,
-    Violation,
-)
-
-__all__ = [
-    "Finding",
-    "Rule",
-    "Severity",
-    "all_rules",
-    "lint_source",
-    "SanitizerError",
-    "SimSanitizer",
-    "Violation",
-]

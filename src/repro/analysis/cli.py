@@ -19,16 +19,6 @@ import argparse
 import sys
 from typing import IO, Sequence
 
-from repro.analysis.dataflow import analyze_paths
-from repro.analysis.fs_rules import FS_RULES
-from repro.analysis.linter import (
-    UNUSED_PRAGMA_CODE,
-    UNUSED_PRAGMA_SUMMARY,
-    Severity,
-    all_rules,
-)
-from repro.analysis.taint_rules import TNT_RULES
-
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the lint subcommand's arguments to ``parser``."""
@@ -43,6 +33,15 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _print_rules(out: IO[str]) -> None:
+    from repro.analysis.fs_rules import FS_RULES
+    from repro.analysis.linter import (
+        UNUSED_PRAGMA_CODE,
+        UNUSED_PRAGMA_SUMMARY,
+        Severity,
+        all_rules,
+    )
+    from repro.analysis.taint_rules import TNT_RULES
+
     catalog = [(UNUSED_PRAGMA_CODE, UNUSED_PRAGMA_SUMMARY, Severity.WARNING)]
     catalog += [(rule.code, rule.summary, rule.severity) for rule in all_rules()]
     catalog += [
@@ -56,7 +55,11 @@ def _print_rules(out: IO[str]) -> None:
 def run_lint(
     args: argparse.Namespace, out: IO[str] | None = None
 ) -> int:
-    """Execute the lint subcommand; returns the process exit code."""
+    """Execute the lint subcommand; returns the process exit code.
+
+    The lint engine is imported here, so building the ``repro`` parser
+    does not load it.
+    """
     stream: IO[str] = out if out is not None else sys.stdout
     if args.list_rules:
         _print_rules(stream)
@@ -64,6 +67,8 @@ def run_lint(
     if not args.paths:
         stream.write("error: no paths given (try 'repro lint src/repro')\n")
         return 2
+
+    from repro.analysis.dataflow import analyze_paths
 
     report = analyze_paths(args.paths)
     for finding in report.findings:

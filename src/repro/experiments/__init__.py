@@ -15,32 +15,7 @@
   execution: :class:`RetryPolicy` (timeouts/retries/pool recovery),
   :class:`JobLog` (the one crash-safe job log), and
   :class:`ResilienceStats` (what a batch survived).
+
+The package root re-exports nothing: import from the submodules, so
+that loading one of them does not load the others.
 """
-
-from repro.experiments.config import SystemConfig
-from repro.experiments.figures import (
-    EXPERIMENTS,
-    REGISTRY,
-    FigureSpec,
-    run_experiment,
-)
-from repro.experiments.resilience import (
-    JobLog,
-    ResilienceStats,
-    RetryPolicy,
-)
-from repro.experiments.runner import MixResult, Runner, run_mix
-
-__all__ = [
-    "EXPERIMENTS",
-    "FigureSpec",
-    "JobLog",
-    "MixResult",
-    "REGISTRY",
-    "ResilienceStats",
-    "RetryPolicy",
-    "Runner",
-    "SystemConfig",
-    "run_experiment",
-    "run_mix",
-]

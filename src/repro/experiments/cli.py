@@ -23,7 +23,6 @@ import time
 from pathlib import Path
 
 from repro.analysis.cli import add_lint_arguments, run_lint
-from repro.analysis.sanitizer import SimSanitizer
 from repro.common.errors import JobFailureError
 from repro.engine import ENGINE_NAMES
 from repro.experiments.config import SystemConfig
@@ -34,7 +33,7 @@ from repro.experiments.figures import (
     run_experiment,
 )
 from repro.experiments.resilience import JobLog, RetryPolicy
-from repro.experiments.runner import Runner, run_mix
+from repro.experiments.runner import Runner, new_sanitizer, run_mix
 from repro.faults import plan_from_env
 from repro.telemetry import EventTracer, Telemetry
 from repro.telemetry.manifest import (
@@ -412,9 +411,7 @@ def _maybe_sanitized_run(
     """
     if not getattr(args, "sanitize", False):
         return run_mix(config, apps, telemetry=telemetry), None
-    sanitizer = SimSanitizer(
-        tracer=telemetry.tracer if telemetry is not None else None
-    )
+    sanitizer = new_sanitizer(telemetry)
     result = run_mix(config, apps, telemetry=telemetry, sanitizer=sanitizer)
     return result, sanitizer
 

@@ -48,11 +48,9 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.common.errors import (
     BatchAborted,
@@ -64,6 +62,9 @@ from repro.common.errors import (
 from repro.common.rng import derive_seed
 from repro.faults import FaultPlan, InjectedCrash
 from repro.telemetry.manifest import config_hash, run_id
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ProcessPoolExecutor
 
 log = logging.getLogger("repro.experiments.resilience")
 
@@ -349,6 +350,18 @@ class _JobState:
         self.attempts = 0  # failed attempts so far
 
 
+def wait(futures, timeout: float | None):
+    """Block until one of ``futures`` completes or ``timeout`` passes.
+
+    ``concurrent.futures`` is imported here and in the pool round, so a
+    serial batch never loads it.
+    """
+    from concurrent.futures import FIRST_COMPLETED
+    from concurrent.futures import wait as wait_futures
+
+    return wait_futures(futures, timeout=timeout, return_when=FIRST_COMPLETED)
+
+
 def execute_jobs(
     jobs: Sequence[tuple],
     simulate: Callable,
@@ -523,6 +536,9 @@ def execute_jobs(
         the pool (or falls back to serial) for whatever remains.
         """
         nonlocal rebuilds
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         workers = min(parallelism, len(pending))
         pool = ProcessPoolExecutor(max_workers=workers)
         queue = deque(sorted(pending))
@@ -561,9 +577,7 @@ def execute_jobs(
                 deadlines = [d for (_, d, _) in inflight.values() if d is not None]
                 if deadlines:
                     wait_s = max(0.0, min(deadlines) - time.monotonic())
-                done, _ = wait(
-                    set(inflight), timeout=wait_s, return_when=FIRST_COMPLETED
-                )
+                done, _ = wait(set(inflight), wait_s)
                 for future in sorted(done, key=lambda f: inflight[f][0].index):
                     state, _, start = inflight.pop(future)
                     try:

@@ -19,9 +19,8 @@ import sys
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.analysis.sanitizer import SimSanitizer
 from repro.common.events import EventQueue
 from repro.common.rng import child_rng
 from repro.cache.hierarchy import HierarchySnapshot, MemoryHierarchy
@@ -51,6 +50,9 @@ from repro.telemetry.manifest import (
 from repro.workloads.generator import SyntheticStream
 from repro.workloads.mixes import WorkloadMix
 from repro.workloads.spec2000 import get_profile
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.sanitizer import SimSanitizer
 
 
 @dataclass
@@ -163,6 +165,18 @@ def build_system(
     return core, memory, hierarchy
 
 
+def new_sanitizer(telemetry: Telemetry | None = None) -> SimSanitizer:
+    """A sanitizer for one run, tracing into ``telemetry`` if given.
+
+    The sanitizer is imported here, so a plain run never loads it.
+    """
+    from repro.analysis.sanitizer import SimSanitizer
+
+    return SimSanitizer(
+        tracer=telemetry.tracer if telemetry is not None else None
+    )
+
+
 def sanitize_requested() -> bool:
     """Whether ``REPRO_SANITIZE`` asks for sanitized runs."""
     return os.environ.get("REPRO_SANITIZE", "").strip().lower() in (
@@ -187,9 +201,7 @@ def run_mix(
     """
     owned_sanitizer = sanitizer is None and sanitize_requested()
     if owned_sanitizer:
-        sanitizer = SimSanitizer(
-            tracer=telemetry.tracer if telemetry is not None else None
-        )
+        sanitizer = new_sanitizer(telemetry)
     core, memory, hierarchy = build_system(
         config, apps, telemetry, sanitizer=sanitizer
     )
@@ -287,11 +299,7 @@ def _simulate(
         config = dataclasses.replace(config, core=_interned(config.core))
     apps = tuple(sys.intern(a) for a in apps)
     telemetry = Telemetry() if collect_metrics else None
-    sanitizer = None
-    if sanitize:
-        sanitizer = SimSanitizer(
-            tracer=telemetry.tracer if telemetry is not None else None
-        )
+    sanitizer = new_sanitizer(telemetry) if sanitize else None
     result = run_mix(config, apps, telemetry=telemetry, sanitizer=sanitizer)
     if sanitizer is not None:
         sanitizer.raise_if_violations()

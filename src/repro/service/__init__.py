@@ -5,8 +5,8 @@ fork) the existing execution stack:
 
 * :class:`~repro.service.store.ResultStore` -- the one persistent
   result store (also behind a local ``--cache-dir``): content-addressed
-  entries, a versioned JSON index with per-entry integrity digests
-  checked on every read, atomic compare-and-publish writes, and
+  entries that each carry their own integrity digest, checked on
+  every read, atomic compare-and-publish writes, and
   ``stats``/``verify``/``gc`` maintenance.
 * :class:`~repro.service.scheduler.CampaignScheduler` -- a daemon that
   accepts jobs and whole figure campaigns (each expanded to exactly
@@ -27,63 +27,6 @@ fork) the existing execution stack:
   local run.
 
 See ``docs/service.md`` for architecture, endpoints, and the
-exactly-once contract.
+exactly-once contract.  The package root re-exports nothing: planning
+a campaign (:mod:`repro.service.jobs`) does not load the HTTP stack.
 """
-
-from __future__ import annotations
-
-from repro.service.api import (
-    DEFAULT_LRU_ENTRIES,
-    PayloadLRU,
-    ServiceApp,
-    ServiceServer,
-    make_server,
-)
-from repro.service.client import (
-    ServiceClient,
-    ServiceError,
-    ServiceRunner,
-    discover_url,
-    write_server_info,
-)
-from repro.service.jobs import (
-    JobSpec,
-    campaign_id,
-    campaign_jobs,
-    campaign_names,
-    config_from_dict,
-    config_to_dict,
-)
-from repro.service.scheduler import CampaignScheduler
-from repro.service.store import (
-    GCReport,
-    ResultStore,
-    StoreStats,
-    VerifyReport,
-    payload_digest,
-)
-
-__all__ = [
-    "CampaignScheduler",
-    "DEFAULT_LRU_ENTRIES",
-    "GCReport",
-    "JobSpec",
-    "PayloadLRU",
-    "ResultStore",
-    "ServiceApp",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceRunner",
-    "ServiceServer",
-    "StoreStats",
-    "VerifyReport",
-    "campaign_id",
-    "campaign_jobs",
-    "campaign_names",
-    "config_from_dict",
-    "config_to_dict",
-    "discover_url",
-    "make_server",
-    "payload_digest",
-    "write_server_info",
-]

@@ -67,15 +67,17 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Mapping
 
-from repro.service.jobs import JobSpec, campaign_names, config_from_dict
+from repro.service.jobs import (
+    DEFAULT_LRU_ENTRIES,
+    JobSpec,
+    campaign_names,
+    config_from_dict,
+)
 from repro.service.scheduler import CampaignScheduler
 from repro.service.store import payload_digest
 from repro.telemetry import MetricRegistry, prometheus_text
 
 log = logging.getLogger("repro.service.api")
-
-#: Default capacity (entries) of the in-memory warm-path LRU.
-DEFAULT_LRU_ENTRIES = 256
 
 #: Request header carrying the client-computed content-addressed key.
 IDEMPOTENCY_HEADER = "X-Idempotency-Key"
@@ -621,7 +623,6 @@ def make_server(
 __all__ = [
     "AdmissionPolicy",
     "DEADLINE_HEADER",
-    "DEFAULT_LRU_ENTRIES",
     "IDEMPOTENCY_HEADER",
     "PayloadLRU",
     "ServiceApp",

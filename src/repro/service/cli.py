@@ -24,14 +24,15 @@ import json
 import signal
 import sys
 import types
+from typing import TYPE_CHECKING
 
 from repro.experiments.config import SystemConfig
 from repro.experiments.resilience import RetryPolicy
 from repro.faults import FAULT_PLAN_ENV, plan_from_env
-from repro.service.api import AdmissionPolicy, DEFAULT_LRU_ENTRIES, make_server
-from repro.service.client import ServiceClient, ServiceError, write_server_info
-from repro.service.scheduler import CampaignScheduler
-from repro.service.store import ResultStore
+from repro.service.jobs import DEFAULT_LRU_ENTRIES
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.client import ServiceClient
 
 #: Subcommand names this module owns (dispatched from the main CLI).
 SERVICE_COMMANDS = ("serve", "submit", "fetch", "campaign", "cache")
@@ -51,6 +52,8 @@ def _add_endpoint_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _client(args: argparse.Namespace) -> ServiceClient:
+    from repro.service.client import ServiceClient
+
     return ServiceClient(url=args.url, store_dir=args.store)
 
 
@@ -167,10 +170,16 @@ def add_service_parsers(sub: argparse._SubParsersAction) -> None:
 
 
 # ----------------------------------------------------------------------
-# command implementations
+# command implementations: each imports the service modules it uses, so
+# building the parser loads none of them
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.service.api import AdmissionPolicy, make_server
+    from repro.service.client import write_server_info
+    from repro.service.scheduler import CampaignScheduler
+    from repro.service.store import ResultStore
+
     store = ResultStore(args.store)
     policy = RetryPolicy(retries=args.retries, timeout_s=args.timeout)
     fault_plan = plan_from_env()
@@ -302,6 +311,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
+    from repro.service.store import ResultStore
+
     store = ResultStore(args.store_dir)
     if args.action == "stats":
         print(json.dumps(store.stats().as_dict(), sort_keys=True))
@@ -317,6 +328,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 def run_service_command(args: argparse.Namespace) -> int:
     """Dispatch one of :data:`SERVICE_COMMANDS` (from the main CLI)."""
+    from repro.service.client import ServiceError
+
     try:
         if args.command == "serve":
             return _cmd_serve(args)

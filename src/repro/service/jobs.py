@@ -30,6 +30,11 @@ from repro.experiments.figures import REGISTRY, plan
 from repro.experiments.runner import Runner
 from repro.telemetry.manifest import run_id
 
+#: Default capacity (results) of the API's in-memory warm-path LRU.
+#: Kept here rather than in :mod:`repro.service.api` so the CLI parser
+#: can show it without loading the HTTP stack.
+DEFAULT_LRU_ENTRIES = 256
+
 
 def config_to_dict(config: SystemConfig) -> dict:
     """Serialize a :class:`SystemConfig` to JSON-safe builtins."""
@@ -167,6 +172,7 @@ def campaign_id(
 
 
 __all__ = [
+    "DEFAULT_LRU_ENTRIES",
     "JobSpec",
     "campaign_id",
     "campaign_jobs",

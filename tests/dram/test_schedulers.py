@@ -5,6 +5,7 @@ from collections import defaultdict
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.common.errors import ConfigError
 from repro.common.types import MemAccessType, MemRequest
@@ -229,3 +230,87 @@ class TestCriticalFirst:
 
     def test_in_factory(self):
         assert make_scheduler("critical-first").name == "critical-first"
+
+
+# One thread's candidates: (bank, row, access, arrival, rob, iq) each.
+_one_thread_candidates = st.lists(
+    st.tuples(
+        st.integers(0, 3), st.integers(0, 3),
+        st.sampled_from([MemAccessType.READ, MemAccessType.WRITE]),
+        st.integers(0, 40), st.integers(0, 256), st.integers(0, 64),
+    ),
+    min_size=1, max_size=10,
+)
+
+
+class TestOneThread:
+    """On one thread, which thread-aware scheme *is* its base policy?
+
+    ``request-based`` keys every candidate of a thread by one number
+    (the thread's outstanding count), so on one thread it is hit-first
+    and a single-thread baseline under it may be shared with
+    hit-first's.  ``rob-based`` and ``iq-based`` key by occupancy
+    stamped on each request when it left the core, which differs
+    between requests of the same thread, so they are not.
+    """
+
+    @given(
+        specs=_one_thread_candidates,
+        open_rows=st.lists(
+            st.one_of(st.none(), st.integers(0, 3)), min_size=4, max_size=4
+        ),
+        outstanding=st.integers(0, 16),
+        tid=st.integers(0, 7),
+    )
+    def test_request_based_is_hit_first(
+        self, specs, open_rows, outstanding, tid
+    ):
+        candidates = []
+        for req_id, (bank, row, access, arrival, rob, iq) in enumerate(specs):
+            request = MemRequest(
+                0x100, access, tid, arrival=arrival, rob_occupancy=rob,
+                iq_occupancy=iq, req_id=req_id + 1,
+            )
+            request.bank, request.row = bank, row
+            candidates.append(request)
+        ctx = SimpleNamespace(
+            banks=[SimpleNamespace(open_row=r) for r in open_rows],
+            outstanding={tid: outstanding} if outstanding else {},
+        )
+        assert RequestBasedScheduler().select(candidates, 50, ctx) is (
+            HitFirstScheduler().select(candidates, 50, ctx)
+        )
+
+    def test_rob_based_is_not_hit_first(self):
+        # Two row misses of one thread: hit-first serves the older, but
+        # the younger left the core with a fuller ROB.
+        older = read(arrival=0, tid=0, rob=10)
+        younger = read(arrival=5, tid=0, rob=200)
+        ctx = FakeContext()
+        assert HitFirstScheduler().select([older, younger], 10, ctx) is older
+        assert RobBasedScheduler().select([older, younger], 10, ctx) is younger
+
+    def test_one_thread_run_identical_under_request_based(self):
+        """A fig10 single-thread baseline (scale 8, 1 800 instructions,
+        seed 2005): request-based gives hit-first's result, field for
+        field; rob-based does not (it reorders 10 of mcf's 83 picks)."""
+        import pickle
+
+        from repro.experiments.config import SystemConfig
+        from repro.experiments.runner import run_mix
+
+        config = SystemConfig(
+            scale=8, instructions_per_thread=1800, warmup_instructions=150,
+            seed=2005, scheduler="hit-first",
+        )
+
+        def fields(scheduler):
+            result = run_mix(config.with_(scheduler=scheduler), ("mcf",))
+            return {
+                name: pickle.dumps(getattr(result, name))
+                for name in ("apps", "core", "dram", "hierarchy", "metrics")
+            }
+
+        hit_first = fields("hit-first")
+        assert fields("request-based") == hit_first
+        assert fields("rob-based")["core"] != hit_first["core"]

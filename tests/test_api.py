@@ -1,5 +1,9 @@
 """Public API surface tests: the documented entry points exist."""
 
+import importlib
+
+import pytest
+
 import repro
 
 
@@ -10,6 +14,26 @@ class TestTopLevelExports:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert getattr(repro, name, None) is not None, name
+
+    def test_all_names_are_their_defining_modules_objects(self):
+        for name in repro.__all__:
+            if name == "__version__":
+                continue
+            module = importlib.import_module(repro._EXPORTS[name])
+            value = getattr(repro, name)
+            assert value is getattr(module, name), name
+            # Classes and functions are listed under the module that
+            # defines them, not one that re-exports them.
+            assert getattr(value, "__module__", module.__name__) == (
+                module.__name__
+            ), name
+
+    def test_unknown_attribute_names_itself(self):
+        with pytest.raises(AttributeError, match="no_such_export"):
+            getattr(repro, "no_such_export")
+
+    def test_dir_lists_the_documented_names(self):
+        assert set(repro.__all__) <= set(dir(repro))
 
     def test_experiment_registry_complete(self):
         assert {"fig1", "fig2", "fig3", "fig4", "fig5",
