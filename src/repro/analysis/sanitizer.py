@@ -161,7 +161,9 @@ class SimSanitizer:
         self._event_queue: SanitizedEventQueue | None = None
         self._memory: "MemorySystem | None" = None
         self._hierarchy: "MemoryHierarchy | None" = None
-        self._core: "SMTCore | None" = None
+        #: ``(component, attribute)`` of every wrapper installed, so
+        #: :meth:`finish` can take them off again.
+        self._hooks: list[tuple[Any, str]] = []
         self._finished = False
 
     # ------------------------------------------------------------------
@@ -239,8 +241,15 @@ class SimSanitizer:
         self._watch_mshr(hierarchy.mshr)
 
     def attach_core(self, core: "SMTCore") -> None:
-        self._core = core
         self._watch_core(core)
+
+    def _hook(
+        self, owner: Any, name: str, wrapper: Callable[..., Any]
+    ) -> None:
+        """Shadow ``owner``'s method ``name`` with ``wrapper`` until
+        :meth:`finish`."""
+        setattr(owner, name, wrapper)
+        self._hooks.append((owner, name))
 
     # ------------------------------------------------------------------
     # request-level controller checks
@@ -300,7 +309,7 @@ class SimSanitizer:
                     channel=ch,
                 )
 
-        channel._issue = checked_issue
+        self._hook(channel, "_issue", checked_issue)
 
     # ------------------------------------------------------------------
     # command-level controller checks
@@ -444,8 +453,8 @@ class SimSanitizer:
                     shadow.open_row = None
                     shadow.pre_ready = max(shadow.pre_ready, bank.ready_at)
 
-        channel._issue = checked_issue
-        channel._maybe_refresh = checked_refresh
+        self._hook(channel, "_issue", checked_issue)
+        self._hook(channel, "_maybe_refresh", checked_refresh)
 
     # ------------------------------------------------------------------
     # MSHR accounting
@@ -482,8 +491,8 @@ class SimSanitizer:
             self._mshr_releases += 1
             return original_complete(line_addr, finish)
 
-        mshr.register = checked_register
-        mshr.complete = checked_complete
+        self._hook(mshr, "register", checked_register)
+        self._hook(mshr, "complete", checked_complete)
 
     # ------------------------------------------------------------------
     # core occupancy
@@ -548,10 +557,7 @@ class SimSanitizer:
                 )
             return fetched
 
-        # Through ``Any``: an instance attribute shadowing a method is
-        # the point, whatever the checker makes of the assignment.
-        hooked: Any = core
-        hooked._fetch = checked_fetch
+        self._hook(core, "_fetch", checked_fetch)
 
     # ------------------------------------------------------------------
     # drain / finish
@@ -565,7 +571,8 @@ class SimSanitizer:
         Call this *after* the run's results have been captured: the
         drain fires every still-pending event (completing in-flight
         misses) so leak detection can tell "in flight" apart from
-        "leaked".  Idempotent.
+        "leaked".  Afterwards the sanitizer lets go of the system: its
+        wrappers come off and it keeps only what it found.  Idempotent.
         """
         if self._finished:
             return
@@ -604,3 +611,12 @@ class SimSanitizer:
                         f"{channel.pending} requests still queued in "
                         f"channel {channel.channel_id} after drain",
                     )
+        # Detach: each wrapper closes over the component it shadows and
+        # the checking queue holds this sanitizer, reference cycles that
+        # would keep the finished system alive for the cyclic collector.
+        for owner, name in self._hooks:
+            delattr(owner, name)
+        self._hooks.clear()
+        self._event_queue = None
+        self._memory = None
+        self._hierarchy = None

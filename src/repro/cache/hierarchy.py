@@ -474,6 +474,15 @@ class MemoryHierarchy:
         self.prefetch_fills += 1
         self.prefetch_quota.release(line)
 
+    def close(self) -> None:
+        """Drop the misses still in flight at the end of a run.
+
+        Their waiters are core callbacks, and the core holds this
+        hierarchy, so a pending entry would keep the whole finished
+        simulation alive until the cyclic collector ran.
+        """
+        self.mshr.clear()
+
     # ------------------------------------------------------------------
     # statistics
 

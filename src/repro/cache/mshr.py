@@ -115,6 +115,10 @@ class MSHRFile:
     def went_to_dram(self, line_addr: int) -> bool:
         return self._by_line[line_addr].went_to_dram
 
+    def clear(self) -> None:
+        """Drop every entry and its waiters without invoking them."""
+        self._by_line.clear()
+
     def complete(self, line_addr: int, finish: int) -> list[Callable[[int], None]]:
         """Free the entry and return its waiters (callers invoke them)."""
         entry = self._by_line.pop(line_addr)

@@ -135,3 +135,13 @@ class EventQueue:
             if fired > limit:
                 raise SimulationError(f"event limit {limit} exceeded; runaway loop?")
         return self.now
+
+    def close(self) -> None:
+        """Drop every pending event.
+
+        Pending callbacks are bound methods of the components that
+        schedule on this queue, which hold the queue in turn; dropping
+        them lets reference counting free a finished simulation at
+        once instead of leaving it to the cyclic collector.
+        """
+        self._heap.clear()

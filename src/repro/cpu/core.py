@@ -638,10 +638,11 @@ class SMTCore:
                 fetched += 1
                 taken += 1
                 if mispredicted:
-                    # Fetch stops until the branch resolves; the waiter
-                    # reopens it after the refill penalty.
+                    # Fetch stops until the branch resolves; its
+                    # thread id, as the waiter, tells ``_resolve`` to
+                    # reopen it after the refill penalty.
                     t.fetch_blocked_until = FOREVER
-                    node.add_waiter(self._make_branch_unblock(t))
+                    node.add_waiter(tid)
                     if self._tracer is not None:
                         self._tracer.emit(
                             cycle, "fetch.redirect", "cpu.fetch", tid,
@@ -674,14 +675,6 @@ class SMTCore:
         if uop.taken and not self._btbs[t.thread_id].lookup_and_update(uop.pc):
             mispredicted = True  # unknown target: redirect anyway
         return mispredicted
-
-    def _make_branch_unblock(self, t: ThreadContext):
-        penalty = self.params.mispredict_penalty
-
-        def unblock(finish: int) -> None:
-            t.fetch_blocked_until = finish + penalty
-
-        return unblock
 
     # ------------------------------------------------------------------
     # issue / execute
@@ -863,4 +856,9 @@ class SMTCore:
                     if waiter.deps_left == 0:
                         self._schedule_issue(waiter)
                 else:
-                    waiter(finish)
+                    # A mispredicted branch's thread id (an int, not a
+                    # closure over the thread, so a finished run's ROB
+                    # holds no reference cycle).
+                    self.threads[waiter].fetch_blocked_until = (
+                        finish + self.params.mispredict_penalty
+                    )

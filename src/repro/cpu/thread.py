@@ -68,7 +68,9 @@ class Inflight:
         self.iq_peers = 0
 
     def add_waiter(self, waiter) -> None:
-        """Register a dependent node (or callback) on this producer."""
+        """Register a dependent node on this producer, or, on a
+        mispredicted branch, its thread id (fetch reopens when it
+        resolves)."""
         if self.waiters is None:
             self.waiters = [waiter]
         else:

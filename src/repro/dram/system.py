@@ -277,3 +277,16 @@ class MemorySystem:
         """Close time-weighted collectors and return the stats bundle."""
         self.stats.finish(self.event_queue.now if now is None else now)
         return self.stats
+
+    def close(self) -> None:
+        """Release a finished system's controllers.
+
+        Queued requests carry callbacks into the cache hierarchy, and
+        each controller holds this system; emptying the queues and
+        dropping the controllers leaves no reference cycle, so the run
+        is freed as soon as its owner lets go of it.
+        """
+        for channel in self.channels:
+            channel.reads.clear()
+            channel.writes.clear()
+        self.channels = []

@@ -198,6 +198,11 @@ def run_mix(
     fit).  Setting ``REPRO_SANITIZE=1`` in the environment sanitizes
     every run with an internally owned sanitizer that *raises*
     :class:`~repro.analysis.sanitizer.SanitizerError` on violations.
+
+    The system is built here and closed before the call returns, or
+    raises, so nothing of it outlives the :class:`MixResult`.  A caller
+    that drives :func:`build_system` and ``core.run`` itself owns the
+    system it built.
     """
     owned_sanitizer = sanitizer is None and sanitize_requested()
     if owned_sanitizer:
@@ -205,58 +210,67 @@ def run_mix(
     core, memory, hierarchy = build_system(
         config, apps, telemetry, sanitizer=sanitizer
     )
-    result = core.run(
-        config.instructions_per_thread,
-        warmup_instructions=config.warmup_instructions,
-        max_cycles=config.max_cycles,
-    )
-    dram_stats = memory.finish() if memory is not None else None
-    if sanitizer is not None and dram_stats is not None:
-        # The end-of-run drain (below) fires leftover events into the
-        # live stats object; snapshot it first so sanitized results
-        # stay bit-identical to plain ones.
-        dram_stats = copy.deepcopy(dram_stats)
-    snapshot = hierarchy.snapshot()
-    metrics = None
-    if telemetry is not None and telemetry.registry.enabled:
-        registry = telemetry.registry
-        registry.add_counters(
-            "cache",
-            {
-                "loads": snapshot.loads,
-                "stores": snapshot.stores,
-                "dram_reads_issued": snapshot.dram_reads_issued,
-                "mshr.merges": snapshot.mshr_merges,
-                "mshr.rejections": snapshot.mshr_rejections,
-                "mshr.allocations": hierarchy.mshr.allocations,
-            },
+    try:
+        result = core.run(
+            config.instructions_per_thread,
+            warmup_instructions=config.warmup_instructions,
+            max_cycles=config.max_cycles,
         )
-        registry.set_gauges(
-            "cache",
-            {
-                "l1d_hit_rate": snapshot.l1d_hit_rate,
-                "l2_hit_rate": snapshot.l2_hit_rate,
-                "l3_hit_rate": snapshot.l3_hit_rate,
-                "dtlb_hit_rate": snapshot.dtlb_hit_rate,
-            },
-        )
-        if dram_stats is not None:
-            registry.set_gauges(
-                "dram", {"row_miss_rate": dram_stats.row_miss_rate}
+        dram_stats = memory.finish() if memory is not None else None
+        if sanitizer is not None and dram_stats is not None:
+            # The end-of-run drain (below) fires leftover events into
+            # the live stats object; snapshot it first so sanitized
+            # results stay bit-identical to plain ones.
+            dram_stats = copy.deepcopy(dram_stats)
+        snapshot = hierarchy.snapshot()
+        metrics = None
+        if telemetry is not None and telemetry.registry.enabled:
+            registry = telemetry.registry
+            registry.add_counters(
+                "cache",
+                {
+                    "loads": snapshot.loads,
+                    "stores": snapshot.stores,
+                    "dram_reads_issued": snapshot.dram_reads_issued,
+                    "mshr.merges": snapshot.mshr_merges,
+                    "mshr.rejections": snapshot.mshr_rejections,
+                    "mshr.allocations": hierarchy.mshr.allocations,
+                },
             )
-        metrics = registry.snapshot()
-    if sanitizer is not None:
-        sanitizer.finish()
-        if owned_sanitizer:
-            sanitizer.raise_if_violations()
-    return MixResult(
-        config=config,
-        apps=tuple(apps),
-        core=result,
-        dram=dram_stats,
-        hierarchy=snapshot,
-        metrics=metrics,
-    )
+            registry.set_gauges(
+                "cache",
+                {
+                    "l1d_hit_rate": snapshot.l1d_hit_rate,
+                    "l2_hit_rate": snapshot.l2_hit_rate,
+                    "l3_hit_rate": snapshot.l3_hit_rate,
+                    "dtlb_hit_rate": snapshot.dtlb_hit_rate,
+                },
+            )
+            if dram_stats is not None:
+                registry.set_gauges(
+                    "dram", {"row_miss_rate": dram_stats.row_miss_rate}
+                )
+            metrics = registry.snapshot()
+        if sanitizer is not None:
+            sanitizer.finish()
+            if owned_sanitizer:
+                sanitizer.raise_if_violations()
+        return MixResult(
+            config=config,
+            apps=tuple(apps),
+            core=result,
+            dram=dram_stats,
+            hierarchy=snapshot,
+            metrics=metrics,
+        )
+    finally:
+        # The system dies with this call: each close drops what ties
+        # its owner into a reference cycle, so reference counting frees
+        # the machine here instead of a later cyclic-GC pass.
+        core.event_queue.close()
+        hierarchy.close()
+        if memory is not None:
+            memory.close()
 
 
 def _interned(dc):

@@ -405,11 +405,23 @@ class CampaignScheduler:
         except JobFailureError as exc:
             detail = str(exc)
             requeued = 0
+            # The abort is charged to the job it names; a failure no
+            # job of the batch owns is charged to all of them.
+            culprits = {
+                key for key in keys
+                if self._jobs[key].spec.run_id == exc.job_id
+            } or set(keys)
             with self._cond, self.joblog.group():
                 for key in keys:
                     job = self._jobs[key]
                     if self.store.has(key):
                         self._finish(job, "service")
+                    elif key not in culprits:
+                        # Cut short by a batch-mate: back on the queue
+                        # with no record, so it stays pending in the log.
+                        job.state = "queued"
+                        self._queue.append(key)
+                        requeued += 1
                     elif job.requeues < self.max_requeues:
                         self._requeue(job, detail)
                         requeued += 1

@@ -32,13 +32,9 @@ See ``docs/observability.md`` for the naming scheme and trace schema.
 
 from __future__ import annotations
 
-from repro.telemetry.manifest import (
-    RunManifest,
-    RunRecord,
-    config_hash,
-    default_manifest_dir,
-    run_id,
-)
+from importlib import import_module
+from typing import TYPE_CHECKING, Any
+
 from repro.telemetry.registry import (
     NULL_REGISTRY,
     Counter,
@@ -49,12 +45,40 @@ from repro.telemetry.registry import (
     Series,
     prometheus_text,
 )
-from repro.telemetry.tracer import (
-    EventTracer,
-    TraceEvent,
-    load_jsonl,
-    validate_chrome_trace,
-)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.telemetry.tracer import EventTracer
+
+#: Each manifest and tracer name and the submodule that defines it.  A
+#: name is imported on first access (PEP 562), so the DRAM model, which
+#: needs only the registry, never loads the manifest or tracer code.
+_EXPORTS = {
+    "EventTracer": "repro.telemetry.tracer",
+    "RunManifest": "repro.telemetry.manifest",
+    "RunRecord": "repro.telemetry.manifest",
+    "TraceEvent": "repro.telemetry.tracer",
+    "config_hash": "repro.telemetry.manifest",
+    "default_manifest_dir": "repro.telemetry.manifest",
+    "load_jsonl": "repro.telemetry.tracer",
+    "run_id": "repro.telemetry.manifest",
+    "validate_chrome_trace": "repro.telemetry.tracer",
+}
+
+
+def __getattr__(name: str) -> Any:
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
 
 
 class Telemetry:

@@ -15,7 +15,9 @@ workloads so experiments can be decoupled from generation:
 
 Format: one µop per line, ``opclass[,field=value...]``; ``#`` lines
 are comments.  Fields: ``a`` (byte address, hex), ``d1``/``d2``
-(dependence distances), ``m`` (mispredicted branch flag).  A header
+(dependence distances), ``m`` (mispredicted branch flag); the numeric
+ones must be non-negative integers, or loading raises
+:class:`~repro.common.errors.ConfigError` naming the field.  A header
 comment records the source profile name so replays keep I-cache
 behaviour.
 """
@@ -71,6 +73,19 @@ def record_trace(
     return writer.count
 
 
+def _field_int(key: str, value: str, base: int = 10) -> int:
+    """The non-negative integer a trace field holds."""
+    try:
+        number = int(value, base)
+    except ValueError:
+        raise ConfigError(
+            f"trace field {key}={value!r} is not an integer"
+        ) from None
+    if number < 0:
+        raise ConfigError(f"trace field {key}={value!r} is negative")
+    return number
+
+
 def _parse_line(line: str) -> Uop:
     parts = line.split(",")
     try:
@@ -83,11 +98,11 @@ def _parse_line(line: str) -> Uop:
     for field in parts[1:]:
         key, _, value = field.partition("=")
         if key == "a":
-            addr = int(value, 16)
+            addr = _field_int(key, value, 16)
         elif key == "d1":
-            dep1 = int(value)
+            dep1 = _field_int(key, value)
         elif key == "d2":
-            dep2 = int(value)
+            dep2 = _field_int(key, value)
         elif key == "m":
             mispredict = value == "1"
         else:

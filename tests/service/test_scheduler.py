@@ -359,6 +359,36 @@ class TestSchedulerRecovery:
             if e["event"] == "release" and e["key"] == key
         ] == ["failed"]
 
+    def test_batch_abort_charges_only_the_failing_job(
+        self, tiny_config, tmp_path
+    ):
+        """Batch-mates of the job that aborted a batch go back on the
+        queue uncharged, and run once it has failed terminally."""
+        scheduler = CampaignScheduler(
+            ResultStore(tmp_path), max_requeues=1,
+            fault_plan=GZIP_ALWAYS_FAILS,
+        )
+        keys = {
+            app: scheduler.submit_job(tiny_config, (app,))["key"]
+            for app in ("gzip", "mcf", "swim")
+        }
+        scheduler.start()
+        assert scheduler.drain(timeout=120)
+        scheduler.stop()
+        gzip = scheduler.job_status(keys["gzip"])
+        assert gzip["state"] == "failed"
+        assert gzip["requeues"] == 1
+        assert "batch aborted" in gzip["detail"]
+        for app in ("mcf", "swim"):
+            status = scheduler.job_status(keys[app])
+            assert status["state"] == "done", status
+            assert "requeues" not in status
+        assert scheduler.sup_stats.requeues == 1
+        requeued = [
+            e["key"] for e in _log_events(tmp_path) if e["event"] == "requeue"
+        ]
+        assert requeued == [keys["gzip"]]
+
     def test_injected_crash_flips_scheduler_to_unhealthy(
         self, tiny_config, tmp_path
     ):

@@ -35,6 +35,18 @@ class TestTopLevelExports:
     def test_dir_lists_the_documented_names(self):
         assert set(repro.__all__) <= set(dir(repro))
 
+    def test_telemetry_names_resolve_lazily(self):
+        import repro.telemetry as telemetry
+
+        for name in telemetry.__all__:
+            value = getattr(telemetry, name)
+            if name in telemetry._EXPORTS:
+                module = importlib.import_module(telemetry._EXPORTS[name])
+                assert value is getattr(module, name), name
+        assert set(telemetry.__all__) <= set(dir(telemetry))
+        with pytest.raises(AttributeError, match="no_such_export"):
+            getattr(telemetry, "no_such_export")
+
     def test_experiment_registry_complete(self):
         assert {"fig1", "fig2", "fig3", "fig4", "fig5",
                 "fig6", "fig7", "fig8", "fig9", "fig10"} <= set(

@@ -3,10 +3,11 @@
 Every case imports one entry point in a fresh interpreter and lists
 which of a set of forbidden modules ended up in ``sys.modules``.  The
 DRAM model must not pull in the experiment harness, the lint engine,
-the service stack or the process pool; the figure driver must not pull
-in the lint engine, the service or ``multiprocessing``; planning a
-campaign must not pull in the HTTP stack; and the CLI module must not
-compile the lint engine or the HTTP API just to build its parser.
+the service stack, the process pool or the run-manifest and trace
+code; the figure driver must not pull in the lint engine, the service
+or ``multiprocessing``; planning a campaign must not pull in the HTTP
+stack; and the CLI module must not compile the lint engine or the HTTP
+API just to build its parser.
 """
 
 import json
@@ -35,7 +36,10 @@ CASES = {
         [f"repro.{package}" for package in (
             "experiments", "analysis", "service", "cpu", "cache",
             "workloads", "engine", "faults",
-        )] + ["multiprocessing", "concurrent.futures"],
+        )] + [
+            "repro.telemetry.manifest", "repro.telemetry.tracer",
+            "multiprocessing", "concurrent.futures",
+        ],
     ),
     "figures+runner": (
         "from repro.experiments import figures\n"

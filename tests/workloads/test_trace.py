@@ -100,6 +100,21 @@ class TestParsing:
         with pytest.raises(ConfigError):
             load_trace(io.StringIO("LOAD,z=1\n"))
 
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("LOAD,a=40,d1=x", "d1"),
+            ("LOAD,a=zz", "a"),
+            ("INT_ALU,d2=1.5", "d2"),
+            ("INT_ALU,d1=-3", "d1"),
+            ("INT_ALU,d1=2,d2=-1", "d2"),
+            ("STORE,a=-40", "a"),
+        ],
+    )
+    def test_bad_field_value_rejected(self, line, field):
+        with pytest.raises(ConfigError, match=f"trace field {field}="):
+            load_trace(io.StringIO(line + "\n"))
+
     def test_blank_lines_skipped(self):
         uops, _ = load_trace(io.StringIO("INT_ALU\n\n\nBRANCH,m=1\n"))
         assert len(uops) == 2
