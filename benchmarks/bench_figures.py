@@ -13,7 +13,6 @@ single-thread baselines are shared between figures::
     REPRO_BENCH_INSTRUCTIONS=20000 python -m pytest benchmarks/bench_figures.py -s
 
 ``-s`` prints every table; ``--durations`` reports the time each took.
-``REPRO_ENGINE`` selects the execution engine as everywhere else.
 """
 
 import os

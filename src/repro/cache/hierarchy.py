@@ -176,10 +176,10 @@ class MemoryHierarchy:
         # DG / DWarn (L1-level) and Fetch-Stall (L2-level) policies.
         self._l1_miss_lines: dict[int, int] = {}
         self._l2_miss_lines: dict[int, int] = {}
-        #: Monotonic change counter for ``_l2_miss_lines``.  The fast
-        #: engine's stalled-window kernel uses it to tell, in O(1),
-        #: whether an event batch touched the fetch policies' gating
-        #: state (see repro.engine.fast).
+        #: Monotonic change counter for ``_l2_miss_lines``.  The core's
+        #: stalled-window kernel uses it to tell, in O(1), whether an
+        #: event batch touched the fetch policies' gating state (see
+        #: repro.cpu.core).
         self.l2_miss_version = 0
 
     # ------------------------------------------------------------------

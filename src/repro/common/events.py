@@ -70,9 +70,9 @@ class EventQueue:
     def peek_time(self) -> int | None:
         """Timestamp of the earliest pending event, or ``None`` if empty.
 
-        O(1) and side-effect free; this is what skip logic (the
-        reference ``_maybe_skip`` and the fast engine's stalled-window
-        kernel) consults to bound how far the clock may jump.
+        O(1) and side-effect free; this is what skip logic (the core's
+        ``_maybe_skip`` and its stalled-window kernel) consults to
+        bound how far the clock may jump.
         """
         heap = self._heap
         if not heap:
@@ -84,7 +84,7 @@ class EventQueue:
 
         Returns the number of events fired (0 when the window held
         none), so callers can cheaply detect whether any state may
-        have changed — the contract the fast engine's window-reuse
+        have changed — the contract the stalled-window kernel's reuse
         logic and the tests pin.  Always advances :attr:`now` to
         ``time``.  Events scheduled by fired events are themselves
         fired if they fall inside the window, so the queue fully

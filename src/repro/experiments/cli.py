@@ -24,7 +24,6 @@ from pathlib import Path
 
 from repro.analysis.cli import add_lint_arguments, run_lint
 from repro.common.errors import JobFailureError
-from repro.engine import ENGINE_NAMES
 from repro.experiments.config import SystemConfig
 from repro.experiments.figures import (
     ABLATIONS,
@@ -81,13 +80,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--vm", choices=("none", "bin-hopping", "page-coloring", "random"),
         default=None, help="virtual-memory page allocation policy",
-    )
-    parser.add_argument(
-        "--engine", choices=ENGINE_NAMES, default=None,
-        help="execution engine (fast: the SMT core plus the "
-        "stalled-window skip kernel and the stream memo, the default; "
-        "reference: the same core with neither; bit-identical "
-        "by contract, enforced by 'engine-diff')",
     )
 
 
@@ -210,7 +202,6 @@ def _config_from_args(args: argparse.Namespace) -> SystemConfig:
         "page_mode": "page_mode",
         "controller": "controller_model",
         "vm": "vm_policy",
-        "engine": "engine",
     }
     for arg_name, field_name in mapping.items():
         value = getattr(args, arg_name, None)
@@ -308,22 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--ablations", action="store_true",
         help="include the ablation studies",
-    )
-
-    p = sub.add_parser(
-        "engine-diff",
-        help="differential engine oracle: run the reference and fast "
-        "engines over the fig10 sweep and fail on the first divergence",
-    )
-    _add_config_arguments(p)
-    p.add_argument(
-        "--mixes", nargs="+", default=None,
-        help="subset of workload mixes to sweep (default: the fig10 "
-        "memory-bound mixes)",
-    )
-    p.add_argument(
-        "--fail-fast", action="store_true",
-        help="stop at the first diverging configuration (the CI mode)",
     )
 
     p = sub.add_parser(
@@ -442,27 +417,6 @@ def _run_figures(names: list[str], args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_engine_diff(args: argparse.Namespace) -> int:
-    """The ``engine-diff`` oracle sweep; exit 0 only on zero divergence.
-
-    Exit codes: 0 all configurations pass, 1 at least one divergence.
-    """
-    from repro.engine.oracle import run_fig10_sweep, summarize
-
-    config = _config_from_args(args)
-    start = time.perf_counter()
-    reports = run_fig10_sweep(
-        config=config,
-        mixes=getattr(args, "mixes", None),
-        progress=lambda report: print(report.render(), flush=True),
-        fail_fast=args.fail_fast,
-    )
-    print(f"[swept {len(reports)} configurations "
-          f"in {time.perf_counter() - start:.1f}s]")
-    print(summarize(reports))
-    return 0 if all(r.identical for r in reports) else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "lint":
@@ -471,8 +425,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command in SERVICE_COMMANDS:
         return run_service_command(args)
-    if args.command == "engine-diff":
-        return _run_engine_diff(args)
     if args.command == "list":
         print("experiments:")
         for name, spec in EXPERIMENTS.items():

@@ -19,7 +19,6 @@ from repro.common.errors import ConfigError
 from repro.cache.hierarchy import HierarchyParams
 from repro.cpu.core import CoreParams
 from repro.dram.bank import PageMode
-from repro.engine import ENGINE_NAMES
 
 
 def field_dict(obj) -> dict:
@@ -31,19 +30,6 @@ def field_dict(obj) -> dict:
     nested dataclass or a mutable value converted do it themselves.
     """
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-
-
-def _default_engine() -> str:
-    """The default execution engine, overridable via ``REPRO_ENGINE``.
-
-    Safe to key behaviour on an environment variable only because the
-    engines are bit-identical by contract: the override changes how
-    fast results arrive, never the results (and ``cache_key`` already
-    excludes the engine for the same reason).
-    """
-    import os
-
-    return os.environ.get("REPRO_ENGINE", "fast")
 
 
 @dataclass(frozen=True)
@@ -85,15 +71,6 @@ class SystemConfig:
     prefetch: bool = False
 
     # --- run control ---
-    #: Execution engine: "reference" (the one SMT core, ticking every
-    #: non-idle cycle and generating µops afresh) or "fast" (the same
-    #: core plus the stalled-window skip kernel and the µop-stream
-    #: memo; the default).  They are bit-identical by contract — see
-    #: repro.engine and the ``repro engine-diff`` oracle that enforces
-    #: it.  The *default* (not an explicit choice) can be overridden
-    #: with the ``REPRO_ENGINE`` environment variable, which is how CI
-    #: forces the whole test suite through a particular engine.
-    engine: str = field(default_factory=lambda: _default_engine())
     #: Footprint/cache scale divisor (see module docstring).
     scale: int = 8
     #: Committed instructions measured per thread.
@@ -125,11 +102,6 @@ class SystemConfig:
             raise ConfigError(
                 f"controller_model must be request|command, "
                 f"got {self.controller_model!r}"
-            )
-        if self.engine not in ENGINE_NAMES:
-            raise ConfigError(
-                f"engine must be {'|'.join(ENGINE_NAMES)}, "
-                f"got {self.engine!r}"
             )
         if self.channels < 1:
             raise ConfigError(f"channels must be >= 1, got {self.channels}")
@@ -178,10 +150,10 @@ class SystemConfig:
 
         Used by the runner to cache single-thread baseline runs.
         ``core`` is flattened since dataclasses with dict fields don't
-        hash.  The engine is deliberately not part of the key: the two
-        engines are bit-identical by contract (enforced by the
-        engine-diff oracle lane), so a result computed under either is
-        valid for both and caches stay shared across that choice.
+        hash.  The core's shortcuts (``SMTCore.shortcuts``) are not
+        part of the key: they are bit-identical to ticking every cycle
+        (``tests/engine/test_golden.py`` runs both against the same
+        digests), so a result is the same with them on or off.
         """
         core = field_dict(self.core)
         core["latencies"] = tuple(sorted(core["latencies"].items()))

@@ -29,7 +29,6 @@ from repro.cpu.core import SMTCore
 from repro.cpu.stats import CoreResult
 from repro.dram.stats import DRAMStats
 from repro.dram.system import MemorySystem
-from repro.engine import core_class
 from repro.experiments.config import SystemConfig
 from repro.experiments.resilience import (
     JobLog,
@@ -150,7 +149,7 @@ def build_system(
         )
         workloads.append((app, stream))
         icache_rngs.append(child_rng(config.seed, f"icache:{app}:{i}"))
-    core = core_class(config.engine)(
+    core = SMTCore(
         config.core,
         event_queue,
         hierarchy,

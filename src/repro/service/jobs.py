@@ -66,9 +66,15 @@ def config_from_dict(doc: dict) -> SystemConfig:
     Unknown fields raise ``ValueError`` (protocol drift must be loud,
     not silently dropped — a dropped field would silently change the
     job's identity).  Missing fields take their defaults, so clients
-    may send sparse override dicts.
+    may send sparse override dicts.  The one exception is ``engine``,
+    which every config written before the engine choice was removed
+    carries: both of its values named the same exact simulation, so it
+    is dropped (any other value still fails).
     """
     doc = _intern_strings(doc)
+    engine = doc.pop("engine", "fast")
+    if engine not in ("fast", "reference"):
+        raise ValueError(f"unknown engine {engine!r}")
     core_doc = doc.pop("core", None)
     known = {f.name for f in dataclasses.fields(SystemConfig)}
     unknown = sorted(set(doc) - known)

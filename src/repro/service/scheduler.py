@@ -197,14 +197,19 @@ class CampaignScheduler:
         record (separate fsyncs).  The store entry is proof the job
         ran, so each such job gets the record the kill swallowed --
         one group commit -- and the exactly-once proof
-        (:meth:`JobLog.completions`) counts it.
+        (:meth:`JobLog.completions`) counts it.  A spec this version
+        cannot decode stays out of the queue, with a warning naming it.
         """
         view = self.joblog.view
         with self.joblog.group():
             for key, doc in view["submitted"].items():
                 try:
                     spec = JobSpec.from_dict(doc)
-                except (KeyError, TypeError, ValueError):
+                except (KeyError, TypeError, ValueError) as exc:
+                    log.warning(
+                        "resume: cannot decode job %s, not resumed: %s",
+                        key, exc,
+                    )
                     continue
                 job = _Job(spec, key)
                 job.requeues = view["requeues"].get(key, 0)

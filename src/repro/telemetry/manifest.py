@@ -64,9 +64,6 @@ class RunRecord:
     #: Where the result came from: simulated | memo | disk-cache | pool.
     source: str = "simulated"
     wall_time_s: float = 0.0
-    #: Execution engine the result was produced under (the engines are
-    #: bit-identical, so this is provenance only).
-    engine: str = "fast"
 
     def as_dict(self) -> dict:
         """JSON-safe view of this record (what the service API serves)."""
@@ -88,7 +85,6 @@ class RunRecord:
             warmup_instructions=config.warmup_instructions,
             source=source,
             wall_time_s=wall_time_s,
-            engine=getattr(config, "engine", "fast"),
         )
 
 

@@ -102,7 +102,7 @@ class Uop:
     A Uop is immutable once built, and that is load-bearing: the
     generator hands out one shared object for every equal compute µop
     (see ``_COMPUTE_UOPS``), across threads, streams and runs, and the
-    fast engine's stream memo replays the same objects in every repeat
+    core's stream memo replays the same objects in every repeat
     run.  Writing a field of a generated Uop would change other
     threads' and later runs' instructions.
     """

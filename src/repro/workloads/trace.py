@@ -14,9 +14,11 @@ workloads so experiments can be decoupled from generation:
   :mod:`repro.experiments.tracedriven`.
 
 Format: one µop per line, ``opclass[,field=value...]``; ``#`` lines
-are comments.  Fields: ``a`` (byte address, hex), ``d1``/``d2``
-(dependence distances), ``m`` (mispredicted branch flag); the numeric
-ones must be non-negative integers, or loading raises
+are comments.  Fields: ``a`` (byte address, hex; exactly one on every
+``LOAD``/``STORE`` and on nothing else), ``d1``/``d2`` (dependence
+distances), ``m`` (mispredicted-branch flag, ``0`` or ``1``, on
+``BRANCH`` only); the numeric ones must be non-negative integers and
+no field may appear twice, or loading raises
 :class:`~repro.common.errors.ConfigError` naming the field.  A header
 comment records the source profile name so replays keep I-cache
 behaviour.
@@ -92,22 +94,34 @@ def _parse_line(line: str) -> Uop:
         opc = _OPC_NAMES[parts[0]]
     except KeyError:
         raise ConfigError(f"unknown op class {parts[0]!r} in trace") from None
-    addr = 0
-    dep1 = dep2 = 0
-    mispredict = False
+    fields: dict[str, str] = {}
     for field in parts[1:]:
         key, _, value = field.partition("=")
-        if key == "a":
-            addr = _field_int(key, value, 16)
-        elif key == "d1":
-            dep1 = _field_int(key, value)
-        elif key == "d2":
-            dep2 = _field_int(key, value)
-        elif key == "m":
-            mispredict = value == "1"
-        else:
+        if key not in ("a", "d1", "d2", "m"):
             raise ConfigError(f"unknown trace field {key!r}")
-    return Uop(opc, addr, dep1, dep2, mispredict)
+        if key in fields:
+            raise ConfigError(f"trace field {key}= given twice")
+        fields[key] = value
+    if opc.is_memory:
+        if "a" not in fields:
+            raise ConfigError(f"trace field a= missing on {opc.name}")
+        addr = _field_int("a", fields["a"], 16)
+    elif "a" in fields:
+        raise ConfigError(f"trace field a= on non-memory op {opc.name}")
+    else:
+        addr = 0
+    mispredict = fields.get("m", "0")
+    if mispredict not in ("0", "1"):
+        raise ConfigError(f"trace field m={mispredict!r} must be 0 or 1")
+    if "m" in fields and opc is not OpClass.BRANCH:
+        raise ConfigError(f"trace field m= on non-branch op {opc.name}")
+    return Uop(
+        opc,
+        addr,
+        _field_int("d1", fields["d1"]) if "d1" in fields else 0,
+        _field_int("d2", fields["d2"]) if "d2" in fields else 0,
+        mispredict == "1",
+    )
 
 
 def load_trace(handle: TextIO) -> tuple[list[Uop], str]:

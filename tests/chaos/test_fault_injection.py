@@ -269,10 +269,10 @@ class TestInterruptedBatchResume:
         assert resumed_csv.read_bytes() == clean_csv.read_bytes()
 
     def test_fast_engine_resume_matches_reference_clean_run(self, tmp_path):
-        """Crash-resume under ``--engine fast`` must land byte-identical
-        to an undisturbed ``--engine reference`` run: the resume path
-        mixes cached (pre-crash) results with re-simulated ones, and the
-        cache is shared across engines by the bit-identity contract."""
+        """A faulted ``--resume`` must land byte-identical to an
+        undisturbed run: the resume path mixes cached (pre-crash)
+        results with re-simulated ones, which the core's memo has
+        already seen part of."""
         base = [
             sys.executable, "-m", "repro", "fig10",
             "--mixes", "2-MEM", "--instructions", "300", "--warmup", "100",
@@ -292,8 +292,8 @@ class TestInterruptedBatchResume:
                 assert proc.returncode == 0, proc.stderr
             return proc
 
-        clean_csv = tmp_path / "clean_reference.csv"
-        run(["--engine", "reference", "--csv", str(clean_csv)])
+        clean_csv = tmp_path / "clean.csv"
+        run(["--csv", str(clean_csv)])
 
         plan_path = tmp_path / "plan.json"
         FaultPlan(
@@ -302,14 +302,14 @@ class TestInterruptedBatchResume:
         ).write(plan_path)
         cache_dir = tmp_path / "cache"
         proc = run(
-            ["--engine", "fast", "--cache-dir", str(cache_dir), "--resume",
+            ["--cache-dir", str(cache_dir), "--resume",
              "--csv", str(tmp_path / "faulted.csv")],
             faulted=True,
             check=False,
         )
         assert proc.returncode == 3, proc.stdout + proc.stderr
 
-        resumed_csv = tmp_path / "resumed_fast.csv"
-        run(["--engine", "fast", "--cache-dir", str(cache_dir), "--resume",
+        resumed_csv = tmp_path / "resumed.csv"
+        run(["--cache-dir", str(cache_dir), "--resume",
              "--csv", str(resumed_csv)])
         assert resumed_csv.read_bytes() == clean_csv.read_bytes()

@@ -12,6 +12,7 @@ run is still the same one.
 import pytest
 
 from repro.common.events import EventQueue
+from repro.cpu.core import SMTCore
 from repro.experiments.config import SystemConfig
 from repro.experiments.runner import build_system
 from repro.workloads.mixes import MIXES
@@ -27,11 +28,13 @@ _BASE = SystemConfig(
 @pytest.mark.parametrize(
     "mix, overrides, max_events_per_uop, cycles",
     [
-        ("2-ILP", dict(fetch_policy="icount", engine="reference"), 0.75, 184),
+        # ``shortcuts`` is not a config field: it switches the core's
+        # kernel and memo (``SMTCore.shortcuts``) for the row.
+        ("2-ILP", dict(fetch_policy="icount", shortcuts=False), 0.75, 184),
         (
             "8-MIX",
             dict(fetch_policy="dwarn", scheduler="request-based",
-                 engine="fast"),
+                 shortcuts=True),
             0.85,
             10351,
         ),
@@ -49,6 +52,8 @@ def test_events_per_dispatched_uop(
         schedule(self, time, fn, *args)
 
     monkeypatch.setattr(EventQueue, "schedule", counting)
+    overrides = dict(overrides)
+    monkeypatch.setattr(SMTCore, "shortcuts", overrides.pop("shortcuts"))
     config = _BASE.with_(**overrides)
     core, _memory, _hierarchy = build_system(config, MIXES[mix].apps)
     result = core.run(

@@ -1,12 +1,13 @@
-"""Fast-engine edge cases: skips vs FIFO, intervals, sanitizer.
+"""The core's shortcuts: skips vs FIFO, intervals, sanitizer.
 
-The broad bit-identity guarantee lives in the oracle sweep
-(``test_oracle.py`` / the ``repro engine-diff`` CI lane); these tests
-pin the specific hazards a cycle-skipping kernel introduces:
+``SMTCore.shortcuts`` turns the stalled-window kernel and the stream
+memo on (the default) or off; ``tests/engine/test_golden.py`` runs every
+golden job both ways against the same digests.  These tests pin the
+specific hazards a cycle-skipping kernel introduces:
 
 * same-cycle events must keep FIFO order across a skipped window,
 * timeline samples on interval boundaries inside a skip must land
-  exactly where the reference puts them,
+  exactly where ticking every cycle puts them,
 * the sanitizer's monotonic-time checks must hold when the clock jumps,
 * fetch policies with cycle-dependent state (round-robin rotation)
   must see the same cycle numbers,
@@ -22,11 +23,13 @@ from repro.analysis.sanitizer import SimSanitizer
 from repro.common.errors import ConfigError
 from repro.common.events import EventQueue
 from repro.cpu.core import SMTCore
-from repro.engine import ENGINE_NAMES, FastSMTCore, core_class
-from repro.engine.oracle import compare_engines
+from repro.engine import core_class
+from repro.engine.fast import _SharedStream
+from repro.engine.oracle import compare_engines, diff_results
 from repro.experiments.config import SystemConfig
 from repro.experiments.runner import build_system, run_mix
 from repro.metrics.timeline import interval_ipcs
+from repro.service.jobs import config_from_dict, config_to_dict
 from repro.workloads.mixes import MIXES
 
 
@@ -42,58 +45,62 @@ def _config(**overrides) -> SystemConfig:
 
 
 class TestEngineSelection:
+    """There is nothing left to select: one core, shortcuts on."""
+
     def test_registry(self):
-        assert core_class("reference") is SMTCore
-        assert core_class("fast") is FastSMTCore
-        assert set(ENGINE_NAMES) == {"reference", "fast"}
+        # ``bench/trace.py`` asks for the core by its old engine name.
+        assert core_class("fast") is SMTCore
 
     def test_unknown_engine_rejected(self):
         for name in ("warp", "sampled"):
             with pytest.raises(ConfigError):
                 core_class(name)
-            with pytest.raises(ConfigError):
-                SystemConfig(engine=name)
+            with pytest.raises(ValueError, match="unknown engine"):
+                config_from_dict({"engine": name})
+        with pytest.raises(TypeError):
+            SystemConfig(engine="fast")
 
-    def test_fast_is_the_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert SystemConfig().engine == "fast"
+    def test_fast_is_the_default(self):
+        assert SMTCore.shortcuts is True
+        assert not hasattr(SystemConfig(), "engine")
 
-    def test_env_var_overrides_default_only(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "reference")
-        assert SystemConfig().engine == "reference"
-        # explicit choices always win over the environment
-        assert SystemConfig(engine="fast").engine == "fast"
+    def test_env_var_overrides_default_only(self):
+        # No environment variable reaches the shortcuts: they are a
+        # plain class attribute, and the core's module reads no
+        # environment.
+        import repro.cpu.core as core_module
+
+        assert not hasattr(core_module, "os")
+        core, _, _ = build_system(_config(), ("mcf",))
+        assert core.shortcuts is True
+        assert type(core.threads[0].stream) is _SharedStream
 
     def test_cache_key_ignores_engine(self):
-        # Shared result caches across engines are sound *because* of
-        # the bit-identity contract; this is the flip side the oracle
-        # must compensate for (it bypasses the cache).
-        ref = _config(engine="reference")
-        fast = _config(engine="fast")
-        assert ref.cache_key() == fast.cache_key()
+        # A config written when the engine was a field keeps its
+        # identity, whichever engine it named.
+        config = _config()
+        for engine in ("fast", "reference"):
+            doc = dict(config_to_dict(config), engine=engine)
+            assert config_from_dict(doc).cache_key() == config.cache_key()
 
-    def test_build_system_picks_engine_class(self):
-        core, _, _ = build_system(_config(engine="fast"), ("mcf",))
-        assert type(core) is FastSMTCore
-        core, _, _ = build_system(_config(engine="reference"), ("mcf",))
+    def test_build_system_picks_engine_class(self, monkeypatch):
+        core, _, _ = build_system(_config(), ("mcf",))
         assert type(core) is SMTCore
+        assert type(core.threads[0].stream) is _SharedStream
+        monkeypatch.setattr(SMTCore, "shortcuts", False)
+        core, _, _ = build_system(_config(), ("mcf",))
+        assert type(core) is SMTCore
+        assert type(core.threads[0].stream) is not _SharedStream
 
 
 class TestNoRefork:
     def test_fast_core_adds_kernel_and_memo_and_overrides_nothing(self):
-        """The per-µop path exists once, in ``SMTCore``; a method
-        re-appearing in ``FastSMTCore`` is a fork the oracle would then
-        be comparing against itself."""
-        own = vars(FastSMTCore)
-        overridden = {
-            name for name in set(own) & set(vars(SMTCore))
-            if callable(own[name])
-        }
-        assert overridden == {"__init__"}
-        assert {n for n in own if not n.startswith("__")} == {
-            "_stalled_window", "_reject_key",
-        }
-        assert not hasattr(FastSMTCore, "_fetch_fast")
+        """The per-µop path, the kernel and the memo hook all live in
+        ``SMTCore``; a subclass would be a second core to keep equal."""
+        assert SMTCore.__subclasses__() == []
+        own = vars(SMTCore)
+        assert {"_stalled_window", "_reject_key", "shortcuts"} <= set(own)
+        assert not hasattr(SMTCore, "_fetch_fast")
 
 
 class TestKernelOpens:
@@ -102,9 +109,9 @@ class TestKernelOpens:
     ):
         """Bit-identity cannot tell a working kernel from one that never
         opens.  On the stall-dominated 8-MEM mix the stalled-window
-        kernel must skip most cycles, so the fast engine reaches
-        ``_fetch`` at most a third as often as the reference (measured:
-        2 883 vs 15 320)."""
+        kernel must skip most cycles, so with the shortcuts on the core
+        reaches ``_fetch`` at most a third as often as with them off
+        (measured: 2 883 vs 15 320)."""
         real_fetch = SMTCore._fetch
         calls = {"n": 0}
 
@@ -114,14 +121,14 @@ class TestKernelOpens:
 
         monkeypatch.setattr(SMTCore, "_fetch", counting_fetch)
         counts = {}
-        for engine in ENGINE_NAMES:
+        for shortcuts in (False, True):
+            monkeypatch.setattr(SMTCore, "shortcuts", shortcuts)
             calls["n"] = 0
             run_mix(
-                _config(engine=engine, instructions_per_thread=300),
-                MIXES["8-MEM"].apps,
+                _config(instructions_per_thread=300), MIXES["8-MEM"].apps
             )
-            counts[engine] = calls["n"]
-        assert counts["fast"] * 3 <= counts["reference"], counts
+            counts[shortcuts] = calls["n"]
+        assert counts[True] * 3 <= counts[False], counts
 
 
 class TestSameCycleFifoAcrossSkip:
@@ -148,12 +155,13 @@ class TestSameCycleFifoAcrossSkip:
 
 class TestIntervalBoundaries:
     @pytest.mark.parametrize("interval", [64, 200])
-    def test_timeline_identical_under_skips(self, interval):
+    def test_timeline_identical_under_skips(self, interval, monkeypatch):
         """Sample cycles routinely land inside skipped windows; the
-        fast engine must emit the very same (cycle, committed) pairs."""
+        kernel must emit the very same (cycle, committed) pairs."""
         cores = {}
-        for engine in ENGINE_NAMES:
-            cfg = _config(engine=engine)
+        for shortcuts in (False, True):
+            monkeypatch.setattr(SMTCore, "shortcuts", shortcuts)
+            cfg = _config()
             cfg = cfg.with_(
                 core=dataclasses.replace(cfg.core, sample_interval=interval)
             )
@@ -163,8 +171,8 @@ class TestIntervalBoundaries:
                 warmup_instructions=cfg.warmup_instructions,
                 max_cycles=cfg.max_cycles,
             )
-            cores[engine] = core
-        ref, fast = cores["reference"], cores["fast"]
+            cores[shortcuts] = core
+        ref, fast = cores[False], cores[True]
         assert ref.timeline == fast.timeline
         assert len(fast.timeline) >= 2  # the test exercised sampling
         assert interval_ipcs(ref.timeline) == interval_ipcs(fast.timeline)
@@ -194,19 +202,15 @@ class TestSanitizerUnderSkips:
         backwards; a skip that overshoots then rewinds would trip it."""
         sanitizer = SimSanitizer()
         result = run_mix(
-            _config(engine="fast"), MIXES["2-MEM"].apps, sanitizer=sanitizer
+            _config(), MIXES["2-MEM"].apps, sanitizer=sanitizer
         )
         assert result.core.cycles > 0
         assert sanitizer.ok, sanitizer.report()
         sanitizer.raise_if_violations()
 
     def test_sanitized_fast_run_is_bit_identical_to_plain(self):
-        from repro.engine.oracle import diff_results
-
         apps = MIXES["2-MEM"].apps
-        plain = run_mix(_config(engine="fast"), apps)
-        sanitized = run_mix(
-            _config(engine="fast"), apps, sanitizer=SimSanitizer()
-        )
+        plain = run_mix(_config(), apps)
+        sanitized = run_mix(_config(), apps, sanitizer=SimSanitizer())
         diffs = diff_results(plain, sanitized)
         assert not diffs, diffs

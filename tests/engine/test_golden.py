@@ -1,13 +1,20 @@
-"""Golden digests: the reference engine against committed known answers.
+"""Golden digests: the one core, shortcuts on and off, against known answers.
 
-Every other engine guarantee is *relative* (fast vs reference); since
-the per-µop path exists once, a bug in it moves both engines together
-and the differential oracle stays green.  This module pins the
-reference engine itself: one SHA-256 per job over everything
-``oracle.diff_results`` walks (``core`` incl. the ``extra``
+Since the per-µop path exists once, a bug in it moves every run
+together; this module pins the core itself: one SHA-256 per job over
+everything ``oracle.diff_results`` walks (``core`` incl. the ``extra``
 stall/rejection/coverage accounting, ``dram``, ``hierarchy``), for the
-45-job fig10 oracle sweep plus the three ILP mixes under ``icount``
-(the dispatch-bound shape the sweep lacks), at a tier-1 budget.
+figure-10 grid (every memory-bound mix x every scheduler the figure
+plots), nine single-config variations on 8-MEM that reach the paths
+the grid does not, and the three ILP mixes under ``icount`` (the
+dispatch-bound shape the grid lacks), at a tier-1 budget.
+
+Every job runs twice against the same digest: with ``SMTCore.shortcuts``
+off (tick every cycle, generate µops afresh) and on (the stalled-window
+kernel and the stream memo).  That is the differential test the
+shortcuts answer to: a kernel that drops an RNG draw or a stall count
+fails the shortcuts-on run against a digest the shortcut-free run
+still matches.
 
 Three jobs also carry an *occupancy-trace* digest: SHA-256 over the
 sequence of ``(now, thread_id, rob_occupancy, iq_occupancy)`` that
@@ -18,7 +25,7 @@ issue-queue release out of order inside a cycle (``8-MEM`` at this
 budget bounces loads off a full MSHR file, so the retry path is
 inside).
 
-``golden_sweep.json`` was generated from the reference engine of the
+``golden_sweep.json`` was generated with the shortcuts off from the
 commit *before* the cores were merged, the occupancy traces from the
 commit before issue-queue releases were batched per cycle.  A digest
 mismatch means simulated behaviour changed; regenerate only for an
@@ -35,8 +42,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine.oracle import _slot_names, fig10_sweep_jobs
+from repro.cpu.core import SMTCore
+from repro.engine.oracle import _slot_names
 from repro.experiments.config import SystemConfig
+from repro.experiments.figures import FIG10
 from repro.experiments.runner import MixResult, build_system, run_mix
 from repro.workloads.mixes import MIXES
 
@@ -47,8 +56,50 @@ _BASE = SystemConfig(
     instructions_per_thread=300,
     warmup_instructions=100,
     seed=2005,
-    engine="reference",
 )
+
+
+def _with_core(config: SystemConfig, **core_overrides) -> SystemConfig:
+    return config.with_(
+        core=dataclasses.replace(config.core, **core_overrides)
+    )
+
+
+#: Single-config variations on the grid's last mix, covering what
+#: figure 10 does not reach: the command-level controller, close-page
+#: mode, RDRAM timing/geometry, timeline sampling, the hybrid branch
+#: predictor, and every fetch policy.
+EXTRA_VARIATIONS = (
+    ("command-controller", lambda c: c.with_(controller_model="command")),
+    ("close-page", lambda c: c.with_(page_mode="close")),
+    ("rdram", lambda c: c.with_(dram_type="rdram")),
+    ("sampling", lambda c: _with_core(c, sample_interval=200)),
+    ("branch-pred", lambda c: _with_core(c, branch_predictor=True)),
+    ("round-robin", lambda c: c.with_(fetch_policy="round-robin")),
+    ("icount", lambda c: c.with_(fetch_policy="icount")),
+    ("stall", lambda c: c.with_(fetch_policy="stall")),
+    ("dg", lambda c: c.with_(fetch_policy="dg")),
+)
+
+
+def fig10_sweep_jobs(
+    config: SystemConfig,
+) -> list[tuple[str, SystemConfig, tuple[str, ...]]]:
+    """``(label, config, apps)``: the figure-10 grid, then the extra
+    variations on its last mix."""
+    jobs = [
+        (f"{mix_name} {overrides['scheduler']}",
+         config.with_(scheduler=overrides["scheduler"]),
+         MIXES[mix_name].apps)
+        for mix_name in FIG10.rows
+        for _header, overrides in FIG10.columns
+    ]
+    variation_mix = MIXES[FIG10.rows[-1]]
+    jobs.extend(
+        (f"{variation_mix.name} {label}", vary(config), variation_mix.apps)
+        for label, vary in EXTRA_VARIATIONS
+    )
+    return jobs
 
 
 def _jobs() -> dict[str, tuple[SystemConfig, tuple[str, ...]]]:
@@ -161,19 +212,37 @@ def test_golden_file_covers_exactly_the_jobs(golden):
 
 
 @pytest.mark.parametrize("label", list(JOBS))
-def test_reference_engine_matches_golden(label, golden):
+def test_reference_engine_matches_golden(label, golden, monkeypatch):
+    """Shortcuts off: ticking every cycle on freshly generated µops."""
+    monkeypatch.setattr(SMTCore, "shortcuts", False)
     assert _digest_of(label) == golden[label], (
-        f"{label}: reference-engine results changed; see the module "
-        "docstring before regenerating"
+        f"{label}: results without the core's shortcuts changed; see "
+        "the module docstring before regenerating"
+    )
+
+
+@pytest.mark.parametrize("label", list(JOBS))
+def test_shortcuts_match_golden(label, golden, monkeypatch):
+    """Shortcuts on (the default): the kernel and the memo must give
+    the digest the shortcut-free run gives."""
+    monkeypatch.setattr(SMTCore, "shortcuts", True)
+    assert _digest_of(label) == golden[label], (
+        f"{label}: the stalled-window kernel or the stream memo "
+        "diverged from ticking every cycle"
     )
 
 
 @pytest.mark.parametrize("label", TRACED)
-def test_occupancy_trace_matches_golden(label, golden):
-    assert occupancy_trace_digest(label) == golden[TRACE_PREFIX + label], (
-        f"{label}: a load or store observed different ROB/IQ occupancy "
-        "than the committed trace (release order inside a cycle?)"
-    )
+def test_occupancy_trace_matches_golden(label, golden, monkeypatch):
+    for shortcuts in (False, True):
+        monkeypatch.setattr(SMTCore, "shortcuts", shortcuts)
+        assert (
+            occupancy_trace_digest(label) == golden[TRACE_PREFIX + label]
+        ), (
+            f"{label} (shortcuts={shortcuts}): a load or store observed "
+            "different ROB/IQ occupancy than the committed trace "
+            "(release order inside a cycle?)"
+        )
 
 
 def test_digest_sees_nested_accounting():
@@ -194,6 +263,7 @@ def test_digest_sees_nested_accounting():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(f"usage: python {sys.argv[0]} --write")
+    SMTCore.shortcuts = False
     digests = {label: _digest_of(label) for label in JOBS}
     for label in TRACED:
         digests[TRACE_PREFIX + label] = occupancy_trace_digest(label)

@@ -1,6 +1,6 @@
 """Objects per memoized µop: a memory floor host noise cannot fool.
 
-The fast engine keeps every generated µop in a process-wide memo
+The core keeps every generated µop in a process-wide memo
 (``repro.engine.fast._STREAM_MEMO``), so the memo's size is set by how
 many distinct ``Uop`` objects it holds.  Compute µops carry only an op
 class and two dependence distances, and the generator hands out one
@@ -21,7 +21,6 @@ _CONFIG = SystemConfig(
     instructions_per_thread=600,
     warmup_instructions=150,
     seed=2005,
-    engine="fast",
 )
 
 #: Distinct Uop objects may be at most this share of memoized µops.

@@ -1,30 +1,28 @@
-"""Tests for the differential engine oracle.
+"""Tests for the differential oracle.
 
 The structural differ is tested on synthetic values (it must *find*
 planted divergences — an oracle that can't fail is no oracle), then a
-reduced sweep proves the real engines identical inside tier-1.  The
-full fig10 sweep runs in the CI ``engine-diff`` lane.
+few real configurations prove the core's shortcuts identical to
+ticking every cycle.  The full grid runs in ``test_golden.py``, both
+ways against committed digests.
 """
 
 from dataclasses import dataclass
 
 import pytest
 
+from repro.cpu.core import SMTCore
 from repro.engine.oracle import (
-    EXTRA_VARIATIONS,
-    FIG10_MIXES,
-    FIG10_SCHEDULERS,
     MAX_DIFFS,
     ComparisonReport,
     Divergence,
     compare_engines,
     diff_values,
-    fig10_sweep_jobs,
-    run_fig10_sweep,
-    summarize,
 )
 from repro.experiments.config import SystemConfig
+from repro.experiments.figures import FIG10
 from repro.workloads.mixes import MIXES
+from tests.engine.test_golden import EXTRA_VARIATIONS, fig10_sweep_jobs
 
 
 def _diffs(a, b):
@@ -112,39 +110,16 @@ class TestReports:
         text = r.render()
         assert "DIVERGED" in text and "core.cycles" in text
 
-    def test_summarize_both_verdicts(self):
-        ok = ComparisonReport("a", SystemConfig(), ("mcf",))
-        bad = ComparisonReport(
-            "b", SystemConfig(), ("mcf",),
-            divergences=[Divergence("p", 1, 2)],
-        )
-        assert "zero divergence" in summarize([ok, ok])
-        assert "DIVERGED" in summarize([ok, bad])
-
 
 class TestSweepJobs:
     def test_full_sweep_shape(self):
-        jobs = fig10_sweep_jobs()
-        expected = len(FIG10_MIXES) * len(FIG10_SCHEDULERS) + len(
+        jobs = fig10_sweep_jobs(SystemConfig())
+        expected = len(FIG10.rows) * len(FIG10.columns) + len(
             EXTRA_VARIATIONS
         )
         assert len(jobs) == expected
         labels = [label for label, _, _ in jobs]
         assert len(set(labels)) == len(labels)  # no silent collisions
-
-    def test_variations_change_their_config(self):
-        base = SystemConfig()
-        jobs = dict(
-            (label, cfg) for label, cfg, _ in fig10_sweep_jobs(base)
-        )
-        assert jobs["8-MEM command-controller"].controller_model == "command"
-        assert jobs["8-MEM rdram"].dram_type == "rdram"
-        assert jobs["8-MEM sampling"].core.sample_interval == 200
-        assert jobs["8-MEM dg"].fetch_policy == "dg"
-
-    def test_mix_subset_respected(self):
-        jobs = fig10_sweep_jobs(mixes=("2-MEM",))
-        assert all("2-MEM" in label for label, _, _ in jobs)
 
 
 def _tiny() -> SystemConfig:
@@ -168,14 +143,10 @@ class TestRealEngines:
         )
         assert report.identical, report.render()
 
-    def test_run_fig10_sweep_fail_fast_and_progress(self):
-        seen = []
-        reports = run_fig10_sweep(
-            _tiny(), mixes=("2-MEM",), progress=seen.append,
-            fail_fast=True,
-        )
-        assert len(seen) == len(reports)
-        assert all(r.identical for r in reports)
+    def test_compare_engines_restores_the_switch(self, monkeypatch):
+        monkeypatch.setattr(SMTCore, "shortcuts", False)
+        compare_engines(_tiny(), ("gzip",))
+        assert SMTCore.shortcuts is False
 
     def test_oracle_detects_a_planted_divergence(self):
         """An oracle that cannot fail proves nothing: diff two runs of

@@ -32,11 +32,9 @@ from repro.service.store import ResultStore
 
 GOLDEN_PATH = Path(__file__).with_name("one_path_golden.json")
 
-# A result pickles its config, so the engine is pinned: the digests
-# must not follow ``REPRO_ENGINE``.
 CONFIG = SystemConfig(
     scale=32, instructions_per_thread=200, warmup_instructions=50,
-    seed=2005, engine="fast",
+    seed=2005,
 )
 MIX = ("mcf", "gzip")
 

@@ -8,6 +8,7 @@ import urllib.request
 
 import pytest
 
+from repro.cpu.core import SMTCore
 from repro.engine.oracle import diff_values
 from repro.experiments.resilience import RetryPolicy
 from repro.experiments.runner import Runner
@@ -74,17 +75,21 @@ class TestExactlyOnce:
 
 class TestBitIdentity:
     @pytest.mark.parametrize("engine", ["fast", "reference"])
-    def test_fetched_equals_direct_run(self, service, tiny_config, engine):
+    def test_fetched_equals_direct_run(
+        self, service, tiny_config, engine, monkeypatch
+    ):
+        # "reference": the core's shortcuts off, in the served run too
+        # (the scheduler simulates in this process).
+        monkeypatch.setattr(SMTCore, "shortcuts", engine == "fast")
         client, scheduler = service
-        config = tiny_config.with_(engine=engine)
-        served = client.run(config, ["mcf", "gzip"], timeout=300)
-        direct = Runner().run_mix(config, ("mcf", "gzip"))
+        served = client.run(tiny_config, ["mcf", "gzip"], timeout=300)
+        direct = Runner().run_mix(tiny_config, ("mcf", "gzip"))
         divergences = []
         diff_values(served, direct, "result", divergences)
         assert divergences == []
         # Byte-level: the served payload is the exact pickle a local
         # runner would have produced.
-        key = scheduler.store.key_for(config, ("mcf", "gzip"))
+        key = scheduler.store.key_for(tiny_config, ("mcf", "gzip"))
         assert client.fetch_bytes(key) == pickle.dumps(
             direct, protocol=pickle.HIGHEST_PROTOCOL
         )

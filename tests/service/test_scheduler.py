@@ -271,6 +271,41 @@ class TestResume:
         }
 
 
+    def test_log_with_engine_field_replays(self, tiny_config, tmp_path, caplog):
+        """Every enqueue record written while ``SystemConfig`` had an
+        ``engine`` field carries it; an upgraded ``--resume`` must still
+        queue every pending job, and name the one spec it cannot read."""
+        configs = [
+            tiny_config.with_(scheduler=name)
+            for name in ("fcfs", "hit-first", "read-first")
+        ]
+        store = ResultStore(tmp_path)
+        keys = [store.key_for(c, ("gzip",)) for c in configs]
+        docs = [JobSpec.of(c, ("gzip",)).to_dict() for c in configs]
+        for doc, engine in zip(docs, ("fast", "fast", "reference")):
+            doc["config"]["engine"] = engine
+        bad = JobSpec.of(tiny_config, ("mcf",)).to_dict()
+        bad["config"]["engine"] = "sampled"
+        bad_key = store.key_for(tiny_config, ("mcf",))
+        records = [{"event": "log-start", "schema": 1}] + [
+            {"event": "enqueue", "key": key, "run": "r", "job": doc}
+            for key, doc in [*zip(keys, docs), (bad_key, bad)]
+        ]
+        path = tmp_path / "service" / "jobs.jsonl"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(
+            "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        )
+        with caplog.at_level("WARNING", logger="repro.service.scheduler"):
+            resumed = CampaignScheduler(ResultStore(tmp_path), resume=True)
+        assert resumed.queue_depth == len(keys)
+        for key in keys:
+            assert resumed.job_status(key)["state"] == "queued"
+        assert resumed.job_status(bad_key) is None
+        assert [r for r in caplog.records if bad_key in r.getMessage()]
+        resumed.stop()
+
+
 class TestCampaigns:
     def test_campaign_runs_to_completion(self, tiny_config, tmp_path):
         store = ResultStore(tmp_path)

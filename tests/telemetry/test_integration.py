@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.cpu.core import SMTCore
 from repro.experiments.runner import Runner, run_mix
 from repro.telemetry import (
     EventTracer,
@@ -59,8 +60,8 @@ class TestDisabledIsInvisible:
         The hot paths (core tick, fetch policies, DRAM issue) hoist their
         telemetry checks so a disabled run never touches an instrument;
         this pins that audit by counting invocations on the
-        null-instrument classes during an untelemetered run of each
-        engine.
+        null-instrument classes during an untelemetered run with the
+        core's shortcuts on and off.
         """
         from repro.telemetry import registry as reg
         from repro.workloads.mixes import MIXES
@@ -75,13 +76,13 @@ class TestDisabledIsInvisible:
         monkeypatch.setattr(reg._NullHistogram, "observe", counting)
         monkeypatch.setattr(reg._NullSeries, "record", counting)
 
-        for engine in ("fast", "reference"):
+        for shortcuts in (True, False):
+            monkeypatch.setattr(SMTCore, "shortcuts", shortcuts)
             calls["n"] = 0
-            config = quick_config.with_(engine=engine)
-            result = run_mix(config, MIXES["2-MEM"].apps)
+            result = run_mix(quick_config, MIXES["2-MEM"].apps)
             assert result.core.cycles > 0
             assert calls["n"] == 0, (
-                f"{engine} engine made {calls['n']} instrument calls "
+                f"shortcuts={shortcuts}: {calls['n']} instrument calls "
                 "with telemetry disabled"
             )
 
@@ -182,25 +183,26 @@ class TestDramCommandTrace:
 
 
 class TestPipelineTrace:
-    def test_fetch_gate_events(self, quick_config):
-        """Gate events carry policy and reason, and — one ``_fetch``
-        serves every engine, and a tracer keeps the fast engine out of
-        its skip kernel — both engines emit the same front-end events
-        at the same cycles."""
+    def test_fetch_gate_events(self, quick_config, monkeypatch):
+        """Gate events carry policy and reason, and — a tracer keeps
+        the core out of its skip kernel — the core emits the same
+        front-end events at the same cycles with its shortcuts on and
+        off."""
         emitted = {}
-        for engine in ("reference", "fast"):
-            config = quick_config.with_(fetch_policy="dwarn", engine=engine)
+        for shortcuts in (False, True):
+            monkeypatch.setattr(SMTCore, "shortcuts", shortcuts)
+            config = quick_config.with_(fetch_policy="dwarn")
             _, telemetry = _traced_run(config, ["mcf", "art"])
             events = telemetry.tracer.events("cpu.fetch")
             gates = [e for e in events if e.name == "fetch.gate"]
             assert gates
             assert all(e.args["policy"] == "dwarn" for e in gates)
             assert all(e.args["reason"] == "iq-pressure" for e in gates)
-            emitted[engine] = [(e.name, e.ts, e.tid) for e in events]
+            emitted[shortcuts] = [(e.name, e.ts, e.tid) for e in events]
         assert {"fetch.icache_miss", "fetch.redirect"} <= {
-            name for name, _, _ in emitted["fast"]
+            name for name, _, _ in emitted[True]
         }
-        assert emitted["reference"] == emitted["fast"]
+        assert emitted[False] == emitted[True]
 
     def test_mshr_events(self, quick_config):
         _, telemetry = _traced_run(quick_config, ["mcf", "art"])

@@ -6,8 +6,12 @@ DRAM model must not pull in the experiment harness, the lint engine,
 the service stack, the process pool or the run-manifest and trace
 code; the figure driver must not pull in the lint engine, the service
 or ``multiprocessing``; planning a campaign must not pull in the HTTP
-stack; and the CLI module must not compile the lint engine or the HTTP
-API just to build its parser.
+stack; the CLI module must not compile the lint engine or the HTTP
+API just to build its parser; and running a mix must not load the
+differential oracle.  Separately, the core and the ``repro.engine``
+modules each import alone: ``repro.cpu.core`` imports the stream memo
+from ``repro.engine.fast``, so an import of the core from
+``repro/engine/__init__.py`` would be a cycle.
 """
 
 import json
@@ -55,6 +59,10 @@ CASES = {
         "import repro.experiments.cli",
         ["repro.analysis.dataflow", "repro.service.api"],
     ),
+    "runner": (
+        "from repro.experiments.runner import run_mix",
+        ["repro.engine.oracle"],
+    ),
 }
 
 
@@ -79,3 +87,12 @@ def test_entry_point_loads_only_what_it_runs(case):
 def test_probe_sees_what_it_looks_for():
     """The probe itself works: a forbidden import does show up."""
     assert loaded("import repro.experiments.cli", ["repro.experiments"]) != []
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["repro.cpu.core", "repro.engine", "repro.engine.fast",
+     "repro.engine.oracle"],
+)
+def test_core_and_engine_modules_import_alone(module):
+    assert loaded(f"import {module}", [module]) == [module]

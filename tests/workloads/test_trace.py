@@ -109,6 +109,15 @@ class TestParsing:
             ("INT_ALU,d1=-3", "d1"),
             ("INT_ALU,d1=2,d2=-1", "d2"),
             ("STORE,a=-40", "a"),
+            ("BRANCH,m=yes", "m"),
+            ("BRANCH,m=2", "m"),
+            ("LOAD", "a"),
+            ("STORE,d1=2", "a"),
+            ("LOAD,a=40,a=50", "a"),
+            ("INT_ALU,d1=1,d1=2", "d1"),
+            ("INT_ALU,a=40", "a"),
+            ("INT_ALU,m=1", "m"),
+            ("LOAD,a=40,m=0", "m"),
         ],
     )
     def test_bad_field_value_rejected(self, line, field):
