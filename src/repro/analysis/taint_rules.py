@@ -135,8 +135,8 @@ SINKS: tuple[Sink, ...] = (
     # TNT003 — job-log records (replayed on --resume): every record,
     # from the executor or the scheduler, is written by JobLog.append.
     # Bug class: a clock reading, pid or listing order persisted into a
-    # record that recovery replays (a requeue record carries a count,
-    # never a timestamp).
+    # record that recovery replays (a terminal failure's record carries
+    # its detail, never a timestamp).
     Sink("TNT003", "append", ("joblog", "journal"), "job-log record"),
 )
 

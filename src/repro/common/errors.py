@@ -22,13 +22,15 @@ class ReproError(Exception):
     """Base class for every error raised by the repro library."""
 
 
-class ConfigError(ReproError):
+class ConfigError(ReproError, ValueError):
     """An invalid or inconsistent configuration was supplied.
 
     Raised eagerly at construction time (e.g. a channel gang that does
     not divide the physical channel count, a cache whose size is not a
     multiple of ``line_size * associativity``) so misconfigurations are
-    reported before any simulation work happens.
+    reported before any simulation work happens.  It is a
+    ``ValueError`` too, so code that rejects bad input (the service's
+    job decoding) rejects a bad configuration the same way.
     """
 
 

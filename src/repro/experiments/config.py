@@ -18,7 +18,9 @@ from dataclasses import dataclass, field, replace
 from repro.common.errors import ConfigError
 from repro.cache.hierarchy import HierarchyParams
 from repro.cpu.core import CoreParams
+from repro.cpu.fetch import fetch_policy_names
 from repro.dram.bank import PageMode
+from repro.dram.schedulers import scheduler_names
 
 
 def field_dict(obj) -> dict:
@@ -102,6 +104,16 @@ class SystemConfig:
             raise ConfigError(
                 f"controller_model must be request|command, "
                 f"got {self.controller_model!r}"
+            )
+        if self.scheduler not in scheduler_names():
+            raise ConfigError(
+                f"scheduler must be one of {'|'.join(scheduler_names())}, "
+                f"got {self.scheduler!r}"
+            )
+        if self.fetch_policy not in fetch_policy_names():
+            raise ConfigError(
+                f"fetch_policy must be one of "
+                f"{'|'.join(fetch_policy_names())}, got {self.fetch_policy!r}"
             )
         if self.channels < 1:
             raise ConfigError(f"channels must be >= 1, got {self.channels}")

@@ -29,8 +29,8 @@ campaign actually meets:
   fsynced JSONL file whose records are the job state machine for both
   a local ``--resume`` batch and the campaign service.  A completion is
   written only *after* the result is durably in the ResultStore, and
-  every view a restart needs (pending queue, requeue counts, campaigns,
-  terminal failures, completions) is one :func:`replay` of it.
+  every view a restart needs (pending queue, campaigns, terminal
+  failures, completions) is one :func:`replay` of it.
 
 Determinism: recovery never changes results.  A retried or resumed job
 re-runs the same deterministic simulation and the caller collects
@@ -138,9 +138,7 @@ class ResilienceStats:
 
 
 #: Every view :func:`replay` derives from a job log.
-VIEWS = (
-    "submitted", "pending", "requeues", "campaigns", "terminal", "done",
-)
+VIEWS = ("submitted", "pending", "campaigns", "terminal", "done")
 
 
 def replay(records, view: dict | None = None) -> dict[str, dict]:
@@ -149,13 +147,12 @@ def replay(records, view: dict | None = None) -> dict[str, dict]:
     Each view is a dict keyed by job key: ``submitted`` (the job spec
     of its first ``enqueue``, in submission order), ``pending`` (the
     submitted jobs neither done nor terminally failed, in order),
-    ``requeues`` (requeues since the last ``enqueue``), ``terminal``
-    (the detail of a terminal failure not since resubmitted) and
-    ``done`` (the number of completion records); ``campaigns`` is keyed
-    by campaign id.  Passing ``view`` folds the records into it.
-    Events no view needs are skipped, which is how logs written with
-    ``grant``/``reclaim`` records and ``requeued``/``shutdown``
-    releases still replay.
+    ``terminal`` (the detail of a terminal failure not since
+    resubmitted) and ``done`` (the number of completion records);
+    ``campaigns`` is keyed by campaign id.  Passing ``view`` folds the
+    records into it.  Events no view needs are skipped, which is how
+    logs written with ``grant``/``reclaim``/``requeue`` records and
+    ``requeued``/``shutdown`` releases still replay.
     """
     if view is None:
         view = {name: {} for name in VIEWS}
@@ -170,12 +167,9 @@ def replay(records, view: dict | None = None) -> dict[str, dict]:
             continue
         elif event == "enqueue":
             view["submitted"].setdefault(key, record.get("job"))
-            view["requeues"].pop(key, None)
             view["terminal"].pop(key, None)
             if key not in view["done"]:
                 view["pending"].setdefault(key)
-        elif event == "requeue":
-            view["requeues"][key] = int(record["requeues"])
         elif event == "release":
             outcome = record.get("outcome")
             if outcome == "done":

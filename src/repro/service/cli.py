@@ -89,7 +89,8 @@ def add_service_parsers(sub: argparse._SubParsersAction) -> None:
     )
     p.add_argument(
         "--retries", type=int, default=1, metavar="N",
-        help="per-job retry budget for the workers (default 1)",
+        help="per-job retry budget: a job that fails N+1 attempts "
+        "fails terminally (default 1)",
     )
     p.add_argument(
         "--timeout", type=float, default=30.0, metavar="SECONDS",
@@ -105,11 +106,6 @@ def add_service_parsers(sub: argparse._SubParsersAction) -> None:
         "--max-queue", type=int, default=64, metavar="N",
         help="admission limit: submits past this queue depth are shed "
         "with 429 + Retry-After (default 64)",
-    )
-    p.add_argument(
-        "--max-requeues", type=int, default=1, metavar="N",
-        help="times an aborted batch's job may requeue before failing "
-        "(default 1)",
     )
 
     p = sub.add_parser(
@@ -194,7 +190,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         policy=policy,
         resume=args.resume,
-        max_requeues=args.max_requeues,
         fault_plan=fault_plan,
     )
     server = make_server(

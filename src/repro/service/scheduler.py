@@ -15,8 +15,8 @@ Design:
   cache misses for the same key therefore enqueue one job, and the log
   carries exactly one completion for it.
 * **One persisted job log.**  Every enqueue (with the full job spec,
-  so the log is self-contained), campaign, requeue, completion and
-  shutdown is a record in the fsynced, append-only
+  so the log is self-contained), campaign, completion, terminal
+  failure and shutdown is a record in the fsynced, append-only
   ``service/jobs.jsonl`` (a
   :class:`~repro.experiments.resilience.JobLog`); the worker drains in
   submission order.  On ``resume=True`` the log is replayed: jobs
@@ -32,8 +32,9 @@ Design:
   and the job log: inside a batch, the executor's per-job watchdog,
   bounded retries and pool rebuilds recover hangs and crashes, and
   results are bit-identical to a local run of the same job list
-  because they *are* the same code path.  A batch the executor gives
-  up on requeues its unfinished jobs, bounded by ``max_requeues``; a
+  because they *are* the same code path.  The policy is the only
+  retry budget: a job the executor gives up on fails terminally, and
+  the batch-mates it cut short go back on the queue uncharged; a
   ``kill -9`` is recovered by ``--resume``'s replay.  A worker-thread
   crash flips :attr:`crashed` so the API degrades to read-only, and
   fails its in-flight jobs non-terminally so ``--resume`` re-runs them.
@@ -76,7 +77,6 @@ class SupervisionStats:
     harness — can see what a deployment went through.
     """
 
-    requeues: int = 0
     scheduler_crashes: int = 0
     shed: int = 0
     read_only_rejections: int = 0
@@ -94,8 +94,7 @@ class _Job:
     """Scheduler-side state of one deduplicated job."""
 
     __slots__ = (
-        "spec", "key", "state", "detail", "source", "wall_s",
-        "requeues", "terminal",
+        "spec", "key", "state", "detail", "source", "wall_s", "terminal",
     )
 
     def __init__(self, spec: JobSpec, key: str) -> None:
@@ -105,9 +104,7 @@ class _Job:
         self.detail = ""
         self.source = ""
         self.wall_s = 0.0
-        #: Times an aborted batch put this job back on the queue.
-        self.requeues = 0
-        #: A terminal failure (budget exhausted) is a log record and
+        #: A terminal failure (retry budget exhausted) is a log record and
         #: survives --resume, however the process ended; a
         #: circumstantial one (scheduler crash) re-runs instead.
         self.terminal = False
@@ -128,8 +125,6 @@ class _Job:
             doc["source"] = self.source
         if self.detail:
             doc["detail"] = self.detail
-        if self.requeues:
-            doc["requeues"] = self.requeues
         return doc
 
 
@@ -144,13 +139,12 @@ class CampaignScheduler:
         Process-pool width for batch execution; ``1`` runs batches
         serially inside the scheduler thread.
     policy:
-        Fault-tolerance policy for the workers (default: fail fast).
+        Fault-tolerance policy for the workers (default: fail fast),
+        and the only retry budget a job gets: one the executor gives
+        up on fails terminally.
     resume:
         Replay ``service/jobs.jsonl`` and continue an interrupted
         deployment instead of starting fresh.
-    max_requeues:
-        How many times an aborted batch's job may re-queue before it
-        is marked failed.
     fault_plan:
         Deterministic fault injection for the batches (chaos testing
         only; also reachable via ``REPRO_FAULT_PLAN`` through the
@@ -163,7 +157,6 @@ class CampaignScheduler:
         workers: int = 1,
         policy: RetryPolicy | None = None,
         resume: bool = False,
-        max_requeues: int = 1,
         fault_plan: FaultPlan | None = None,
     ) -> None:
         if workers < 1:
@@ -171,7 +164,6 @@ class CampaignScheduler:
         self.store = store
         self.workers = workers
         self.policy = policy if policy is not None else RetryPolicy()
-        self.max_requeues = max_requeues
         self.fault_plan = fault_plan
         self.joblog = JobLog(
             store.cache_dir / "service" / "jobs.jsonl", resume=resume
@@ -212,7 +204,6 @@ class CampaignScheduler:
                     )
                     continue
                 job = _Job(spec, key)
-                job.requeues = view["requeues"].get(key, 0)
                 self._jobs[key] = job
                 if self.store.has(key):
                     self._finish(job, "store")
@@ -220,7 +211,7 @@ class CampaignScheduler:
                     self.joblog.append(job.record("release", outcome="done"))
                 elif key in view["terminal"]:
                     # The previous deployment already burned this job's
-                    # requeue budget; don't silently re-run it.
+                    # retry budget; don't silently re-run it.
                     job.state = "failed"
                     job.detail = view["terminal"][key]
                     job.terminal = True
@@ -272,7 +263,6 @@ class CampaignScheduler:
             job.state = "queued"
             job.detail = ""
             job.terminal = False
-            job.requeues = 0
             self.joblog.append(job.record("enqueue", job=spec.to_dict()))
             self._queue.append(key)
             self._cond.notify_all()
@@ -373,15 +363,6 @@ class CampaignScheduler:
     # ------------------------------------------------------------------
     # the worker loop
 
-    def _requeue(self, job: _Job, why: str) -> None:
-        """Put an aborted batch's job back on the queue (caller holds lock)."""
-        job.requeues += 1
-        job.state = "queued"
-        job.detail = why
-        self.sup_stats.requeues += 1
-        self.joblog.append(job.record("requeue", requeues=job.requeues))
-        self._queue.append(job.key)
-
     def _fail(self, job: _Job, detail: str) -> None:
         """Fail a job terminally (caller holds lock); the record is what
         keeps it failed across --resume."""
@@ -408,30 +389,23 @@ class CampaignScheduler:
                 fault_plan=self.fault_plan,
             )
         except JobFailureError as exc:
+            # The executor spent the policy's budget on the job the
+            # error names (always one of this batch): it fails.
             detail = str(exc)
             requeued = 0
-            # The abort is charged to the job it names; a failure no
-            # job of the batch owns is charged to all of them.
-            culprits = {
-                key for key in keys
-                if self._jobs[key].spec.run_id == exc.job_id
-            } or set(keys)
             with self._cond, self.joblog.group():
                 for key in keys:
                     job = self._jobs[key]
                     if self.store.has(key):
                         self._finish(job, "service")
-                    elif key not in culprits:
+                    elif job.spec.run_id == exc.job_id:
+                        self._fail(job, detail)
+                    else:
                         # Cut short by a batch-mate: back on the queue
                         # with no record, so it stays pending in the log.
                         job.state = "queued"
                         self._queue.append(key)
                         requeued += 1
-                    elif job.requeues < self.max_requeues:
-                        self._requeue(job, detail)
-                        requeued += 1
-                    else:
-                        self._fail(job, detail)
                 if requeued:
                     self._cond.notify_all()
             log.warning(

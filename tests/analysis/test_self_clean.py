@@ -66,10 +66,12 @@ MUTATIONS = [
      '"req": request.req_id,',
      '"req": id(request),',
      "DET008"),
-    # TNT003: a clock reading in the requeue record the job log replays.
+    # TNT003: a clock reading in the terminal-failure record the job
+    # log replays.
     ("service/scheduler.py",
-     'job.record("requeue", requeues=job.requeues)',
-     'job.record("requeue", requeues=job.requeues, at=time.monotonic())',
+     'job.record("release", outcome="failed", detail=detail)',
+     'job.record("release", outcome="failed", detail=detail, '
+     'at=time.monotonic())',
      "TNT003"),
     # FS001: server info written straight onto its shared final path.
     ("service/client.py",

@@ -9,8 +9,8 @@ such that
 
 * the recovered store is **byte-identical** to an uninterrupted run,
 * the job log proves every job executed **exactly once** (one
-  ``release/done`` per key, however many retries, requeues and
-  restarts it took), and
+  ``release/done`` per key, however many retries and restarts it
+  took), and
 * the API **served read-only traffic** throughout the scheduler
   outage (warm reads and warm submits answered, cold submits shed
   with ``503 + Retry-After``).
@@ -86,7 +86,7 @@ def _start_serve(
     cmd = [
         sys.executable, "-m", "repro", "serve",
         "--store", str(store), "--workers", "2",
-        "--timeout", "30", "--max-requeues", "2",
+        "--timeout", "30",
     ]
     if resume:
         cmd.append("--resume")
@@ -363,6 +363,6 @@ class TestRecoveryBookkeeping:
         assert lines, "serve did not print its supervision summary"
         stats = json.loads(lines[-1].removeprefix("[supervision] "))
         assert set(stats) == {
-            "requeues", "scheduler_crashes", "shed",
-            "read_only_rejections", "deadline_rejections",
+            "scheduler_crashes", "shed", "read_only_rejections",
+            "deadline_rejections",
         }

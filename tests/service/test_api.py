@@ -129,6 +129,28 @@ class TestSubmit:
         status, doc = app.submit({"campaign": {"experiment": "fig99"}})
         assert status == 400
 
+    def test_invalid_config_is_400_and_enqueues_nothing(
+        self, tiny_config, tmp_path
+    ):
+        """A config ``SystemConfig`` rejects (``ConfigError``) is the
+        client's mistake: 400, as a job and as a campaign config, and
+        nothing reaches the queue or the job log."""
+        app = _app(tmp_path)
+        for bad in ({"channels": 0}, {"scheduler": "bogus"},
+                    {"fetch_policy": "bogus"}):
+            config = {**config_to_dict(tiny_config), **bad}
+            status, doc = app.submit({"config": config, "apps": ["gzip"]})
+            assert status == 400, doc
+            assert doc["error"].startswith("bad job spec")
+            status, doc = app.submit(
+                {"campaign": {"experiment": "fig1", "config": config}}
+            )
+            assert status == 400, doc
+            assert doc["error"].startswith("bad campaign spec")
+        assert app.scheduler.queue_depth == 0
+        assert app.scheduler.joblog.view["submitted"] == {}
+        assert app.scheduler.joblog.view["campaigns"] == {}
+
     def test_routing(self, tiny_config, tmp_path):
         app = _app(tmp_path)
         key = _seed(app, tiny_config)

@@ -1,8 +1,8 @@
 """Crash at any byte: a truncated job log replays to what it proves.
 
 One real scheduler session (a campaign, its completions, a job whose
-failing simulation aborts one batch -- a requeue -- and then another
--- a terminal failure -- and a clean shutdown) writes
+failing simulation aborts its batch -- a terminal failure -- and a
+clean shutdown) writes
 ``service/jobs.jsonl``.  A kill -9 can stop that file at any
 byte, so every prefix must replay without raising, report done
 exactly the jobs whose completion record (newline included) is wholly
@@ -31,16 +31,13 @@ CONFIG = SystemConfig(
 @functools.cache
 def _session_log() -> bytes:
     # The only gzip job fails on every attempt.  Submitted after the
-    # campaign, it aborts the first batch once the campaign has landed
-    # (requeued once), then its own batch (out of budget).
+    # campaign, it aborts the batch once the campaign has landed.
     plan = FaultPlan(
         specs=(FaultSpec(kind="exception", apps=("gzip",), attempt=None),)
     )
     with tempfile.TemporaryDirectory() as tmp:
         store = ResultStore(tmp)
-        scheduler = CampaignScheduler(
-            store, max_requeues=1, fault_plan=plan
-        )
+        scheduler = CampaignScheduler(store, fault_plan=plan)
         scheduler.submit_campaign("fig10", CONFIG, mixes=["2-MEM"])
         scheduler.submit_job(CONFIG.with_(channels=4), ("gzip",))
         scheduler.start()
@@ -62,8 +59,8 @@ def _whole_records(data: bytes, prefix: int) -> list[dict]:
 def test_session_exercises_every_record_kind():
     events = {r["event"] for r in parse_records(_session_log())}
     assert events >= {
-        "log-start", "campaign", "enqueue", "failure", "abort", "requeue",
-        "release", "shutdown",
+        "log-start", "campaign", "enqueue", "failure", "abort", "release",
+        "shutdown",
     }
     assert not events & {"grant", "reclaim"}
     view = replay(parse_records(_session_log()))

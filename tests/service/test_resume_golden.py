@@ -4,7 +4,9 @@ Each scenario drives a real :class:`CampaignScheduler` (one worker)
 through an interruption and a ``resume=True`` restart, and records at
 every step what an operator can observe:
 
-* per job: ``(state, requeues, source)`` from ``job_status``;
+* per job: ``(state, 0, source)`` from ``job_status`` (the middle
+  column counted the scheduler's own retries, which no longer exist;
+  it stays so the golden file does not move);
 * the ``campaign_status`` document of the scenario's campaign;
 * the ``/healthz`` job histogram and queue depth;
 * the ordered run ids the scheduler actually simulated.
@@ -12,11 +14,11 @@ every step what an operator can observe:
 The scenarios are a fresh campaign then resume, a mid-batch abandon
 (the worker wedges inside a simulation and the process is walked away
 from) then resume, and a clean stop that leaves a terminal failure (a
-batch aborted by a failing simulation, no requeue budget) then
-resume.  ``resume_golden.json`` was generated from the tree in which
-the job lifecycle was still persisted in four files, before it became
-one job log; any change to what a resumed scheduler does shows up as
-a diff.  Regenerate only for an intentional change::
+batch aborted by a failing simulation) then resume.
+``resume_golden.json`` was generated from the tree in which the job
+lifecycle was still persisted in four files, before it became one job
+log; any change to what a resumed scheduler does shows up as a diff.
+Regenerate only for an intentional change::
 
     PYTHONPATH=src python tests/service/test_resume_golden.py --write
 """
@@ -85,10 +87,7 @@ def _observe(scheduler: CampaignScheduler, keys: list[str], cid=None) -> dict:
     jobs = {}
     for key in keys:
         status = scheduler.job_status(key) or {}
-        jobs[key] = [
-            status.get("state"), status.get("requeues", 0),
-            status.get("source", ""),
-        ]
+        jobs[key] = [status.get("state"), 0, status.get("source", "")]
     health = ServiceApp(scheduler).healthz()[1]
     doc = {
         "jobs": jobs,
@@ -155,7 +154,7 @@ def terminal_failure_then_resume(tmp: Path, sims: _Simulations) -> dict:
     # The failing job is submitted second: the first one completes
     # before the failure aborts the batch.
     sims.failing.add(run_id(*jobs[0]))
-    scheduler = CampaignScheduler(store, max_requeues=0)
+    scheduler = CampaignScheduler(store)
     for config, apps in reversed(jobs):
         scheduler.submit_job(config, apps)
     scheduler.start()

@@ -1,16 +1,18 @@
 """Tests for the campaign scheduler: exactly-once, resume, campaigns,
-and its one failure path (batch abort -> requeue -> terminal failure,
+and its one failure path (retry budget spent -> terminal failure,
 scheduler crash -> read-only, kill -9 -> --resume)."""
 
 import json
 import threading
 import time
 
+import pytest
+
 import repro.experiments.resilience as resilience
 import repro.experiments.runner as runner_mod
 from repro.experiments.resilience import RetryPolicy
 from repro.experiments.runner import run_mix
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults import FaultPlan, FaultSpec, InjectedFault
 from repro.service.jobs import JobSpec, campaign_jobs
 from repro.service.scheduler import CampaignScheduler
 from repro.service.store import ResultStore
@@ -197,10 +199,11 @@ class TestResume:
     def test_log_with_lease_records_replays(
         self, tiny_config, tmp_path, monkeypatch
     ):
-        """A job log written while leases existed (``grant``/``reclaim``
-        records, ``requeued``/``shutdown`` releases) still resumes: those
-        records are ignored, and exactly the unfinished, non-terminal
-        jobs re-run."""
+        """A job log written while leases and the scheduler's own retry
+        layer existed (``grant``/``reclaim``/``requeue`` records,
+        ``requeued``/``shutdown`` releases) still resumes: those records
+        are ignored, and exactly the unfinished, non-terminal jobs
+        re-run."""
         configs = {
             name: tiny_config.with_(scheduler=name)
             for name in ("fcfs", "hit-first", "read-first", "request-based")
@@ -243,7 +246,7 @@ class TestResume:
         path.write_text(
             "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
         )
-        assert {"grant", "reclaim"} <= {r["event"] for r in records}
+        assert {"grant", "reclaim", "requeue"} <= {r["event"] for r in records}
 
         simulated = []
         real = runner_mod._simulate
@@ -255,13 +258,18 @@ class TestResume:
         monkeypatch.setattr(runner_mod, "_simulate", counting)
         resumed = CampaignScheduler(ResultStore(tmp_path), resume=True)
         view = resumed.joblog.view
+        assert view == resilience.replay(
+            [r for r in records if r["event"] != "requeue"]
+        )
         assert list(view["submitted"]) == list(key.values())
         assert list(view["pending"]) == [key["hit-first"], key["request-based"]]
         assert view["done"] == {key["fcfs"]: 1}
         assert list(view["terminal"]) == [key["read-first"]]
-        assert view["requeues"] == {key["hit-first"]: 1}
         assert resumed.job_status(key["fcfs"])["state"] == "done"
         assert resumed.job_status(key["read-first"])["state"] == "failed"
+        assert set(resumed.job_status(key["hit-first"])) == {
+            "key", "run_id", "state", "apps",
+        }
         resumed.start()
         assert resumed.drain(timeout=120)
         resumed.stop()
@@ -303,6 +311,33 @@ class TestResume:
             assert resumed.job_status(key)["state"] == "queued"
         assert resumed.job_status(bad_key) is None
         assert [r for r in caplog.records if bad_key in r.getMessage()]
+        resumed.stop()
+
+    def test_log_with_invalid_config_replays(self, tiny_config, tmp_path,
+                                             caplog):
+        """An enqueue written before ``SystemConfig`` checked scheduler
+        and fetch-policy names can hold a config that no longer
+        decodes: ``--resume`` names it in a warning and skips it."""
+        store = ResultStore(tmp_path)
+        doc = JobSpec.of(tiny_config, ("gzip",)).to_dict()
+        doc["config"]["scheduler"] = "bogus"
+        key = store.key_for(tiny_config, ("gzip",))
+        records = [
+            {"event": "log-start", "schema": 1},
+            {"event": "enqueue", "key": key, "run": "r", "job": doc},
+        ]
+        path = tmp_path / "service" / "jobs.jsonl"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(
+            "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        )
+        with caplog.at_level("WARNING", logger="repro.service.scheduler"):
+            resumed = CampaignScheduler(ResultStore(tmp_path), resume=True)
+        assert resumed.queue_depth == 0
+        assert resumed.job_status(key) is None
+        (warning,) = [r for r in caplog.records if key in r.getMessage()]
+        assert "cannot decode" in warning.getMessage()
+        assert "bogus" in warning.getMessage()
         resumed.stop()
 
 
@@ -372,37 +407,31 @@ class TestCampaigns:
 
 
 class TestSchedulerRecovery:
-    def test_requeue_budget_exhaustion_fails_job(self, tiny_config, tmp_path):
-        """An aborted batch requeues its unfinished job; the next abort
-        past ``max_requeues`` fails it terminally."""
-        scheduler = CampaignScheduler(
-            ResultStore(tmp_path), max_requeues=1,
-            fault_plan=GZIP_ALWAYS_FAILS,
-        ).start()
-        key = scheduler.submit_job(tiny_config, ("gzip",))["key"]
-        assert scheduler.drain(timeout=120)
-        scheduler.stop()
-        final = scheduler.job_status(key)
-        assert final["state"] == "failed"
-        assert final["requeues"] == 1
-        assert "batch aborted" in final["detail"]
-        assert scheduler.sup_stats.requeues == 1
-        events = _log_events(tmp_path)
-        assert [e["requeues"] for e in events if e["event"] == "requeue"] == [1]
-        assert [
-            e["outcome"] for e in events
-            if e["event"] == "release" and e["key"] == key
-        ] == ["failed"]
-
-    def test_batch_abort_charges_only_the_failing_job(
-        self, tiny_config, tmp_path
+    @pytest.mark.parametrize("transient", [False, True],
+                             ids=["deterministic", "transient"])
+    def test_failing_job_spends_one_budget(
+        self, tiny_config, tmp_path, monkeypatch, transient
     ):
-        """Batch-mates of the job that aborted a batch go back on the
-        queue uncharged, and run once it has failed terminally."""
-        scheduler = CampaignScheduler(
-            ResultStore(tmp_path), max_requeues=1,
-            fault_plan=GZIP_ALWAYS_FAILS,
-        )
+        """The executor's retry budget is the only one.  gzip fails
+        every attempt: a deterministic error is simulated once, a
+        transient one ``policy.retries + 1`` times, and then the job
+        fails terminally -- nothing re-runs it.  The batch-mates its
+        abort cut short are simulated exactly once each."""
+        simulated = []
+        real = runner_mod._simulate
+
+        def counting(config, apps, **kwargs):
+            simulated.append(run_id(config, apps))
+            if apps == ("gzip",):
+                raise (InjectedFault if transient else RuntimeError)(
+                    "gzip always fails"
+                )
+            return real(config, apps, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "_simulate", counting)
+        policy = RetryPolicy(retries=2)
+        attempts = policy.retries + 1 if transient else 1
+        scheduler = CampaignScheduler(ResultStore(tmp_path), policy=policy)
         keys = {
             app: scheduler.submit_job(tiny_config, (app,))["key"]
             for app in ("gzip", "mcf", "swim")
@@ -412,17 +441,26 @@ class TestSchedulerRecovery:
         scheduler.stop()
         gzip = scheduler.job_status(keys["gzip"])
         assert gzip["state"] == "failed"
-        assert gzip["requeues"] == 1
         assert "batch aborted" in gzip["detail"]
-        for app in ("mcf", "swim"):
-            status = scheduler.job_status(keys[app])
-            assert status["state"] == "done", status
-            assert "requeues" not in status
-        assert scheduler.sup_stats.requeues == 1
-        requeued = [
-            e["key"] for e in _log_events(tmp_path) if e["event"] == "requeue"
+        events = _log_events(tmp_path)
+        failures = [
+            e["attempt"] for e in events
+            if e["event"] == "failure" and e["key"] == keys["gzip"]
         ]
-        assert requeued == [keys["gzip"]]
+        assert failures == list(range(1, attempts + 1))
+        assert simulated.count(run_id(tiny_config, ("gzip",))) == attempts
+        assert "requeue" not in {e["event"] for e in events}
+        assert [
+            e["outcome"] for e in events
+            if e["event"] == "release" and e["key"] == keys["gzip"]
+        ] == ["failed"]
+        for app in ("mcf", "swim"):
+            assert scheduler.job_status(keys[app])["state"] == "done"
+            assert simulated.count(run_id(tiny_config, (app,))) == 1
+        assert scheduler.joblog.completions() == {
+            keys["mcf"]: 1, keys["swim"]: 1,
+        }
+        assert not scheduler.sup_stats.eventful
 
     def test_injected_crash_flips_scheduler_to_unhealthy(
         self, tiny_config, tmp_path
@@ -468,8 +506,9 @@ class TestSchedulerRecovery:
     def test_supervision_counters_in_manifest(self, tiny_config, tmp_path):
         scheduler = CampaignScheduler(ResultStore(tmp_path))
         assert "supervision" not in scheduler.manifest().extra
-        scheduler.sup_stats.requeues = 2
-        assert scheduler.manifest().extra["supervision"]["requeues"] == 2
+        scheduler.sup_stats.scheduler_crashes = 2
+        supervision = scheduler.manifest().extra["supervision"]
+        assert supervision["scheduler_crashes"] == 2
         scheduler.stop()
 
 
@@ -485,7 +524,7 @@ class TestCleanShutdown:
         assert shutdown[0]["clean"] is True
         assert key in shutdown[0]["done"]
 
-    def test_resume_after_clean_stop_requeues_nothing(
+    def test_resume_after_clean_stop_reruns_nothing(
         self, tiny_config, tmp_path
     ):
         store = ResultStore(tmp_path)
@@ -498,11 +537,10 @@ class TestCleanShutdown:
         resumed.stop()
 
     def test_terminal_failures_survive_resume(self, tiny_config, tmp_path):
-        """A job that exhausted its requeue budget stays failed after
+        """A job that exhausted its retry budget stays failed after
         --resume instead of silently re-running."""
         scheduler = CampaignScheduler(
-            ResultStore(tmp_path), max_requeues=0,
-            fault_plan=GZIP_ALWAYS_FAILS,
+            ResultStore(tmp_path), fault_plan=GZIP_ALWAYS_FAILS,
         ).start()
         key = scheduler.submit_job(tiny_config, ("gzip",))["key"]
         assert scheduler.drain(timeout=120)
@@ -532,8 +570,7 @@ class TestKilledDeployment:
 
     def test_aborted_batch_failure_survives_kill(self, tiny_config, tmp_path):
         scheduler = CampaignScheduler(
-            ResultStore(tmp_path), max_requeues=0,
-            fault_plan=GZIP_ALWAYS_FAILS,
+            ResultStore(tmp_path), fault_plan=GZIP_ALWAYS_FAILS,
         ).start()
         key = scheduler.submit_job(tiny_config, ("gzip",))["key"]
         assert scheduler.drain(timeout=120)
