@@ -39,6 +39,10 @@ _LINE = 64
 #: Static branch sites synthesized per thread.
 _BRANCH_SITES = 256
 
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+_BRANCH = OpClass.BRANCH
+
 
 class _BranchSite:
     """One static branch: either outcome-biased or loop-patterned.
@@ -102,9 +106,11 @@ class Uop:
     A Uop is immutable once built, and that is load-bearing: the
     generator hands out one shared object for every equal compute µop
     (see ``_COMPUTE_UOPS``), across threads, streams and runs, and the
-    core's stream memo replays the same objects in every repeat
-    run.  Writing a field of a generated Uop would change other
-    threads' and later runs' instructions.
+    core's stream memo (:mod:`repro.engine.fast`) replays those same
+    objects in every repeat run.  Writing a field of a generated Uop
+    would change other threads' and later runs' instructions.  The
+    memo builds the loads, stores and branches it replays itself,
+    storing all seven slots without calling ``__init__``.
     """
 
     __slots__ = ("opc", "addr", "dep1", "dep2", "mispredict", "pc", "taken")
@@ -235,6 +241,7 @@ class SyntheticStream:
         self.thread_id = thread_id
         self.scale = scale
         self._rng = rng
+        self._random = rng.random
         self._regions: list[_RegionState] = []
         base = (thread_id + 1) * THREAD_ADDRESS_STRIDE
         for index, region in enumerate(profile.regions):
@@ -281,68 +288,93 @@ class SyntheticStream:
                 return self._regions[i]
         return self._regions[-1]
 
-    def _current_region(self, rng: random.Random) -> _RegionState:
-        """Region for the next access, with phased (clustered) visits.
-
-        A region is chosen with probability proportional to its weight
-        and then *stays current* for a random number of accesses with
-        mean ``profile.cluster``, so misses to slow regions arrive in
-        clusters rather than uniformly.
-        """
-        if self._visit_left <= 0 or self._visit_region is None:
-            self._visit_region = self._pick_region(rng.random())
-            self._visit_left = 1 + int(rng.random() * self._visit_span)
-        self._visit_left -= 1
-        return self._visit_region
-
-    def _dep_distance(self, rng: random.Random) -> int:
-        return min(MAX_DEP_DISTANCE, 1 + int(rng.random() * self._dep_span))
-
     def next_uop(self) -> Uop:
-        """Generate the next dynamic instruction."""
+        """Generate the next dynamic instruction.
+
+        The hot path of generation, so the region visit and every
+        dependence distance are computed inline; the RNG draws, and
+        their order, are exactly what ``tests/workloads/
+        test_stream_golden.py`` pins.  A dependence distance is ``1 +
+        int(random() * span)``, capped at :data:`MAX_DEP_DISTANCE`.
+        """
         rng = self._rng
+        random = self._random
         p = self.profile
         self.generated += 1
-        self._since_last_load += 1
-        r = rng.random()
+        since = self._since_last_load + 1
+        self._since_last_load = since
+        r = random()
         if r < p.mem_frac:
-            is_store = rng.random() < p.store_frac
-            region = self._current_region(rng)
+            is_store = random() < p.store_frac
+            # Phased (clustered) region visits: a region is chosen with
+            # probability proportional to its weight and then stays
+            # current for a random number of accesses with mean
+            # ``profile.cluster``, so misses to slow regions arrive in
+            # clusters rather than uniformly.
+            region = self._visit_region
+            if self._visit_left <= 0 or region is None:
+                region = self._visit_region = self._pick_region(random())
+                self._visit_left = 1 + int(random() * self._visit_span)
+            self._visit_left -= 1
             addr = region.next_address(rng)
             if not is_store:
                 if (
                     p.ptr_chase
-                    and self._since_last_load <= MAX_DEP_DISTANCE
-                    and rng.random() < p.ptr_chase
+                    and since <= MAX_DEP_DISTANCE
+                    and random() < p.ptr_chase
                 ):
-                    dep1 = self._since_last_load
+                    dep1 = since
+                elif random() < p.dep_prob:
+                    dep1 = 1 + int(random() * self._dep_span)
+                    if dep1 > MAX_DEP_DISTANCE:
+                        dep1 = MAX_DEP_DISTANCE
                 else:
-                    dep1 = self._dep_distance(rng) if rng.random() < p.dep_prob else 0
+                    dep1 = 0
                 self._since_last_load = 0
-                return Uop(OpClass.LOAD, addr, dep1)
-            dep1 = self._dep_distance(rng) if rng.random() < p.dep_prob else 0
-            dep2 = self._dep_distance(rng) if rng.random() < p.dep2_prob else 0
-            return Uop(OpClass.STORE, addr, dep1, dep2)
+                return Uop(_LOAD, addr, dep1)
+            dep1 = dep2 = 0
+            if random() < p.dep_prob:
+                dep1 = 1 + int(random() * self._dep_span)
+                if dep1 > MAX_DEP_DISTANCE:
+                    dep1 = MAX_DEP_DISTANCE
+            if random() < p.dep2_prob:
+                dep2 = 1 + int(random() * self._dep_span)
+                if dep2 > MAX_DEP_DISTANCE:
+                    dep2 = MAX_DEP_DISTANCE
+            return Uop(_STORE, addr, dep1, dep2)
         if r < p.mem_frac + p.branch_frac:
-            dep1 = self._dep_distance(rng) if rng.random() < p.dep_prob else 0
+            dep1 = 0
+            if random() < p.dep_prob:
+                dep1 = 1 + int(random() * self._dep_span)
+                if dep1 > MAX_DEP_DISTANCE:
+                    dep1 = MAX_DEP_DISTANCE
             # favour low-index (hot) branch sites quadratically
             sites = self._branch_sites
-            site = sites[int(len(sites) * rng.random() * rng.random())]
+            site = sites[int(len(sites) * random() * random())]
             return Uop(
-                OpClass.BRANCH,
-                dep1=dep1,
-                mispredict=rng.random() < p.mispredict_rate,
-                pc=site.pc,
-                taken=site.next_outcome(rng),
+                _BRANCH,
+                0,
+                dep1,
+                0,
+                random() < p.mispredict_rate,
+                site.pc,
+                site.next_outcome(rng),
             )
         # Compute op classes are OpClass values 0-3; the int (not the
         # enum, whose hashing runs Python code) keys the shared table.
-        if rng.random() < p.fp_frac:
-            opc = 3 if rng.random() < p.mult_frac else 2  # FP_MULT / FP_ALU
+        if random() < p.fp_frac:
+            opc = 3 if random() < p.mult_frac else 2  # FP_MULT / FP_ALU
         else:
-            opc = 1 if rng.random() < p.mult_frac else 0  # INT_MULT / INT_ALU
-        dep1 = self._dep_distance(rng) if rng.random() < p.dep_prob else 0
-        dep2 = self._dep_distance(rng) if rng.random() < p.dep2_prob else 0
+            opc = 1 if random() < p.mult_frac else 0  # INT_MULT / INT_ALU
+        dep1 = dep2 = 0
+        if random() < p.dep_prob:
+            dep1 = 1 + int(random() * self._dep_span)
+            if dep1 > MAX_DEP_DISTANCE:
+                dep1 = MAX_DEP_DISTANCE
+        if random() < p.dep2_prob:
+            dep2 = 1 + int(random() * self._dep_span)
+            if dep2 > MAX_DEP_DISTANCE:
+                dep2 = MAX_DEP_DISTANCE
         key = (opc * _DEP_VALUES + dep1) * _DEP_VALUES + dep2
         uop = _COMPUTE_UOPS.get(key)
         if uop is None:

@@ -1,14 +1,19 @@
-"""Objects per memoized µop: a memory floor host noise cannot fool.
+"""Bytes per memoized µop: a memory floor host noise cannot fool.
 
 The core keeps every generated µop in a process-wide memo
-(``repro.engine.fast._STREAM_MEMO``), so the memo's size is set by how
-many distinct ``Uop`` objects it holds.  Compute µops carry only an op
-class and two dependence distances, and the generator hands out one
-shared object per distinct value; peak RSS drifts with the host, but
-the count of distinct objects for a given seed repeats exactly, so the
-ratio is asserted here.  Before sharing, every memoized µop was its own
-object (6,552 of 6,552 on these two runs).
+(``repro.engine.fast._STREAM_MEMO``).  A memo entry is a slot list (the
+generator's shared object for a compute µop, ``None`` for anything
+else) plus two packed columns holding the loads, stores and branches
+(an address or ``pc`` word and a 16-bit code each).  Peak RSS drifts
+with the host, but ``sys.getsizeof`` of the list, the column buffers
+and the distinct objects the slots hold repeats exactly for a given
+seed, so the bytes per memoized µop are asserted here.  When every
+load, store and branch was its own ``Uop`` (plus its address ``int``),
+these two runs cost about 54 bytes per memoized µop; the columns bring
+that to about 15.
 """
+
+import sys
 
 from repro.common.types import OpClass
 from repro.engine import fast
@@ -23,8 +28,8 @@ _CONFIG = SystemConfig(
     seed=2005,
 )
 
-#: Distinct Uop objects may be at most this share of memoized µops.
-MAX_OBJECTS_PER_UOP = 0.45
+#: The memo may cost at most this many bytes per memoized µop.
+MAX_BYTES_PER_UOP = 20
 
 _COMPUTE = (OpClass.INT_ALU, OpClass.INT_MULT, OpClass.FP_ALU, OpClass.FP_MULT)
 
@@ -41,12 +46,23 @@ def test_memo_holds_few_distinct_uops(monkeypatch):
     monkeypatch.setattr(fast, "_STREAM_MEMO", {})
     _run("2-ILP")
     _run("2-MIX")
-    streams = [entry[0] for entry in fast._STREAM_MEMO.values()]
-    assert len(streams) == 4
-    uops = [u for stream in streams for u in stream]
-    distinct = len({id(u) for u in uops})
-    assert distinct <= MAX_OBJECTS_PER_UOP * len(uops), (
-        f"{distinct} distinct Uop objects for {len(uops)} memoized µops"
+    entries = list(fast._STREAM_MEMO.values())
+    assert len(entries) == 4
+    uops = sum(len(slots) for slots, _words, _codes, _backing in entries)
+    objects = {
+        id(slot): slot
+        for slots, _words, _codes, _backing in entries
+        for slot in slots
+        if slot is not None
+    }
+    assert all(slot.opc in _COMPUTE for slot in objects.values())
+    size = sum(
+        sys.getsizeof(slots) + sys.getsizeof(words) + sys.getsizeof(codes)
+        for slots, words, codes, _backing in entries
+    ) + sum(sys.getsizeof(slot) for slot in objects.values())
+    assert size <= MAX_BYTES_PER_UOP * uops, (
+        f"{size} bytes ({len(objects)} distinct objects) for {uops} "
+        f"memoized µops"
     )
 
 
@@ -55,8 +71,8 @@ def test_equal_compute_uops_are_one_object_across_streams(monkeypatch):
     _run("2-MIX")
     first, second = (entry[0] for entry in fast._STREAM_MEMO.values())
 
-    def compute_uops(stream):
-        return {(u.opc, u.dep1, u.dep2): u for u in stream if u.opc in _COMPUTE}
+    def compute_uops(slots):
+        return {(u.opc, u.dep1, u.dep2): u for u in slots if u is not None}
 
     a, b = compute_uops(first), compute_uops(second)
     shared = a.keys() & b.keys()
