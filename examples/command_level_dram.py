@@ -11,7 +11,7 @@ Run:  python examples/command_level_dram.py
 """
 
 from repro.common.events import EventQueue
-from repro.dram.command_controller import Command
+from repro.dram.controller import Command
 from repro.dram.system import MemorySystem
 
 

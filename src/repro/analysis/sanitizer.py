@@ -231,7 +231,7 @@ class SimSanitizer:
     def attach_memory(self, memory: "MemorySystem") -> None:
         self._memory = memory
         for channel in memory.channels:
-            if memory.controller_model == "command":
+            if channel.command_level:
                 self._watch_command_channel(channel)
             else:
                 self._watch_request_channel(channel)
@@ -258,11 +258,11 @@ class SimSanitizer:
         original: Callable[..., None] = channel._issue
 
         def checked_issue(
-            request: Any, now: int, reason: str | None = None
+            request: Any, command: Any, now: int, reason: str | None = None
         ) -> None:
             self.checks_run += 1
             bus_before = channel.bus_free_at
-            original(request, now, reason)
+            original(request, command, now, reason)
             data_end = channel.bus_free_at
             data_start = data_end - channel.transfer
             ch = channel.channel_id
@@ -295,10 +295,10 @@ class SimSanitizer:
                     channel=ch,
                 )
             bank = channel.banks[request.bank]
-            if bank.free_at < now:
+            if bank.ready_at < now:
                 self.record(
                     now, "bank-state",
-                    f"bank free_at {bank.free_at} regressed behind "
+                    f"bank ready_at {bank.ready_at} regressed behind "
                     f"issue cycle {now}",
                     channel=ch, bank=request.bank,
                 )
@@ -316,7 +316,7 @@ class SimSanitizer:
 
     def _watch_command_channel(self, channel: Any) -> None:
         from repro.dram.bank import PageMode
-        from repro.dram.command_controller import Command
+        from repro.dram.controller import Command
 
         timing = channel.timing
         shadows = [_ShadowBank() for _ in channel.banks]

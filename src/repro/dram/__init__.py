@@ -13,8 +13,7 @@ multi-channel DDR SDRAM and Direct Rambus DRAM systems with
 """
 
 from repro.dram.bank import Bank, PageMode
-from repro.dram.command_controller import Command, CommandChannelController
-from repro.dram.controller import ChannelController
+from repro.dram.controller import ChannelController, Command
 from repro.dram.geometry import DRAMGeometry
 from repro.dram.mapping import (
     AddressMapping,
@@ -47,7 +46,6 @@ __all__ = [
     "Bank",
     "ColorXorMapping",
     "Command",
-    "CommandChannelController",
     "CriticalFirstScheduler",
     "ChannelController",
     "DRAMGeometry",

@@ -10,6 +10,10 @@ amplifiers).  An access needs (Section 2 of the paper):
 * a **precharge + row access + column access**, if another row is open
   (row-buffer *conflict*).
 
+The controller's command model issues these as separate commands; its
+request model folds the precharge and row access into the start of the
+column command (:class:`repro.dram.controller.ChannelController`).
+
 Under the **open** page mode the row is kept in the buffer after the
 access, betting on locality; under the **close** page mode the bank is
 precharged immediately after the column access, so every access costs
@@ -32,17 +36,22 @@ class Bank:
     """State of a single independent DRAM bank.
 
     ``open_row`` is the row currently latched in the row buffer
-    (``None`` when precharged); ``free_at`` is the cycle at which the
-    bank can accept its next command.  Pure state: classification
-    (hit / closed / conflict), latency and the post-access update live
-    in :meth:`repro.dram.controller.ChannelController._issue`.
+    (``None`` when precharged); ``ready_at`` is the cycle at which the
+    bank can accept its next command.  ``activated_at`` (the last
+    ACTIVATE, for tRAS) and ``burst_done_at`` (the end of the bank's
+    last data burst, which a PRECHARGE must not cut off) bind only in
+    the command-level model.  Pure state: classification (hit / closed
+    / conflict), latency and the post-command update live in
+    :meth:`repro.dram.controller.ChannelController._issue`.
     """
 
-    __slots__ = ("open_row", "free_at")
+    __slots__ = ("open_row", "ready_at", "activated_at", "burst_done_at")
 
     def __init__(self) -> None:
         self.open_row: int | None = None
-        self.free_at = 0
+        self.ready_at = 0
+        self.activated_at = -(10**9)
+        self.burst_done_at = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Bank(open_row={self.open_row}, free_at={self.free_at})"
+        return f"Bank(open_row={self.open_row}, ready_at={self.ready_at})"

@@ -2,13 +2,16 @@
 
 :class:`MemorySystem` is the single entry point the cache hierarchy
 talks to.  It maps each line address to a (channel, bank, row)
-location, forwards the request to the owning channel controller after
-the fixed controller-side latency, tracks outstanding-request
-concurrency for Figures 4/5, and invokes the request callback when the
-data returns.
+location, forwards the request to the owning channel's
+:class:`~repro.dram.controller.ChannelController` (request or command
+model, per ``controller_model``) after the fixed controller-side
+latency, tracks outstanding-request concurrency for Figures 4/5, and
+invokes the request callback when the data returns.
 """
 
 from __future__ import annotations
+
+from typing import Any
 
 from repro.common.errors import ConfigError
 from repro.common.events import EventQueue
@@ -18,7 +21,6 @@ from repro.common.types import (
     MemRequest,
 )
 from repro.dram.bank import PageMode
-from repro.dram.command_controller import CommandChannelController
 from repro.dram.controller import ChannelController
 from repro.dram.geometry import DRAMGeometry, ddr_geometry, rdram_geometry
 from repro.dram.mapping import AddressMapping, make_mapping
@@ -47,10 +49,12 @@ class MemorySystem:
         or instance.  Each logical channel gets the same policy object;
         schedulers are stateless so sharing is safe.
     controller_model:
-        ``"request"`` (default, fast, calibrated) or ``"command"``
+        ``"request"`` (default, fast, calibrated: the row preparation is
+        folded into each request's column command) or ``"command"``
         (explicit PRECHARGE/ACTIVATE/READ/WRITE commands with full
-        inter-command constraints; see
-        :mod:`repro.dram.command_controller`).
+        inter-command constraints); both are
+        :class:`~repro.dram.controller.ChannelController` (see
+        :mod:`repro.dram.controller`).
     """
 
     def __init__(
@@ -76,11 +80,7 @@ class MemorySystem:
         if isinstance(scheduler, str):
             scheduler = make_scheduler(scheduler)
         self.scheduler = scheduler
-        if controller_model == "request":
-            controller_cls = ChannelController
-        elif controller_model == "command":
-            controller_cls = CommandChannelController
-        else:
+        if controller_model not in ("request", "command"):
             raise ConfigError(
                 f"controller_model must be request|command, "
                 f"got {controller_model!r}"
@@ -94,7 +94,7 @@ class MemorySystem:
         #: channel's ``outstanding``.
         self.outstanding_by_thread: dict[int, int] = {}
         self.channels = [
-            controller_cls(
+            ChannelController(
                 channel_id=i,
                 geometry=geometry,
                 timing=timing,
@@ -104,6 +104,7 @@ class MemorySystem:
                 stats=self.stats,
                 system=self,
                 telemetry=telemetry,
+                model=controller_model,
             )
             for i in range(geometry.logical_channels)
         ]
@@ -120,23 +121,14 @@ class MemorySystem:
         event_queue: EventQueue,
         channels: int = 2,
         gang: int = 1,
-        mapping: str = "page",
-        page_mode: PageMode = PageMode.OPEN,
-        scheduler: str | Scheduler = "hit-first",
-        controller_model: str = "request",
-        telemetry=None,
+        **options: Any,
     ) -> "MemorySystem":
-        """Multi-channel DDR SDRAM system (Table 1 defaults)."""
-        return cls(
-            event_queue,
-            geometry=ddr_geometry(physical_channels=channels, gang=gang),
-            timing=ddr_timing(),
-            mapping=mapping,
-            page_mode=page_mode,
-            scheduler=scheduler,
-            controller_model=controller_model,
-            telemetry=telemetry,
-        )
+        """Multi-channel DDR SDRAM system (Table 1 defaults).
+
+        ``options`` are the constructor's keywords after ``timing``.
+        """
+        geometry = ddr_geometry(physical_channels=channels, gang=gang)
+        return cls(event_queue, geometry, ddr_timing(), **options)
 
     @classmethod
     def rdram(
@@ -144,23 +136,14 @@ class MemorySystem:
         event_queue: EventQueue,
         channels: int = 2,
         gang: int = 1,
-        mapping: str = "page",
-        page_mode: PageMode = PageMode.OPEN,
-        scheduler: str | Scheduler = "hit-first",
-        controller_model: str = "request",
-        telemetry=None,
+        **options: Any,
     ) -> "MemorySystem":
-        """Multi-channel Direct Rambus system (32 banks/chip)."""
-        return cls(
-            event_queue,
-            geometry=rdram_geometry(physical_channels=channels, gang=gang),
-            timing=rdram_timing(),
-            mapping=mapping,
-            page_mode=page_mode,
-            scheduler=scheduler,
-            controller_model=controller_model,
-            telemetry=telemetry,
-        )
+        """Multi-channel Direct Rambus system (32 banks/chip).
+
+        ``options`` are the constructor's keywords after ``timing``.
+        """
+        geometry = rdram_geometry(physical_channels=channels, gang=gang)
+        return cls(event_queue, geometry, rdram_timing(), **options)
 
     # ------------------------------------------------------------------
     # request interface

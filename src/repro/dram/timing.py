@@ -17,7 +17,7 @@ Channel data rates (Table 1 / Section 5.4):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.errors import ConfigError
 
@@ -82,17 +82,6 @@ class DRAMTiming:
     t_turnaround: int = 12
     t_refi: int = 23400
     t_rfc: int = 210
-    #: Per-page-mode service-latency tables, precomputed once at
-    #: construction: ``_service_latency[open_mode][kind]`` where
-    #: ``open_mode`` keys the open (True) / close (False) page policy
-    #: and ``kind`` is how the bank's row buffer meets the access
-    #: ("hit" / "closed" / "conflict").  Under the close policy every
-    #: access is served as "closed" (row + column), so all three kinds
-    #: collapse to the same latency.  Derived entirely from the timing
-    #: fields above, so equality/hash semantics are unchanged.
-    _service_latency: dict[bool, dict[str, int]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
 
     def __post_init__(self) -> None:
         for name in ("t_row", "t_col", "t_pre", "transfer"):
@@ -102,29 +91,6 @@ class DRAMTiming:
                      "t_cmd", "t_turnaround", "t_refi", "t_rfc"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        closed = self.t_row + self.t_col
-        object.__setattr__(
-            self,
-            "_service_latency",
-            {
-                True: {
-                    "hit": self.t_col,
-                    "closed": closed,
-                    "conflict": self.t_pre + closed,
-                },
-                False: {"hit": closed, "closed": closed, "conflict": closed},
-            },
-        )
-
-    def service_latency_table(self, open_mode: bool) -> dict[str, int]:
-        """Precomputed classification -> service-latency table.
-
-        ``open_mode`` is ``page_mode is PageMode.OPEN``; controllers
-        resolve the page-mode branch once at construction and index
-        this table per request instead of re-deriving the latency from
-        the timing properties.
-        """
-        return self._service_latency[open_mode]
 
     def transfer_for_gang(self, gang: int) -> int:
         """Line transfer time over ``gang`` lock-stepped physical channels."""

@@ -79,17 +79,27 @@ _DECODE: list[tuple[Any, ...]] = [
 #: kept so the entry can be extended from its exact mid-stream state.
 _Entry = list[Any]
 
-#: key -> entry (see above).
-_STREAM_MEMO: dict[tuple[Any, ...], _Entry] = {}
 
-#: Stop admitting new streams once the memo holds this many µops.  The
-#: cap only gates admission: an entry already in the memo keeps
-#: growing, without a check, whenever a run replaying it draws past its
-#: end, so nothing bounds the memo once longer runs follow shorter ones
-#: with the same streams.  A memoized µop costs about 15 bytes
-#: (``sys.getsizeof`` of slot list, columns and shared objects on
-#: 2-ILP + 2-MIX, pinned by ``tests/engine/test_memo_footprint.py``),
-#: so admission stops at roughly 30 MB of memo.
+class _Memo(dict[tuple[Any, ...], _Entry]):
+    """key -> entry (see above), plus ``uops``: the µops memoized in
+    all entries, kept as they are recorded."""
+
+    __slots__ = ("uops",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.uops = 0
+
+
+_STREAM_MEMO = _Memo()
+
+#: The memo holds at most this many µops: once it is full, no stream is
+#: admitted and no entry grows.  A view that reaches the end of its
+#: entry then goes on unrecorded (see ``_SharedStream``).  A memoized
+#: µop costs about 15 bytes (``sys.getsizeof`` of slot list, columns and
+#: shared objects on 2-ILP + 2-MIX, pinned by
+#: ``tests/engine/test_memo_footprint.py``), so the memo stops at
+#: roughly 30 MB.
 _STREAM_MEMO_CAP = 2_000_000
 
 
@@ -100,8 +110,10 @@ class _SharedStream:
     list and ``_row`` over the columns (the loads, stores and branches
     before ``_pos``).  ``next_uop`` returns a compute µop's shared
     object as stored, builds a fresh ``Uop`` for a column row, and
-    extends the entry from its backing generator when the view reaches
-    its end.
+    extends the entry from its generator when the view reaches its
+    end.  Once the memo is full it stops recording for good (the memo
+    never shrinks, so no view extends an entry again) and generates
+    from its own backing stream instead, see :meth:`_stop_recording`.
 
     ``bench/trace.py`` wraps this class's ``next_uop`` by name, which
     is why the class keeps its name and its module.
@@ -109,10 +121,12 @@ class _SharedStream:
 
     __slots__ = (
         "_slots", "_words", "_codes", "_generate", "_pos", "_row",
-        "_backing", "profile",
+        "_backing", "_memo", "profile",
     )
 
-    def __init__(self, entry: _Entry, backing: SyntheticStream) -> None:
+    def __init__(
+        self, entry: _Entry, backing: SyntheticStream, memo: _Memo
+    ) -> None:
         self._slots: list[Uop | None] = entry[0]
         self._words: array[int] = entry[1]
         self._codes: array[int] = entry[2]
@@ -120,6 +134,8 @@ class _SharedStream:
         self._pos = 0
         self._row = 0
         self._backing = backing
+        #: The memo the entry belongs to; None once recording stopped.
+        self._memo: _Memo | None = memo
         self.profile = backing.profile
 
     def next_uop(self) -> Uop:
@@ -148,6 +164,13 @@ class _SharedStream:
                 uop.addr = uop.dep2 = 0
                 uop.pc = self._words[row]
             return uop
+        memo = self._memo
+        if memo is None:
+            return self._generate()
+        if memo.uops >= _STREAM_MEMO_CAP:
+            self._stop_recording(pos)
+            return self._generate()
+        memo.uops += 1
         uop = self._generate()
         opc = uop.opc
         if opc is _LOAD or opc is _STORE:
@@ -165,6 +188,22 @@ class _SharedStream:
         slots.append(None)
         self._row += 1
         return uop
+
+    def _stop_recording(self, pos: int) -> None:
+        """Go on unrecorded from stream position ``pos``, the entry's end.
+
+        The view whose backing stream *is* the entry's generator keeps
+        drawing from it: no other view ever draws from it unrecorded,
+        so it stands at ``pos``.  Any other view fast-forwards its own,
+        still fresh, backing stream past the recorded µops, so the
+        entry's generator is never shared.
+        """
+        self._memo = None
+        generate = self._backing.next_uop
+        if self._generate != generate:
+            for _ in range(pos):
+                generate()
+            self._generate = generate
 
     def footprint(self) -> Any:
         # Region layout is fixed at construction, identical for every
@@ -195,8 +234,8 @@ def _shared_stream(stream: Any) -> Any:
     except (AttributeError, TypeError, ValueError):  # no exact key
         return stream
     if entry is None:
-        if sum(len(e[0]) for e in _STREAM_MEMO.values()) >= _STREAM_MEMO_CAP:
+        if _STREAM_MEMO.uops >= _STREAM_MEMO_CAP:
             return stream
         entry = [[], array("q"), array("H"), stream]
         _STREAM_MEMO[key] = entry
-    return _SharedStream(entry, stream)
+    return _SharedStream(entry, stream, _STREAM_MEMO)

@@ -61,8 +61,8 @@ MUTATIONS = [
      "    return sum(multi_ipcs)\n",
      "    return sum(set(multi_ipcs))\n",
      "DET007"),
-    # DET008: command-level trace events keyed by address.
-    ("dram/command_controller.py",
+    # DET008: DRAM command trace events keyed by address.
+    ("dram/controller.py",
      '"req": request.req_id,',
      '"req": id(request),',
      "DET008"),

@@ -4,7 +4,7 @@ The simulator classifies and serves accesses in
 ``ChannelController._issue`` (the per-page-mode latencies are flattened
 there), so these cases drive one controller on a bare event queue and
 observe the bank it owns: hit / closed / conflict latency, and
-``open_row`` / ``free_at`` after service, under both page modes.
+``open_row`` / ``ready_at`` after service, under both page modes.
 """
 
 from repro.common.events import EventQueue
@@ -115,14 +115,14 @@ class TestServe:
         ch = Channel(PageMode.OPEN)
         req = ch.serve(7)
         assert ch.bank.open_row == 7
-        assert ch.bank.free_at == req.finish_time - T.ctrl_response
+        assert ch.bank.ready_at == req.finish_time - T.ctrl_response
 
     def test_close_mode_precharges_and_pays_for_it(self):
         ch = Channel(PageMode.CLOSE)
         req = ch.serve(7)
         assert ch.bank.open_row is None
         data_end = req.finish_time - T.ctrl_response
-        assert ch.bank.free_at == data_end + T.t_pre
+        assert ch.bank.ready_at == data_end + T.t_pre
 
     def test_hit_reported(self):
         ch = Channel(PageMode.OPEN)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.events import EventQueue
 from repro.dram.bank import PageMode
-from repro.dram.command_controller import Command
+from repro.dram.controller import Command
 from repro.dram.system import MemorySystem
 from repro.dram.timing import ddr_timing
 

@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.common.events import EventQueue
 from repro.dram.bank import PageMode
-from repro.dram.command_controller import Command
+from repro.dram.controller import Command
 from repro.dram.system import MemorySystem
 
 lines_strategy = st.lists(

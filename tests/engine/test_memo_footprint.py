@@ -43,12 +43,13 @@ def _run(mix: str) -> None:
 
 
 def test_memo_holds_few_distinct_uops(monkeypatch):
-    monkeypatch.setattr(fast, "_STREAM_MEMO", {})
+    monkeypatch.setattr(fast, "_STREAM_MEMO", fast._Memo())
     _run("2-ILP")
     _run("2-MIX")
     entries = list(fast._STREAM_MEMO.values())
     assert len(entries) == 4
     uops = sum(len(slots) for slots, _words, _codes, _backing in entries)
+    assert fast._STREAM_MEMO.uops == uops
     objects = {
         id(slot): slot
         for slots, _words, _codes, _backing in entries
@@ -67,7 +68,7 @@ def test_memo_holds_few_distinct_uops(monkeypatch):
 
 
 def test_equal_compute_uops_are_one_object_across_streams(monkeypatch):
-    monkeypatch.setattr(fast, "_STREAM_MEMO", {})
+    monkeypatch.setattr(fast, "_STREAM_MEMO", fast._Memo())
     _run("2-MIX")
     first, second = (entry[0] for entry in fast._STREAM_MEMO.values())
 

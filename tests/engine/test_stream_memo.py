@@ -4,7 +4,9 @@ Every golden job runs with ``branch_predictor=False``, so a replay
 that got a branch's ``pc`` or ``taken`` wrong would pass every golden;
 these tests compare a replayed stream with a plain ``SyntheticStream``
 field by field instead.  They also pin what ``_STREAM_MEMO_CAP``
-bounds: admission of new streams, not the growth of admitted ones.
+bounds: the memo's µops, so neither a new stream nor a longer run
+grows it past the cap, and a view that runs past a full entry still
+yields the generator's stream.
 """
 
 import pytest
@@ -46,7 +48,7 @@ def _assert_same(view, plain, count: int) -> None:
 
 @pytest.mark.parametrize("app", sorted(PROFILES))
 def test_replay_round_trips_every_field(app, monkeypatch):
-    monkeypatch.setattr(fast, "_STREAM_MEMO", {})
+    monkeypatch.setattr(fast, "_STREAM_MEMO", fast._Memo())
     first = fast._shared_stream(_stream(app))
     second = fast._shared_stream(_stream(app))
     assert type(first) is type(second) is fast._SharedStream
@@ -60,23 +62,26 @@ def test_replay_round_trips_every_field(app, monkeypatch):
     assert len(entry[0]) == UOPS
 
 
-def test_cap_gates_admission_not_growth(monkeypatch):
-    monkeypatch.setattr(fast, "_STREAM_MEMO", {})
+def test_cap_bounds_the_memo(monkeypatch):
+    monkeypatch.setattr(fast, "_STREAM_MEMO", fast._Memo())
     monkeypatch.setattr(fast, "_STREAM_MEMO_CAP", 1_000)
-    admitted = fast._shared_stream(_stream("mcf"))
-    assert type(admitted) is fast._SharedStream
-    _assert_same(admitted, _stream("mcf"), 1_500)
+    # The first view records 1,000 µops, then draws on from the
+    # entry's generator (its own stream) unrecorded.
+    first = fast._shared_stream(_stream("mcf"))
+    assert type(first) is fast._SharedStream
+    _assert_same(first, _stream("mcf"), 3_000)
+    (entry,) = fast._STREAM_MEMO.values()
+    assert len(entry[0]) == fast._STREAM_MEMO.uops == 1_000
 
     late = _stream("gzip")
     assert fast._shared_stream(late) is late
 
-    # The entry admitted before the cap keeps serving and keeps growing:
-    # this view replays the recorded 1,500 µops and extends them.
+    # A later view replays the 1,000 and fast-forwards its own stream
+    # past them; the entry does not grow.
     again = fast._shared_stream(_stream("mcf"))
     assert type(again) is fast._SharedStream
     _assert_same(again, _stream("mcf"), 3_000)
-    (entry,) = fast._STREAM_MEMO.values()
-    assert len(entry[0]) == 3_000
+    assert len(entry[0]) == fast._STREAM_MEMO.uops == 1_000
 
 
 def test_other_streams_pass_through():
