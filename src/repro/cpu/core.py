@@ -87,6 +87,7 @@ draw, every stall counter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.common.errors import ConfigError, SimulationError
 from repro.common.events import EventQueue
@@ -231,6 +232,26 @@ class SMTCore:
         ]
         self._t_rng = [t.icache_rng.random for t in self.threads]
         self._t_next = [t.stream.next_uop for t in self.threads]
+        #: The ``CoreParams`` fields ``_fetch`` reads, in one tuple.
+        self._fetch_params = (
+            params.fetch_width,
+            params.fetch_threads,
+            params.icache_miss_penalty,
+            params.int_iq_size,
+            params.fp_iq_size,
+            params.lq_size,
+            params.sq_size,
+            params.frontend_latency,
+        )
+        self._commit_width = params.commit_width
+        self._int_issue_width = params.int_issue_width
+        self._fp_issue_width = params.fp_issue_width
+        #: ``_commit_orders[p]``: the threads in commit order when the
+        #: round-robin pointer is ``p``.
+        self._commit_orders = [
+            self.threads[p:] + self.threads[:p]
+            for p in range(len(self.threads))
+        ]
         #: Bumped by every event-side mutator of fetch-visible core
         #: state (issue-queue drains, finish-time resolution and the
         #: fetch unblocks it triggers).  Together with the hierarchy's
@@ -264,7 +285,9 @@ class SMTCore:
         self._int_issue_cycles = 0
         #: Optional repro.telemetry.Telemetry session (None = disabled).
         self.telemetry = telemetry
-        self._tracer = telemetry.tracer if telemetry is not None else None
+        #: The live event tracer, or None (fetch policies emit gate
+        #: events through it).
+        self.tracer = telemetry.tracer if telemetry is not None else None
         registry = (
             telemetry.registry
             if telemetry is not None and telemetry.registry.enabled
@@ -423,7 +446,7 @@ class SMTCore:
         stalled_window = self._stalled_window
         kernel_ok = (
             self.shortcuts
-            and self._tracer is None
+            and self.tracer is None
             and type(self.fetch_policy) in WINDOW_SAFE_POLICIES
         )
         while self._unfinished and self.cycle < deadline:
@@ -483,14 +506,14 @@ class SMTCore:
         cycle = self.cycle
         threads = self.threads
         for t in threads:
-            if t.fetch_blocked_until <= cycle and not t.rob_full:
+            if t.fetch_blocked_until <= cycle and len(t.rob) < t.rob_size:
                 return
         candidates = []
         next_event = self.event_queue.peek_time()
         if next_event is not None:
             candidates.append(next_event)
         for t in threads:
-            if not t.rob_full and t.fetch_blocked_until < FOREVER:
+            if len(t.rob) < t.rob_size and t.fetch_blocked_until < FOREVER:
                 candidates.append(t.fetch_blocked_until)
             if t.rob:
                 head = t.rob[0]
@@ -793,46 +816,52 @@ class SMTCore:
     # commit stage
 
     def _commit(self, cycle: int) -> None:
-        budget = self.params.commit_width
-        threads = self.threads
-        n = len(threads)
+        """Retire up to ``commit_width`` finished ROB heads, visiting
+        the threads round-robin from ``_commit_ptr``.
+
+        Per thread the run of finished heads is popped in one loop and
+        the thread's counters, its target check and the shared
+        load/store-queue occupancies are updated once: a thread reaches
+        its target in this cycle whether it is noticed after the µop
+        that reached it or after the visit.
+        """
+        budget = self._commit_width
         start = self._commit_ptr
-        load_op = OpClass.LOAD
-        store_op = OpClass.STORE
-        for i in range(n):
-            if not budget:
-                break
-            t = threads[(start + i) % n]
+        loads = stores = 0
+        for t in self._commit_orders[start]:
             rob = t.rob
-            while budget and rob:
+            done = 0
+            while done < budget and rob:
                 head = rob[0]
                 finish = head.finish
                 if finish is None or finish > cycle:
                     break
                 rob.popleft()
-                budget -= 1
-                t.committed += 1
+                done += 1
                 opc = head.opc
-                if opc is load_op:
-                    self.lq_used -= 1
-                elif opc is store_op:
-                    self.sq_used -= 1
+                if opc is _LOAD:
+                    loads += 1
+                elif opc is _STORE:
+                    stores += 1
+            if done:
+                t.committed += done
                 if (
                     t.finish_cycle is None
                     and t.committed - t.warmup_committed >= t.target
                 ):
                     t.finish_cycle = cycle
                     self._unfinished -= 1
-        self._commit_ptr = (start + 1) % n
+                budget -= done
+                if not budget:
+                    break
+        if loads:
+            self.lq_used -= loads
+        if stores:
+            self.sq_used -= stores
+        self._commit_ptr = (start + 1) % len(self._commit_orders)
 
     # ------------------------------------------------------------------
     # fetch / dispatch stage
-
-    @property
-    def tracer(self):
-        """The live event tracer, or None (fetch policies emit
-        gate events through this)."""
-        return self._tracer
 
     def _fetch(self, cycle: int) -> int:
         """Fetch, rename and dispatch for one cycle; returns the number
@@ -844,37 +873,69 @@ class SMTCore:
         load/store queue) has no room for the next one — it waits in
         ``pending_uop`` and nothing changes — the ROB fills, or a
         mispredicted branch redirects the front end.
+
+        Bookkeeping is paid per thread visit, not per µop.  The shared
+        occupancies (``int_iq_used``, ``fp_iq_used``, ``lq_used``,
+        ``sq_used``) are read into locals once the policy has ordered
+        the threads, and written back once before the return.  That is
+        exact because nothing called in between reads or writes them
+        (the sanitizer's ``iq-conservation`` check, run after every
+        fetch stage, would see a lost update): dispatch issues
+        at least ``frontend_latency`` cycles ahead, so no event it
+        schedules fires before the return, and the one call that
+        changes core state on the spot — ``_schedule_issue`` resolving
+        a mispredicted branch — touches only ``fetch_blocked_until``
+        and ``_fe_version``.  A change that calls out of the loop into
+        anything that can fire an event or read an occupancy must write
+        them back first.  A thread's sequence number is a local too,
+        and its ``fetched``, ``unissued``, ``iq_int`` and ``iq_fp``
+        take one ``+=`` each after its visit.  The stall dispositions
+        are counted in locals and added once per call.
         """
-        params = self.params
         stalls = self.stall_cycles
         eligible = []
+        blocked = rob_full = 0
         for t in self.threads:
             if t.fetch_blocked_until > cycle:
-                stalls["fetch_blocked"] += 1
+                blocked += 1
             elif len(t.rob) >= t.rob_size:
-                stalls["rob_full"] += 1
+                rob_full += 1
             else:
                 eligible.append(t)
+        if blocked:
+            stalls["fetch_blocked"] += blocked
+        if rob_full:
+            stalls["rob_full"] += rob_full
         if not eligible:
             return 0
         order = self.fetch_policy.order(eligible, self, cycle)
-        fetch_width = params.fetch_width
-        fetch_threads = params.fetch_threads
-        icache_penalty = params.icache_miss_penalty
-        int_iq_size = params.int_iq_size
-        fp_iq_size = params.fp_iq_size
-        lq_size = params.lq_size
-        sq_size = params.sq_size
-        ready_lb = cycle + params.frontend_latency
+        (
+            fetch_width,
+            fetch_threads,
+            icache_penalty,
+            int_iq_size,
+            fp_iq_size,
+            lq_size,
+            sq_size,
+            frontend_latency,
+        ) = self._fetch_params
+        ready_lb = cycle + frontend_latency
         rejections = self.dispatch_rejections
         schedule_issue = self._schedule_issue
+        predictors = self._predictors
+        tracer = self.tracer
         miss_rates = self._t_miss_rate
         rngs = self._t_rng
         nexts = self._t_next
+        ring_size = RING_SIZE
+        int_iq_used = self.int_iq_used
+        fp_iq_used = self.fp_iq_used
+        lq_used = self.lq_used
+        sq_used = self.sq_used
         fetched = 0
         threads_used = 0
-        dispatched_threads = set()
-        resource_stalled: set[int] = set()
+        dispatched = 0
+        resource_full = 0
         for t in order:
             if threads_used >= fetch_threads:
                 break
@@ -884,82 +945,108 @@ class SMTCore:
             miss_rate = miss_rates[tid]
             if miss_rate and rngs[tid]() < miss_rate:
                 t.fetch_blocked_until = cycle + icache_penalty
-                if self._tracer is not None:
-                    self._tracer.emit(
+                if tracer is not None:
+                    tracer.emit(
                         cycle, "fetch.icache_miss", "cpu.fetch", tid,
                         dur=icache_penalty,
                     )
                 threads_used += 1
                 continue
-            taken = 0
             stream_next = nexts[tid]
             rob = t.rob
-            rob_size = t.rob_size
             ring = t.ring
-            while fetched < fetch_width and taken < fetch_width:
-                uop = t.pending_uop
-                if uop is None:
-                    uop = stream_next()
+            seq = t.seq
+            # The visit ends at the fetch width or when the ROB fills.
+            limit = fetch_width - fetched
+            room = t.rob_size - len(rob)
+            if room < limit:
+                limit = room
+            taken = 0
+            fp_taken = 0
+            uop = t.pending_uop
+            if uop is None:
+                uop = stream_next()
+            else:
+                t.pending_uop = None
+            while True:
+                # Claim the µop's queue entries, or name the full one.
                 opc = uop.opc
-                is_fp = opc is _FP_ALU or opc is _FP_MULT
-                if is_fp:
-                    key = "iq" if self.fp_iq_used >= fp_iq_size else None
-                elif self.int_iq_used >= int_iq_size:
+                key = None
+                if opc is _FP_ALU or opc is _FP_MULT:
+                    if fp_iq_used < fp_iq_size:
+                        fp_iq_used += 1
+                        fp_taken += 1
+                    else:
+                        key = "iq"
+                elif int_iq_used >= int_iq_size:
                     key = "iq"
-                elif opc is _LOAD and self.lq_used >= lq_size:
-                    key = "lsq"
-                elif opc is _STORE and self.sq_used >= sq_size:
-                    key = "lsq"
+                elif opc is _LOAD:
+                    if lq_used < lq_size:
+                        lq_used += 1
+                        int_iq_used += 1
+                    else:
+                        key = "lsq"
+                elif opc is _STORE:
+                    if sq_used < sq_size:
+                        sq_used += 1
+                        int_iq_used += 1
+                    else:
+                        key = "lsq"
                 else:
-                    key = None
+                    int_iq_used += 1
                 if key is not None:
                     rejections[key] += 1
                     t.pending_uop = uop
-                    if not taken:
-                        resource_stalled.add(tid)
                     break
-                t.pending_uop = None
-                mispredicted = (
-                    opc is _BRANCH and self._branch_mispredicted(t, uop)
-                )
-                seq = t.seq
+                if opc is not _BRANCH:
+                    mispredicted = False
+                elif predictors is None:
+                    mispredicted = uop.mispredict
+                else:
+                    mispredicted = self._branch_mispredicted(t, uop)
                 node = Inflight(tid, seq, opc, uop.addr, mispredicted, ready_lb)
+                # Producers by backwards distance in the ring; one that
+                # aged out of it (or lies before sequence 0) has long
+                # finished and adds no wait.
+                deps = 0
+                lb = ready_lb
                 dep1 = uop.dep1
                 if dep1:
-                    producer = t.producer(dep1)
-                    if producer is not None:
+                    back = seq - dep1
+                    producer = ring[back % ring_size]
+                    if producer is not None and producer.seq == back:
                         finish = producer.finish
                         if finish is None:
-                            node.deps_left += 1
-                            producer.add_waiter(node)
-                        elif finish > node.ready_lb:
-                            node.ready_lb = finish
+                            deps = 1
+                            waiters = producer.waiters
+                            if waiters is None:
+                                producer.waiters = [node]
+                            else:
+                                waiters.append(node)
+                        elif finish > lb:
+                            lb = finish
                 dep2 = uop.dep2
                 if dep2:
-                    producer = t.producer(dep2)
-                    if producer is not None:
+                    back = seq - dep2
+                    producer = ring[back % ring_size]
+                    if producer is not None and producer.seq == back:
                         finish = producer.finish
                         if finish is None:
-                            node.deps_left += 1
-                            producer.add_waiter(node)
-                        elif finish > node.ready_lb:
-                            node.ready_lb = finish
-                ring[seq % RING_SIZE] = node
-                t.seq = seq + 1
+                            deps += 1
+                            waiters = producer.waiters
+                            if waiters is None:
+                                producer.waiters = [node]
+                            else:
+                                waiters.append(node)
+                        elif finish > lb:
+                            lb = finish
+                if deps:
+                    node.deps_left = deps
+                if lb > ready_lb:
+                    node.ready_lb = lb
+                ring[seq % ring_size] = node
+                seq += 1
                 rob.append(node)
-                t.fetched += 1
-                t.unissued += 1
-                if is_fp:
-                    self.fp_iq_used += 1
-                    t.iq_fp += 1
-                else:
-                    self.int_iq_used += 1
-                    t.iq_int += 1
-                    if opc is _LOAD:
-                        self.lq_used += 1
-                    elif opc is _STORE:
-                        self.sq_used += 1
-                fetched += 1
                 taken += 1
                 if mispredicted:
                     # Fetch stops until the branch resolves; its
@@ -967,28 +1054,43 @@ class SMTCore:
                     # reopen it after the refill penalty.
                     t.fetch_blocked_until = FOREVER
                     node.add_waiter(tid)
-                    if self._tracer is not None:
-                        self._tracer.emit(
+                    if tracer is not None:
+                        tracer.emit(
                             cycle, "fetch.redirect", "cpu.fetch", tid,
                             args={"reason": "branch-mispredict"},
                         )
-                if node.deps_left == 0:
-                    schedule_issue(node)
-                if mispredicted:
+                    if not deps:
+                        schedule_issue(node)
                     break  # redirect: nothing behind the branch is fetched
-                if len(rob) >= rob_size:
+                if not deps:
+                    schedule_issue(node)
+                if taken >= limit:
                     break
+                uop = stream_next()
             if taken:
+                t.seq = seq
+                t.fetched += taken
+                t.unissued += taken
+                t.iq_fp += fp_taken
+                t.iq_int += taken - fp_taken
+                fetched += taken
                 threads_used += 1
-                dispatched_threads.add(tid)
-        for t in eligible:
-            tid = t.thread_id
-            if tid in dispatched_threads:
-                continue
-            if tid in resource_stalled:
-                stalls["resource_full"] += 1
+                dispatched += 1
             else:
-                stalls["not_selected"] += 1
+                # Only a full shared resource ends a visit before the
+                # first µop.
+                resource_full += 1
+        self.int_iq_used = int_iq_used
+        self.fp_iq_used = fp_iq_used
+        self.lq_used = lq_used
+        self.sq_used = sq_used
+        if resource_full:
+            stalls["resource_full"] += resource_full
+        # Eligible threads the policy left out, the fetch-thread cap or
+        # width cut off, or the I-cache missed on.
+        not_selected = len(eligible) - dispatched - resource_full
+        if not_selected:
+            stalls["not_selected"] += not_selected
         return fetched
 
     def _branch_mispredicted(self, t: ThreadContext, uop: Uop) -> bool:
@@ -1012,13 +1114,12 @@ class SMTCore:
         issue = node.ready_lb
         if now > issue:
             issue = now
-        params = self.params
         if opc is _FP_ALU or opc is _FP_MULT:
             lane = 1
-            width = params.fp_issue_width
+            width = self._fp_issue_width
         else:
             lane = 0
-            width = params.int_issue_width
+            width = self._int_issue_width
         records = self._issue_records
         record = records.get(issue)
         while record is not None and len(record[lane]) >= width:
@@ -1138,7 +1239,7 @@ class SMTCore:
             now,
             rob_occupancy=len(t.rob),
             iq_occupancy=self._iq_occupancy_seen(t, node, member, now),
-            callback=lambda finish, node=node: self._resolve(node, finish),
+            callback=partial(self._resolve, node),
         )
         if result is RETRY:
             retry_at = now + self.params.retry_delay

@@ -142,35 +142,6 @@ class ThreadContext:
 
     # ------------------------------------------------------------------
 
-    @property
-    def rob_full(self) -> bool:
-        return len(self.rob) >= self.rob_size
-
-    @property
-    def rob_occupancy(self) -> int:
-        return len(self.rob)
-
-    def can_fetch(self, cycle: int) -> bool:
-        """Front-end eligibility (resource checks happen at dispatch)."""
-        return self.fetch_blocked_until <= cycle and not self.rob_full
-
-    def producer(self, distance: int) -> Inflight | None:
-        """The node ``distance`` instructions back, if still tracked.
-
-        Returns ``None`` when the producer has aged out of the ring
-        (its result is long since available).
-        """
-        target_seq = self.seq - distance
-        if target_seq < 0:
-            return None
-        node = self.ring[target_seq % RING_SIZE]
-        if node is not None and node.seq == target_seq:
-            return node
-        return None
-
     def measured_committed(self) -> int:
         """Instructions committed since the warm-up baseline."""
         return self.committed - self.warmup_committed
-
-    def reached_target(self) -> bool:
-        return self.measured_committed() >= self.target
